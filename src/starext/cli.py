@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed (undecidable tolerated unless --strict),
 1 suite failures, 2 parse or configuration errors, 3 broken filter
-consistency or replay divergence.
+consistency or replay divergence (a decision that differs from the
+replayed log, or a recomputed log shorter or longer than it).
 
 The report and the log depend only on the scenario and the flags, never
 on wall-clock or filesystem specifics, so a rerun (or a rerun under
@@ -106,6 +107,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         reports = run_suites(ctx, suites)
         oracle.check_consistency()
+        if replay_log is not None and len(oracle.log) != len(replay_log):
+            raise ReplayMismatch(
+                f"recomputed {len(oracle.log)} decisions, "
+                f"the replayed log has {len(replay_log)}"
+            )
     except ReplayMismatch as exc:
         print(f"replay mismatch: {exc}", file=sys.stderr)
         return 3

@@ -36,6 +36,7 @@ from .funlang import (
     IfEq,
     Table,
     compile_fn,
+    eval_vec,
     normalize,
     pretty,
 )
@@ -214,22 +215,16 @@ def witness_table(frag: Fragment, check_set: CheckSet) -> WitnessTable:
     encode: dict[int, int] = {}
     row_exprs: list[FnExpr] = []
     values: list[list[int]] = []
-    witness_by_index = {i: (name, expr) for i, name, expr in check_set.members}
-    fn_cache: dict[str, Callable[[int], int]] = {}
+    witness_by_index = {i: expr for i, _, expr in check_set.members}
+    sample = np.array(frag.sample)
+    row_cache: dict[str, list[int]] = {}
     for i in range(n_pts):
-        entry = witness_by_index.get(i)
-        if entry is None:
-            row_expr: FnExpr = VAR
-            row_fn = lambda v: v
-        else:
-            _, row_expr = entry
-            key = pretty(row_expr)
-            row_fn = fn_cache.get(key)
-            if row_fn is None:
-                row_fn = compile_fn(row_expr)
-                fn_cache[key] = row_fn
+        row_expr = witness_by_index.get(i, VAR)
+        key = pretty(row_expr)
+        if key not in row_cache:
+            row_cache[key] = eval_vec(row_expr, sample).tolist()
+        row_vals = row_cache[key]
         row_exprs.append(row_expr)
-        row_vals = [row_fn(x) for x in frag.sample]
         values.append(row_vals)
         for j, v in enumerate(row_vals):
             code = encode.get(v)

@@ -23,6 +23,15 @@ Canonical text is produced by :func:`pretty` applied to a normalized
 expression (:func:`normalize`). Normalization inlines compositions and
 cancels exact pairing redexes; it is what makes structurally different
 routes to the same function collapse to one decision-log key.
+
+Evaluation: :func:`interpret` is the reference, one expression at one
+natural in exact Python ints. :func:`eval_vec` is the one evaluator for
+vectors (truth vectors of :class:`IndexPredicate`, sequence values,
+whole-range sweeps) and equals :func:`interpret` entry by entry. An
+interval pass picks its dtype: int64 when every node value and the
+intermediates ``s*(s+1)`` of pair and ``8z+1`` of unpair stay below
+2**62 on 0..max(xs), exact object-dtype Python ints otherwise.
+:func:`compile_fn` remains for per-index callers.
 """
 
 from __future__ import annotations
@@ -295,6 +304,212 @@ def compile_fn(e: FnExpr) -> Callable[[int], int]:
     return namespace["_f"]  # type: ignore[return-value]
 
 
+# ---------------------------------------------------------------------------
+# Vectorised evaluation
+
+#: every node value and intermediate below this bound keeps int64 exact,
+#: with headroom for the sums and products the evaluator forms
+INT64_SAFE = 1 << 62
+
+
+class _Overflow(Exception):
+    pass
+
+
+def _fits_int64(e: FnExpr, x_max: int) -> bool:
+    """Interval pass: True when, for every input in 0..x_max, every node
+    value of ``e`` and the intermediates ``s*(s+1)`` of pair and ``8z+1``
+    of unpair stay below :data:`INT64_SAFE`."""
+    memo: dict[tuple[int, int], int] = {}
+
+    def check(v: int) -> int:
+        if v >= INT64_SAFE:
+            raise _Overflow
+        return v
+
+    def bound(node: FnExpr, vb: int) -> int:
+        key = (id(node), vb)
+        if key in memo:
+            return memo[key]
+        match node:
+            case Const(v):
+                out = v
+            case Var():
+                out = vb
+            case Add(a, b):
+                out = bound(a, vb) + bound(b, vb)
+            case Sub(a, b):
+                bound(b, vb)
+                out = bound(a, vb)
+            case Mul(a, b):
+                out = bound(a, vb) * bound(b, vb)
+            case DivC(a, d):
+                out = bound(a, vb) // check(d)
+            case ModC(a, d):
+                out = min(bound(a, vb), check(d) - 1)
+            case IfEq(a, b, t, o):
+                bound(a, vb)
+                bound(b, vb)
+                out = max(bound(t, vb), bound(o, vb))
+            case PairE(a, b):
+                r = bound(b, vb)
+                s = bound(a, vb) + r
+                out = check(s * (s + 1)) // 2 + r
+            case P1(a) | P2(a):
+                out = bound(a, vb)
+                check(8 * out + 1)
+            case Compose(f, g):
+                out = bound(f, bound(g, vb))
+            case Table(a, entries, default):
+                av = bound(a, vb)
+                for k, _ in entries:
+                    check(k)
+                outs = [v for _, v in entries]
+                out = max(outs + [av if default is None else default])
+            case _:
+                raise TypeError(f"not an FnExpr: {node!r}")
+        memo[key] = check(out)
+        return out
+
+    try:
+        bound(e, x_max)
+    except _Overflow:
+        return False
+    return True
+
+
+_isqrt_obj = np.frompyfunc(isqrt, 1, 1)
+
+
+def _unpair_vec(z, exact: bool):
+    if not isinstance(z, np.ndarray):
+        return unpair(z)
+    if exact:
+        w = (_isqrt_obj(8 * z + 1) - 1) // 2
+    else:
+        # for z < 2**59 the float root is off by at most one; one integer
+        # correction step in each direction makes it exact
+        w = ((np.sqrt(8.0 * z + 1.0) - 1.0) / 2.0).astype(np.int64)
+        w -= w * (w + 1) // 2 > z
+        w += (w + 1) * (w + 2) // 2 <= z
+    y = z - w * (w + 1) // 2
+    return w - y, y
+
+
+def eval_vec(e: FnExpr, xs) -> np.ndarray:
+    """Evaluate ``e`` at every entry of ``xs``; equal to :func:`interpret`
+    entry by entry.
+
+    An interval pass over the tree picks the dtype: int64 when every
+    bound stays below :data:`INT64_SAFE` on 0..max(xs), exact object-dtype
+    Python ints otherwise. Shared subtrees are evaluated once.
+    """
+    xs = np.asarray(xs)
+    x_max = int(xs.max()) if xs.size else 0
+    exact = not _fits_int64(e, x_max)
+    dtype = object if exact else np.int64
+    xs = xs.astype(dtype)
+    # only subtrees reached along several edges are kept, so the
+    # intermediates of the rest are freed as soon as they are used
+    shared = _shared_ids(e)
+    memo: dict[tuple, object] = {}
+    # memo keys hold the id of the variable's value, so every value bound
+    # by a composition stays alive until the end
+    bindings: list[object] = []
+
+    def unp(node: FnExpr, var):
+        key = ("unpair", id(node), id(var))
+        if key in memo:
+            return memo[key]
+        out = _unpair_vec(go(node, var), exact)
+        if key[1] in shared:
+            memo[key] = out
+        return out
+
+    def go(node: FnExpr, var):
+        key = (id(node), id(var))
+        if key in memo:
+            return memo[key]
+        match node:
+            case Const(v):
+                out = v
+            case Var():
+                out = var
+            case Add(a, b):
+                out = go(a, var) + go(b, var)
+            case Sub(a, b):
+                d = go(a, var) - go(b, var)
+                out = np.maximum(d, 0) if isinstance(d, np.ndarray) else max(d, 0)
+            case Mul(a, b):
+                out = go(a, var) * go(b, var)
+            case DivC(a, d):
+                out = go(a, var) // d
+            case ModC(a, d):
+                out = go(a, var) % d
+            case IfEq(a, b, t, o):
+                cond = go(a, var) == go(b, var)
+                t, o = go(t, var), go(o, var)
+                if isinstance(cond, np.ndarray):
+                    out = np.where(cond, np.asarray(t, dtype), np.asarray(o, dtype))
+                else:
+                    out = t if cond else o
+            case PairE(a, b):
+                r = go(b, var)
+                s = go(a, var) + r
+                out = s * (s + 1) // 2 + r
+            case P1(a):
+                out = unp(a, var)[0]
+            case P2(a):
+                out = unp(a, var)[1]
+            case Compose(f, g):
+                inner = go(g, var)
+                bindings.append(inner)
+                out = go(f, inner)
+            case Table(a, entries, default):
+                out = _lookup_vec(go(a, var), entries, default, dtype)
+            case _:
+                raise TypeError(f"not an FnExpr: {node!r}")
+        if key[0] in shared:
+            memo[key] = out
+        return out
+
+    out = go(e, xs)
+    if isinstance(out, np.ndarray):
+        return out
+    return np.full(xs.shape, out, dtype=dtype)
+
+
+def _shared_ids(e: FnExpr) -> set[int]:
+    """Ids of the nodes of ``e`` reached along more than one edge."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            shared.add(id(node))
+            continue
+        seen.add(id(node))
+        stack.extend(c for c in vars(node).values() if isinstance(c, FnExpr))
+    return shared
+
+
+def _lookup_vec(v, entries, default, dtype):
+    table = dict(entries)
+
+    def get(k):
+        return table.get(k, k if default is None else default)
+
+    if not isinstance(v, np.ndarray):
+        return get(v)
+    if dtype is object or not entries:
+        return np.array([get(k) for k in v.tolist()], dtype=dtype).reshape(v.shape)
+    keys = np.array([k for k, _ in entries], dtype=dtype)
+    outs = np.array([w for _, w in entries], dtype=dtype)
+    pos = np.minimum(np.searchsorted(keys, v), len(keys) - 1)
+    return np.where(keys[pos] == v, outs[pos], v if default is None else default)
+
+
 def is_closed(e: FnExpr) -> bool:
     """True when the expression contains no input variable."""
     match e:
@@ -370,7 +585,16 @@ def normalize(e: FnExpr) -> FnExpr:
       * ``ifeq(a, a, t, o)``   -> t  (structural identity of a)
     """
 
+    inlined: dict[int, FnExpr] = {}
+
     def inline(node: FnExpr) -> FnExpr:
+        # memoised by id so subtrees shared in the input stay shared
+        key = id(node)
+        if key not in inlined:
+            inlined[key] = expand(node)
+        return inlined[key]
+
+    def expand(node: FnExpr) -> FnExpr:
         match node:
             case Compose(f, g):
                 return substitute(inline(f), inline(g))
@@ -694,24 +918,24 @@ class IndexPredicate:
 
     ``text`` is the canonical identity: two predicates with equal text are
     the same oracle query and share a decision-log entry. Truth at n means
-    the underlying value is nonzero.
+    the underlying value is nonzero. A predicate carries an expression,
+    whose truth vector comes from :func:`eval_vec`, or only a per-index
+    callable (quantified ``sat[...]`` formulas and combinations of them).
     """
 
-    __slots__ = ("text", "expr", "_fn", "_mask_builder", "_compiled")
+    __slots__ = ("text", "expr", "_fn", "_compiled")
 
     def __init__(
         self,
         text: str,
         expr: FnExpr | None = None,
         fn: Callable[[int], int] | None = None,
-        mask_builder: Callable[[int], np.ndarray] | None = None,
     ):
         if expr is None and fn is None:
             raise ValueError("predicate needs an expression or a callable")
         self.text = text
         self.expr = expr
         self._fn = fn
-        self._mask_builder = mask_builder
         self._compiled: Callable[[int], int] | None = None
 
     def __repr__(self):
@@ -729,27 +953,9 @@ class IndexPredicate:
         return cls(text, fn=fn)
 
     @classmethod
-    def agreement(
-        cls,
-        a: FnExpr,
-        b: FnExpr,
-        values_a: Callable[[int], list[int]] | None = None,
-        values_b: Callable[[int], list[int]] | None = None,
-    ) -> "IndexPredicate":
-        """The set {n : a(n) = b(n)}. Optional value-vector providers let
-        the mask reuse cached sequence values."""
-        na, nb = normalize(a), normalize(b)
-        norm = normalize(IfEq(na, nb, Const(1), Const(0)))
-        builder = None
-        if values_a is not None and values_b is not None and not isinstance(norm, Const):
-            def builder(horizon: int) -> np.ndarray:
-                va = values_a(horizon)
-                vb = values_b(horizon)
-                return np.fromiter(
-                    (p == q for p, q in zip(va, vb)), dtype=bool, count=horizon + 1
-                )
-
-        return cls(pretty(norm), expr=norm, mask_builder=builder)
+    def agreement(cls, a: FnExpr, b: FnExpr) -> "IndexPredicate":
+        """The set {n : a(n) = b(n)}."""
+        return cls.from_expr(IfEq(normalize(a), normalize(b), Const(1), Const(0)))
 
     @classmethod
     def full(cls) -> "IndexPredicate":
@@ -763,18 +969,9 @@ class IndexPredicate:
 
     def negate(self) -> "IndexPredicate":
         if self.expr is not None:
-            norm = normalize(IfEq(self.expr, Const(0), Const(1), Const(0)))
-            text = pretty(norm)
-            expr = norm
-        else:
-            text = f"not[{self.text}]"
-            expr = None
-        inner = self
+            return IndexPredicate.from_expr(IfEq(self.expr, Const(0), Const(1), Const(0)))
         return IndexPredicate(
-            text,
-            expr=expr,
-            fn=(lambda n: 0 if inner.truth_at(n) else 1) if expr is None else None,
-            mask_builder=lambda horizon: ~inner.mask(horizon),
+            f"not[{self.text}]", fn=lambda n: 0 if self.truth_at(n) else 1
         )
 
     def conj(self, other: "IndexPredicate") -> "IndexPredicate":
@@ -800,17 +997,9 @@ class IndexPredicate:
 
     def mask(self, horizon: int) -> np.ndarray:
         """Boolean truth vector over indices 0..horizon inclusive."""
-        const = self.constant_value()
-        if const is not None:
-            return np.full(horizon + 1, const, dtype=bool)
-        if self._mask_builder is not None:
-            return self._mask_builder(horizon)
-        if self._fn is not None:
-            f = self._fn
-        else:
-            if self._compiled is None:
-                self._compiled = compile_fn(self.expr)  # type: ignore[arg-type]
-            f = self._compiled
+        if self.expr is not None:
+            return eval_vec(self.expr, np.arange(horizon + 1)) != 0
+        f = self._fn
         return np.fromiter(
             (f(n) != 0 for n in range(horizon + 1)), dtype=bool, count=horizon + 1
         )
@@ -822,17 +1011,9 @@ def _combine(p: IndexPredicate, q: IndexPredicate, op: str) -> IndexPredicate:
             raw = IfEq(p.expr, Const(0), Const(0), IfEq(q.expr, Const(0), Const(0), Const(1)))
         else:
             raw = IfEq(p.expr, Const(0), IfEq(q.expr, Const(0), Const(0), Const(1)), Const(1))
-        norm = normalize(raw)
-        text = pretty(norm)
-        expr = norm
-    else:
-        text = f"{op}[{p.text} ; {q.text}]"
-        expr = None
-
+        return IndexPredicate.from_expr(raw)
     if op == "and":
         fn = lambda n: 1 if (p.truth_at(n) and q.truth_at(n)) else 0
-        builder = lambda horizon: p.mask(horizon) & q.mask(horizon)
     else:
         fn = lambda n: 1 if (p.truth_at(n) or q.truth_at(n)) else 0
-        builder = lambda horizon: p.mask(horizon) | q.mask(horizon)
-    return IndexPredicate(text, expr=expr, fn=fn if expr is None else None, mask_builder=builder)
+    return IndexPredicate(f"{op}[{p.text} ; {q.text}]", fn=fn)

@@ -31,8 +31,8 @@ from .funlang import (
     PairE,
     Table,
     compile_fn,
+    eval_vec,
     interpret,
-    is_closed,
     normalize,
     parse_fn,
     pretty,
@@ -48,7 +48,7 @@ class Hyperpoint:
     may still be equal modulo the oracle.
     """
 
-    __slots__ = ("seq", "text", "name", "uid", "_compiled", "_values")
+    __slots__ = ("seq", "text", "name", "uid", "_compiled")
 
     def __init__(self, seq: FnExpr, name: str | None = None, uid: int | None = None):
         self.seq = normalize(seq)
@@ -56,7 +56,6 @@ class Hyperpoint:
         self.name = name
         self.uid = uid
         self._compiled = None
-        self._values: dict[int, list[int]] = {}
 
     def __repr__(self) -> str:
         return f"[n -> {self.text}]"
@@ -73,15 +72,8 @@ class Hyperpoint:
         return self._compiled(n)
 
     def values(self, upto: int) -> list[int]:
-        """Sequence values on 0..upto inclusive, cached per bound."""
-        cached = self._values.get(upto)
-        if cached is None:
-            if self._compiled is None:
-                self._compiled = compile_fn(self.seq)
-            f = self._compiled
-            cached = [f(n) for n in range(upto + 1)]
-            self._values[upto] = cached
-        return cached
+        """Sequence values on 0..upto inclusive, as Python ints."""
+        return eval_vec(self.seq, np.arange(upto + 1)).tolist()
 
     def prefix(self, k: int = 64) -> tuple[int, ...]:
         return tuple(self.values(k - 1)[:k])
@@ -148,8 +140,8 @@ class Universe:
         """Same points and caches, a brand-new committed family.
 
         Independent checks each run against their own filter state;
-        sharing the interning table keeps sequence values cached across
-        them, and the shared decision log keeps the run replayable.
+        sharing the interning table keeps points identical across them,
+        and the shared decision log keeps the run replayable.
         """
         return Universe(self.oracle.fresh_sibling(), interned=self._interned)
 
@@ -176,29 +168,15 @@ class Universe:
 
     def eq(self, a: Hyperpoint, b: Hyperpoint) -> bool:
         """Extensional equality: oracle decision on the agreement set."""
-        pred = IndexPredicate.agreement(a.seq, b.seq, a.values, b.values)
+        pred = IndexPredicate.agreement(a.seq, b.seq)
         return self.oracle.query(pred)
 
     def member(self, xi: Hyperpoint, a: StarSet) -> bool:
         """Membership of a point in a set extension."""
-        pred = self._member_predicate(xi, a)
-        return self.oracle.query(pred)
+        return self.oracle.query(self._member_predicate(xi, a))
 
     def _member_predicate(self, xi: Hyperpoint, a: StarSet) -> IndexPredicate:
-        norm = normalize(Compose(a.indicator, xi.seq))
-        compiled = None
-
-        def builder(horizon: int) -> np.ndarray:
-            nonlocal compiled
-            if compiled is None:
-                compiled = compile_fn(a.indicator)
-            vals = xi.values(horizon)
-            return np.fromiter(
-                (compiled(v) != 0 for v in vals), dtype=bool, count=horizon + 1
-            )
-
-        mask_builder = None if is_closed(norm) else builder
-        return IndexPredicate(pretty(norm), expr=norm, mask_builder=mask_builder)
+        return IndexPredicate.from_expr(Compose(a.indicator, xi.seq))
 
     def star_set(self, indicator: FnExpr | str, tag: str = "",
                  check_sample: int = 64) -> StarSet:

@@ -98,11 +98,6 @@ class NaryRel:
         return self.indicator.apply(*args) == 1
 
 
-def binary(name: str, source: str) -> NaryFn:
-    """Binary function from source over p1(x), p2(x) of the encoded pair."""
-    return NaryFn(2, parse_fn(source), name=name)
-
-
 ADDITION = NaryFn(2, parse_fn("p1(x) + p2(x)"), name="add")
 MULTIPLICATION = NaryFn(2, parse_fn("p1(x) * p2(x)"), name="mul")
 EQUALITY = NaryRel(2, NaryFn(2, parse_fn("ifeq(p1(x), p2(x), 1, 0)")), name="eq")

@@ -171,10 +171,6 @@ class OracleState:
     def decided(self, pred: IndexPredicate) -> bool | None:
         return self._decisions.get(pred.text)
 
-    def committed_mask(self) -> np.ndarray:
-        """Read-only copy of the current intersection C."""
-        return self._commit.copy()
-
     # -- the decision procedure ----------------------------------------------
 
     def query(self, pred: IndexPredicate) -> bool:

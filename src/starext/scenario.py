@@ -87,8 +87,8 @@ class Scenario:
     def oracle_config(self, horizon: int | None = None,
                       tiebreak: str | None = None) -> OracleConfig:
         return OracleConfig(
-            horizon=horizon or self.horizon,
-            tiebreak=tiebreak or self.tiebreak,
+            horizon=self.horizon if horizon is None else horizon,
+            tiebreak=self.tiebreak if tiebreak is None else tiebreak,
         )
 
     def formula_registry(self) -> Registry:

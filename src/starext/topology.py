@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import Undecidable
-from .funlang import Compose, Const, FnExpr, compile_fn, pretty
+import numpy as np
+
+from .funlang import Compose, Const, FnExpr, eval_vec, pretty
 from .hyper import Hyperpoint, Universe
 
 
@@ -74,18 +76,18 @@ def covers_standard(u: Universe, closed: BasicClosed,
     carries the least uncovered element.
     """
     bound = u.oracle.horizon if bound is None else bound
-    targets: list[int] = []
-    fns = []
-    for f, target in closed.pairs:
+    for _, target in closed.pairs:
         if not isinstance(target.seq, Const):
             raise ValueError(
                 f"covers_standard needs standard targets, got {target!r}"
             )
-        targets.append(target.seq.value)
-        fns.append(compile_fn(f))
-    for x in range(bound + 1):
-        if not any(fn(x) == t for fn, t in zip(fns, targets)):
-            return CoverResult(CoverVerdict.NO, witness=x)
+    xs = np.arange(bound + 1)
+    covered = np.zeros(bound + 1, dtype=bool)
+    for f, target in closed.pairs:
+        covered |= eval_vec(f, xs) == target.seq.value
+    uncovered = np.flatnonzero(~covered)
+    if uncovered.size:
+        return CoverResult(CoverVerdict.NO, witness=int(uncovered[0]))
     return CoverResult(CoverVerdict.YES)
 
 

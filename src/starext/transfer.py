@@ -53,6 +53,7 @@ from .funlang import (
     PairE,
     Sub,
     compile_fn,
+    eval_vec,
     interpret,
     is_closed,
     pair as pair_encode,
@@ -612,8 +613,7 @@ def expand_quantifiers(phi: Formula, env: Mapping[str, FnExpr],
             if is_closed(bound_expr):
                 k = interpret(bound_expr, 0)
             else:
-                f = compile_fn(bound_expr)
-                k = max(f(m) for m in range(horizon + 1))
+                k = int(eval_vec(bound_expr, np.arange(horizon + 1)).max())
             if k > budget:
                 return None
             inner_budget = max(1, budget // max(k, 1))
@@ -726,11 +726,7 @@ def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
     if all(isinstance(p.seq, Const) for p in points):
         # standard environment: truth is index-independent
         value = bool(fn(0))
-        return IndexPredicate(
-            text,
-            fn=lambda _m, v=value: int(v),
-            mask_builder=lambda hor, v=value: np.full(hor + 1, v, dtype=bool),
-        )
+        return IndexPredicate.from_fn(lambda _m, v=value: int(v), text)
     return IndexPredicate.from_fn(lambda m: 1 if fn(m) else 0, text)
 
 

@@ -215,3 +215,35 @@ def test_cli_seeded_tiebreak_scenario(tmp_path):
         (tmp_path / "t2" / "decisions.log").read_bytes()
     report = (tmp_path / "t1" / "report.txt").read_text()
     assert "tiebreak: seeded:11" in report
+
+
+@pytest.mark.parametrize("edit", ["truncate", "extend"])
+def test_cli_replay_log_of_other_length_exit_three(tmp_path, edit):
+    assert main(["quick", "--out", str(tmp_path / "base")]) == 0
+    lines = (tmp_path / "base" / "decisions.log").read_text().splitlines()
+    if edit == "truncate":
+        lines = lines[:100]
+    else:
+        last = lines[-1].split("\t")
+        lines.append("\t".join([str(int(last[0]) + 1), "x mod 2", "accept", "1"]))
+    edited = tmp_path / "edited.log"
+    edited.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("quick", "--replay", str(edited), "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert "replay mismatch" in out
+    assert len(out.strip().splitlines()) == 1
+
+
+def test_cli_horizon_zero_is_not_ignored(tmp_path):
+    code, out = run_cli("quick", "--horizon", "0", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "horizon" in out
+
+
+def test_oracle_config_honours_falsy_overrides():
+    sc = parse_scenario(MINI, name="mini")
+    with pytest.raises(ValueError):
+        sc.oracle_config(horizon=0)
+    with pytest.raises(ValueError):
+        sc.oracle_config(tiebreak="")
+    assert sc.oracle_config().horizon == 500
