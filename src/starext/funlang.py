@@ -19,6 +19,13 @@ Note the deliberately flat arithmetic level: ``a + b * c`` parses as
 ``(a + b) * c``. Named definitions (``def name = expr``) are inlined at
 parse time, so an FnExpr is always self-contained.
 
+First-order formulas (:mod:`starext.transfer`) use this language for
+their terms: a term is an FnExpr whose variables are :class:`Name` leaves,
+and binding the names by :func:`substitute` turns it into an ordinary
+expression. The tokenizer also knows the formula symbols
+``= < ! & | . ->``, so formulas and expressions share one tokenizer and
+one parser.
+
 Canonical text is produced by :func:`pretty` applied to a normalized
 expression (:func:`normalize`). Normalization inlines compositions and
 cancels exact pairing redexes; it is what makes structurally different
@@ -39,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from hashlib import sha256
 from math import isqrt
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -81,6 +88,15 @@ class Var(FnExpr):
 
 
 VAR = Var()
+
+
+@dataclass(frozen=True)
+class Name(FnExpr):
+    """A free named variable of a formula term. Only :func:`substitute`,
+    :func:`normalize` and :func:`pretty` accept it; bind every name before
+    evaluating."""
+
+    name: str
 
 
 @dataclass(frozen=True)
@@ -186,6 +202,21 @@ def succ(e: FnExpr) -> FnExpr:
 
 def pred(e: FnExpr) -> FnExpr:
     return Sub(e, Const(1))
+
+
+def and_(p: FnExpr, q: FnExpr) -> FnExpr:
+    """Conjunction of truth values (0 false, nonzero true), as 0/1."""
+    return IfEq(p, Const(0), Const(0), IfEq(q, Const(0), Const(0), Const(1)))
+
+
+def or_(p: FnExpr, q: FnExpr) -> FnExpr:
+    """Disjunction of truth values, as 0/1."""
+    return IfEq(p, Const(0), IfEq(q, Const(0), Const(0), Const(1)), Const(1))
+
+
+def not_(p: FnExpr) -> FnExpr:
+    """Negation of a truth value, as 0/1."""
+    return IfEq(p, Const(0), Const(1), Const(0))
 
 
 #: characteristic function of the diagonal on pair-encoded arguments
@@ -533,8 +564,11 @@ def is_closed(e: FnExpr) -> bool:
 # ---------------------------------------------------------------------------
 # Substitution and normalization
 
-def substitute(e: FnExpr, repl: FnExpr) -> FnExpr:
-    """Replace the input variable by ``repl``."""
+def substitute(e: FnExpr, repl: FnExpr | Mapping[str, FnExpr]) -> FnExpr:
+    """Replace the input variable by ``repl``. Given a mapping instead,
+    replace every :class:`Name` by its entry (KeyError when one is
+    missing) and keep the input variable."""
+    names = None if isinstance(repl, FnExpr) else repl
     memo: dict[int, FnExpr] = {}
 
     def go(node: FnExpr) -> FnExpr:
@@ -543,7 +577,7 @@ def substitute(e: FnExpr, repl: FnExpr) -> FnExpr:
             return memo[key]
         match node:
             case Var():
-                out: FnExpr = repl
+                out: FnExpr = repl if names is None else node
             case Const():
                 out = node
             case Add(a, b):
@@ -565,9 +599,14 @@ def substitute(e: FnExpr, repl: FnExpr) -> FnExpr:
             case P2(a):
                 out = P2(go(a))
             case Compose(f, g):
-                out = Compose(f, go(g))
+                # the outer function's variable is its own; names are global
+                out = Compose(f if names is None else go(f), go(g))
             case Table(a, entries, default):
                 out = Table(go(a), entries, default)
+            case Name(name):
+                # Name cases come last here and in normalize/pretty: those
+                # walks are hot, and only formula terms hold names
+                out = node if names is None else names[name]
             case _:
                 raise TypeError(f"not an FnExpr: {node!r}")
         memo[key] = out
@@ -620,6 +659,8 @@ def normalize(e: FnExpr) -> FnExpr:
                 return P2(inline(a))
             case Table(a, entries, default):
                 return Table(inline(a), entries, default)
+            case Name():
+                return node
         raise TypeError(f"not an FnExpr: {node!r}")
 
     memo: dict[int, FnExpr] = {}
@@ -657,6 +698,8 @@ def normalize(e: FnExpr) -> FnExpr:
                 out = sa.right if isinstance(sa, PairE) else P2(sa)
             case Table(a, entries, default):
                 out = Table(simp(a), entries, default)
+            case Name():
+                out = node
             case _:
                 raise TypeError(f"not an FnExpr: {node!r}")
         memo[key] = out
@@ -712,6 +755,8 @@ def pretty(e: FnExpr) -> str:
             case Table(a, entries, default):
                 digest = sha256(repr((entries, default)).encode()).hexdigest()[:12]
                 out = (f"table#{digest}({go(a)[0]})", False)
+            case Name(name):
+                out = (name, False)
             case _:
                 raise TypeError(f"not an FnExpr: {node!r}")
         memo[key] = out
@@ -731,13 +776,16 @@ def pretty(e: FnExpr) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_SYMBOLS = {"+", "-", "*", "(", ")", ","}
+#: one-character symbols; the formula symbols = < ! & | . are here too
+_SYMBOLS = {"+", "-", "*", "(", ")", ",", "=", "<", "!", "&", "|", "."}
 _KEYWORDS = {"ifeq", "pair", "p1", "p2", "mod", "div"}
+_ARITH = {"+": Add, "-": Sub, "*": Mul}
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
+def _tokenize(src: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int, int]]:
+    """Tokens (kind, text, line, col); ``line``/``col`` place the first
+    character of ``src`` in a larger text."""
     tokens = []
-    line, col = 1, 1
     i = 0
     while i < len(src):
         c = src[i]
@@ -753,6 +801,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
         if c == "#":
             while i < len(src) and src[i] != "\n":
                 i += 1
+            continue
+        if src.startswith("->", i):
+            tokens.append(("sym", "->", line, col))
+            i += 2
+            col += 2
             continue
         if c in _SYMBOLS:
             tokens.append(("sym", c, line, col))
@@ -781,7 +834,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens, defs: dict[str, FnExpr] | None):
+    def __init__(self, tokens, defs: Mapping[str, FnExpr] | None):
         self.tokens = tokens
         self.pos = 0
         self.defs = defs or {}
@@ -799,18 +852,20 @@ class _Parser:
         if text != value:
             raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", line, col)
 
-    def fail(self, message: str):
-        _, text, line, col = self.peek()
-        raise ParseError(message, line, col)
+    def finish(self, node):
+        """``node``, once the whole input is consumed."""
+        kind, text, line, col = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {text!r}", line, col)
+        return node
 
     def parse_expr(self) -> FnExpr:
         node = self.parse_term()
         while True:
             kind, text, _, _ = self.peek()
-            if kind == "sym" and text in "+-*":
+            if kind == "sym" and text in _ARITH:
                 self.next()
-                rhs = self.parse_term()
-                node = {"+": Add, "-": Sub, "*": Mul}[text](node, rhs)
+                node = _ARITH[text](node, self.parse_term())
             else:
                 return node
 
@@ -881,32 +936,38 @@ def parse_fn(source: str, defs: dict[str, FnExpr] | None = None) -> FnExpr:
     """Parse one expression. ``defs`` supplies named functions for calls,
     which are inlined."""
     parser = _Parser(_tokenize(source), defs)
-    node = parser.parse_expr()
-    kind, text, line, col = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {text!r}", line, col)
-    return node
+    return parser.finish(parser.parse_expr())
+
+
+def parse_definition(line: str, lineno: int, defs: Mapping[str, FnExpr],
+                     keyword: str = "def") -> tuple[str, FnExpr]:
+    """Parse line ``lineno`` of a larger text, ``def name = expr`` with
+    ``keyword`` in place of ``def``. The body may call ``defs``; a name
+    already there, a keyword or ``x`` is rejected. Errors carry ``lineno``
+    and the column in ``line``."""
+    code = line.split("#", 1)[0]
+    if not code.lstrip().startswith(keyword + " "):
+        raise ParseError(f"expected '{keyword} name = expr'", lineno, 1)
+    head, _, body = code.partition("=")
+    name = head.strip()[len(keyword):].strip()
+    if not name.isidentifier() or name in _KEYWORDS or name == "x":
+        raise ParseError(f"bad definition name {name!r}", lineno, 1)
+    if name in defs:
+        raise ParseError(f"duplicate definition {name!r}", lineno, 1)
+    if not body.strip():
+        raise ParseError("empty definition body", lineno, 1)
+    parser = _Parser(_tokenize(body, lineno, len(head) + 2), defs)
+    return name, parser.finish(parser.parse_expr())
 
 
 def parse_definitions(source: str) -> dict[str, FnExpr]:
     """Parse a block of ``def name = expr`` lines. Later definitions may
     call earlier ones."""
     defs: dict[str, FnExpr] = {}
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not line.startswith("def "):
-            raise ParseError("expected 'def name = expr'", lineno, 1)
-        head, _, body = line[4:].partition("=")
-        name = head.strip()
-        if not name.isidentifier() or name in _KEYWORDS or name == "x":
-            raise ParseError(f"bad definition name {name!r}", lineno, 1)
-        if name in defs:
-            raise ParseError(f"duplicate definition {name!r}", lineno, 1)
-        if not body.strip():
-            raise ParseError("empty definition body", lineno, 1)
-        defs[name] = parse_fn(body, defs)
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        if line.split("#", 1)[0].strip():
+            name, expr = parse_definition(line, lineno, defs)
+            defs[name] = expr
     return defs
 
 
@@ -969,7 +1030,7 @@ class IndexPredicate:
 
     def negate(self) -> "IndexPredicate":
         if self.expr is not None:
-            return IndexPredicate.from_expr(IfEq(self.expr, Const(0), Const(1), Const(0)))
+            return IndexPredicate.from_expr(not_(self.expr))
         return IndexPredicate(
             f"not[{self.text}]", fn=lambda n: 0 if self.truth_at(n) else 1
         )
@@ -1007,11 +1068,7 @@ class IndexPredicate:
 
 def _combine(p: IndexPredicate, q: IndexPredicate, op: str) -> IndexPredicate:
     if p.expr is not None and q.expr is not None:
-        if op == "and":
-            raw = IfEq(p.expr, Const(0), Const(0), IfEq(q.expr, Const(0), Const(0), Const(1)))
-        else:
-            raw = IfEq(p.expr, Const(0), IfEq(q.expr, Const(0), Const(0), Const(1)), Const(1))
-        return IndexPredicate.from_expr(raw)
+        return IndexPredicate.from_expr((and_ if op == "and" else or_)(p.expr, q.expr))
     if op == "and":
         fn = lambda n: 1 if (p.truth_at(n) and q.truth_at(n)) else 0
     else:

@@ -13,18 +13,20 @@ import random
 from .funlang import (
     VAR,
     Add,
+    Compose,
     Const,
     DivC,
     FnExpr,
     IfEq,
     ModC,
     Mul,
+    Name,
     P1,
     P2,
     PairE,
     Sub,
 )
-from .nary import NaryFn, projection
+from .nary import NaryFn, projection, tuple_expr
 from .transfer import (
     AtomEq,
     AtomRel,
@@ -35,11 +37,6 @@ from .transfer import (
     Not,
     Or,
     Registry,
-    TApp,
-    TConst,
-    TOp,
-    TVar,
-    Term,
 )
 
 
@@ -134,33 +131,32 @@ def rand_nary(rng: random.Random, arity: int) -> NaryFn:
 
 
 def rand_term(rng: random.Random, variables: list[str], registry: Registry,
-              depth: int = 2) -> Term:
+              depth: int = 2) -> FnExpr:
+    """Random formula term over the named variables."""
     if depth <= 0 or rng.random() < 0.35:
         if variables and rng.random() < 0.7:
-            return TVar(rng.choice(variables))
-        return TConst(rng.randrange(12))
+            return Name(rng.choice(variables))
+        return Const(rng.randrange(12))
     pick = rng.randrange(6)
     if pick == 0:
-        return TOp("+", (rand_term(rng, variables, registry, depth - 1),
-                         rand_term(rng, variables, registry, depth - 1)))
+        return Add(rand_term(rng, variables, registry, depth - 1),
+                   rand_term(rng, variables, registry, depth - 1))
     if pick == 1:
-        return TOp("-", (rand_term(rng, variables, registry, depth - 1),
-                         rand_term(rng, variables, registry, depth - 1)))
+        return Sub(rand_term(rng, variables, registry, depth - 1),
+                   rand_term(rng, variables, registry, depth - 1))
     if pick == 2:
-        return TOp("*", (rand_term(rng, variables, registry, depth - 1),
-                         TConst(rng.randrange(2, 5))))
+        return Mul(rand_term(rng, variables, registry, depth - 1),
+                   Const(rng.randrange(2, 5)))
     if pick == 3:
-        return TOp("mod", (rand_term(rng, variables, registry, depth - 1),),
-                   divisor=rng.randrange(2, 10))
+        return ModC(rand_term(rng, variables, registry, depth - 1),
+                    rng.randrange(2, 10))
     if pick == 4 and registry.functions:
         name = rng.choice(sorted(registry.functions))
         fn = registry.functions[name]
-        args = tuple(
-            rand_term(rng, variables, registry, depth - 1) for _ in range(fn.arity)
-        )
-        return TApp(name, args)
-    return TOp("+", (rand_term(rng, variables, registry, depth - 1),
-                     TConst(rng.randrange(8))))
+        args = [rand_term(rng, variables, registry, depth - 1) for _ in range(fn.arity)]
+        return Compose(fn.body, tuple_expr(args))
+    return Add(rand_term(rng, variables, registry, depth - 1),
+               Const(rng.randrange(8)))
 
 
 def rand_formula(rng: random.Random, variables: list[str], registry: Registry,
@@ -187,10 +183,9 @@ def rand_formula(rng: random.Random, variables: list[str], registry: Registry,
                        rand_formula(rng, variables, registry, depth - 1, allow_quantifier))
     var = f"q{rng.randrange(100)}"
     if variables and rng.random() < 0.5:
-        bound: Term = TOp("mod", (TVar(rng.choice(variables)),),
-                          divisor=rng.randrange(3, 20))
+        bound: FnExpr = ModC(Name(rng.choice(variables)), rng.randrange(3, 20))
     else:
-        bound = TConst(rng.randrange(1, 20))
+        bound = Const(rng.randrange(1, 20))
     body = rand_formula(rng, variables + [var], registry, depth - 1, False)
     kind = "exists" if rng.random() < 0.5 else "forall"
     return Bounded(kind, var, bound, body)

@@ -30,10 +30,13 @@ from .funlang import (
     IndexPredicate,
     PairE,
     Table,
+    and_,
     compile_fn,
     eval_vec,
     interpret,
     normalize,
+    not_,
+    or_,
     parse_fn,
     pretty,
 )
@@ -109,18 +112,15 @@ def finite_indicator(elems: Iterable[int]) -> FnExpr:
 
 
 def set_union(a: StarSet, b: StarSet) -> StarSet:
-    ind = IfEq(a.indicator, Const(0), IfEq(b.indicator, Const(0), Const(0), Const(1)), Const(1))
-    return StarSet(normalize(ind), tag=f"({a.tag} | {b.tag})")
+    return StarSet(normalize(or_(a.indicator, b.indicator)), tag=f"({a.tag} | {b.tag})")
 
 
 def set_intersection(a: StarSet, b: StarSet) -> StarSet:
-    ind = IfEq(a.indicator, Const(0), Const(0), IfEq(b.indicator, Const(0), Const(0), Const(1)))
-    return StarSet(normalize(ind), tag=f"({a.tag} & {b.tag})")
+    return StarSet(normalize(and_(a.indicator, b.indicator)), tag=f"({a.tag} & {b.tag})")
 
 
 def set_complement(a: StarSet) -> StarSet:
-    ind = IfEq(a.indicator, Const(0), Const(1), Const(0))
-    return StarSet(normalize(ind), tag=f"~{a.tag}")
+    return StarSet(normalize(not_(a.indicator)), tag=f"~{a.tag}")
 
 
 class Universe:

@@ -30,6 +30,14 @@ Line-oriented sections, ``#`` comments allowed anywhere::
     [suites]
     axioms, boolean, equalizer
 
+``[functions]`` lines are parsed by :func:`starext.funlang.parse_definition`:
+a ``def`` body may call earlier ``def`` functions, a ``def2`` body (over
+the pair encoding of two arguments) may too, and every name, of either
+kind, is a fresh identifier other than a keyword or ``x``. Formulas are
+parsed by :func:`starext.transfer.parse_formula`; their terms are funlang
+expressions with named variables. ``[suites]`` names come from
+:data:`starext.suites.SUITE_RUNNERS`.
+
 The whole file is parsed and every name resolved before any oracle work
 starts; errors carry the offending line number.
 """
@@ -40,25 +48,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError
-from .funlang import FnExpr, parse_fn
+from .funlang import FnExpr, parse_definition, parse_fn
 from .nary import NaryFn
 from .oracle import OracleConfig
+from .suites import SUITE_RUNNERS
 from .transfer import Formula, Registry, parse_formula
-
-KNOWN_SUITES = (
-    "axioms",
-    "negative",
-    "boolean",
-    "equalizer",
-    "finite",
-    "nary",
-    "transfer",
-    "keisler",
-    "topology",
-    "toy_comp",
-    "toy_diag",
-    "toy_irredundant",
-)
 
 
 @dataclass
@@ -111,6 +105,13 @@ def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+def _int(value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"expected an integer, found {value!r}", lineno, 1) from None
+
+
 def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     sc = Scenario(name=name)
     section = None
@@ -133,9 +134,9 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
         if section == "config":
             key, value = _parse_kv(line, lineno)
             if key == "horizon":
-                sc.horizon = int(value)
+                sc.horizon = _int(value, lineno)
             elif key == "seed":
-                sc.seed = int(value)
+                sc.seed = _int(value, lineno)
             elif key == "tiebreak":
                 sc.tiebreak = value
             elif key == "scale":
@@ -146,29 +147,14 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 raise ParseError(f"unknown config key {key!r}", lineno, 1)
 
         elif section == "functions":
-            if line.startswith("def2 "):
-                head, _, body = line[5:].partition("=")
-                fname = head.strip()
-                if not fname.isidentifier():
-                    raise ParseError(f"bad name {fname!r}", lineno, 1)
-                try:
-                    expr = parse_fn(body, sc.defs)
-                except ParseError as exc:
-                    raise ParseError(f"in def2 {fname}: {exc}", lineno, 1)
+            keyword = "def2" if line.startswith("def2 ") else "def"
+            fname, expr = parse_definition(raw, lineno, sc.defs, keyword)
+            if fname in sc.binary_fns:
+                raise ParseError(f"duplicate definition {fname!r}", lineno, 1)
+            if keyword == "def2":
                 sc.binary_fns[fname] = NaryFn(2, expr, name=fname)
-            elif line.startswith("def "):
-                head, _, body = line[4:].partition("=")
-                fname = head.strip()
-                if not fname.isidentifier():
-                    raise ParseError(f"bad name {fname!r}", lineno, 1)
-                if fname in sc.defs:
-                    raise ParseError(f"duplicate definition {fname!r}", lineno, 1)
-                try:
-                    sc.defs[fname] = parse_fn(body, sc.defs)
-                except ParseError as exc:
-                    raise ParseError(f"in def {fname}: {exc}", lineno, 1)
             else:
-                raise ParseError("expected 'def name = expr'", lineno, 1)
+                sc.defs[fname] = expr
 
         elif section == "points":
             key, value = _parse_kv(line, lineno)
@@ -192,12 +178,12 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                         raise ParseError(f"fragment point {n!r} undefined", lineno, 1)
                 sc.fragment.points = names
             elif key == "depth":
-                sc.fragment.depth = int(value)
+                sc.fragment.depth = _int(value, lineno)
             elif key == "sample":
                 lo, _, hi = value.partition("..")
-                if int(lo) != 0:
+                if _int(lo, lineno) != 0:
                     raise ParseError("sample must start at 0", lineno, 1)
-                sample_range = (0, int(hi) + 1)
+                sample_range = (0, _int(hi, lineno) + 1)
             else:
                 raise ParseError(f"unknown fragment key {key!r}", lineno, 1)
 
@@ -234,7 +220,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 n = n.strip()
                 if not n:
                     continue
-                if n not in KNOWN_SUITES:
+                if n not in SUITE_RUNNERS:
                     raise ParseError(f"unknown suite {n!r}", lineno, 1)
                 sc.suites.append(n)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .funlang import (
     compile_fn,
     eval_vec,
     normalize,
+    not_,
     parse_fn,
     pretty,
 )
@@ -74,7 +76,6 @@ from .nary import (
     star_nary_parametric,
     tuple_expr,
 )
-from .scenario import Scenario
 from .topology import (
     BasicClosed,
     CoverVerdict,
@@ -90,6 +91,9 @@ from .transfer import (
     free_variables,
     transfer_check,
 )
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 FULL_COUNTS = {
     "comp": 1000,
@@ -138,22 +142,6 @@ QUICK_COUNTS = {
     "topo_noncovers": 3,
     "topo_continuity": 12,
 }
-
-SUITE_ORDER = (
-    "axioms",
-    "negative",
-    "boolean",
-    "equalizer",
-    "finite",
-    "nary",
-    "transfer",
-    "keisler",
-    "topology",
-    "toy_comp",
-    "toy_diag",
-    "toy_irredundant",
-)
-
 
 @dataclass(frozen=True)
 class ReportLine:
@@ -351,33 +339,29 @@ def run_axioms(ctx: SuiteContext) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # negative controls
 
-def _catch_comp(toy) -> CheckOutcome | None:
-    for f in toy.function_handles():
-        for g in toy.function_handles():
-            for p in toy.all_points():
-                out = check_composition(toy, f, g, p)
-                if out.status == FAIL:
-                    return out
-    return None
+#: the negative controls: the check, the toy that breaks it, the label of
+#: its line in ``negative`` and the prefix of its witness
+NEGATIVE_CONTROLS = (
+    ("comp", broken_comp_toy, "comp-breaker", ""),
+    ("diag", broken_diag_toy, "diag-breaker", ""),
+    ("irredundant", redundant_toy, "redundancy", "unreached point "),
+)
 
 
-def _catch_diag(toy) -> CheckOutcome | None:
-    for f in toy.function_handles():
-        for g in toy.function_handles():
-            for p in toy.all_points():
-                out = check_diagonal(toy, f, g, p)
-                if out.status == FAIL:
-                    return out
-    return None
-
-
-def _catch_redundant(toy) -> CheckOutcome | None:
-    pts = list(toy.all_points())
-    for p in pts:
-        out = check_irredundant(toy, p, extra_points=pts)
-        if out.status == EXHAUSTED:
-            return out
-    return None
+def _violation(check: str, toy) -> CheckOutcome | None:
+    """The first violation of ``check`` on the toy, or None."""
+    if check == "irredundant":
+        pts = list(toy.all_points())
+        outcomes = (check_irredundant(toy, p, extra_points=pts) for p in pts)
+        return next((out for out in outcomes if out.status == EXHAUSTED), None)
+    law = check_composition if check == "comp" else check_diagonal
+    outcomes = (
+        law(toy, f, g, p)
+        for f in toy.function_handles()
+        for g in toy.function_handles()
+        for p in toy.all_points()
+    )
+    return next((out for out in outcomes if out.status == FAIL), None)
 
 
 def run_negative(ctx: SuiteContext) -> SuiteReport:
@@ -385,62 +369,34 @@ def run_negative(ctx: SuiteContext) -> SuiteReport:
     report = SuiteReport("negative")
 
     honest = honest_toy()
-    clean = _catch_comp(honest) is None and _catch_diag(honest) is None \
-        and _catch_redundant(honest) is None
+    clean = all(_violation(check, honest) is None for check, *_ in NEGATIVE_CONTROLS)
     report.add("honest-clean", 0, PASS if clean else FAIL,
                "" if clean else "checker flagged the honest toy")
 
-    caught = _catch_comp(broken_comp_toy())
-    report.add("comp-breaker", 0, PASS if caught else FAIL,
-               caught.witness if caught else "violation not caught")
-    toy = broken_comp_toy()
-    others_ok = _catch_diag(toy) is None and _catch_redundant(toy) is None
-    report.add("comp-breaker-isolated", 0, PASS if others_ok else FAIL)
-
-    caught = _catch_diag(broken_diag_toy())
-    report.add("diag-breaker", 0, PASS if caught else FAIL,
-               caught.witness if caught else "violation not caught")
-    toy = broken_diag_toy()
-    others_ok = _catch_comp(toy) is None and _catch_redundant(toy) is None
-    report.add("diag-breaker-isolated", 0, PASS if others_ok else FAIL)
-
-    caught = _catch_redundant(redundant_toy())
-    report.add("redundancy", 0, PASS if caught else FAIL,
-               f"unreached point {caught.witness}" if caught else "violation not caught")
-    toy = redundant_toy()
-    others_ok = _catch_comp(toy) is None and _catch_diag(toy) is None
-    report.add("redundancy-isolated", 0, PASS if others_ok else FAIL)
+    for check, make_toy, label, prefix in NEGATIVE_CONTROLS:
+        caught = _violation(check, make_toy())
+        report.add(label, 0, PASS if caught else FAIL,
+                   f"{prefix}{caught.witness}" if caught else "violation not caught")
+        toy = make_toy()
+        others_ok = all(_violation(other, toy) is None
+                        for other, *_ in NEGATIVE_CONTROLS if other != check)
+        report.add(f"{label}-isolated", 0, PASS if others_ok else FAIL)
     return report
 
 
-def run_toy_comp(ctx: SuiteContext) -> SuiteReport:
-    report = SuiteReport("toy_comp")
-    caught = _catch_comp(broken_comp_toy())
-    if caught:
-        report.add("comp", 0, FAIL, caught.witness)
-    else:
-        report.add("comp", 0, PASS)
-    return report
+def _run_toy(check: str, make_toy, prefix: str):
+    """The suite ``toy_<check>``: one line, failing with the violation's
+    witness when ``check`` catches the toy's defect."""
+    def run(ctx: SuiteContext) -> SuiteReport:
+        report = SuiteReport(f"toy_{check}")
+        caught = _violation(check, make_toy())
+        if caught:
+            report.add(check, 0, FAIL, f"{prefix}{caught.witness}")
+        else:
+            report.add(check, 0, PASS)
+        return report
 
-
-def run_toy_diag(ctx: SuiteContext) -> SuiteReport:
-    report = SuiteReport("toy_diag")
-    caught = _catch_diag(broken_diag_toy())
-    if caught:
-        report.add("diag", 0, FAIL, caught.witness)
-    else:
-        report.add("diag", 0, PASS)
-    return report
-
-
-def run_toy_irredundant(ctx: SuiteContext) -> SuiteReport:
-    report = SuiteReport("toy_irredundant")
-    caught = _catch_redundant(redundant_toy())
-    if caught:
-        report.add("irredundant", 0, FAIL, f"unreached point {caught.witness}")
-    else:
-        report.add("irredundant", 0, PASS)
-    return report
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +768,7 @@ def run_topology(ctx: SuiteContext) -> SuiteReport:
             ))
         else:
             ind = normalize(rand_indicator(rng))
-            co = normalize(IfEq(ind, Const(0), Const(1), Const(0)))
+            co = normalize(not_(ind))
             closed = BasicClosed(((ind, u.standard(1)), (co, u.standard(1))))
         result = covers_standard(u, closed)
         if result.verdict != CoverVerdict.YES:
@@ -894,6 +850,7 @@ def run_topology(ctx: SuiteContext) -> SuiteReport:
     return report
 
 
+#: every suite, in the order a run reports them
 SUITE_RUNNERS = {
     "axioms": run_axioms,
     "negative": run_negative,
@@ -904,12 +861,10 @@ SUITE_RUNNERS = {
     "transfer": run_transfer,
     "keisler": run_keisler,
     "topology": run_topology,
-    "toy_comp": run_toy_comp,
-    "toy_diag": run_toy_diag,
-    "toy_irredundant": run_toy_irredundant,
+    **{f"toy_{check}": _run_toy(check, make_toy, prefix)
+       for check, make_toy, _, prefix in NEGATIVE_CONTROLS},
 }
 
 
 def run_suites(ctx: SuiteContext, names: list[str]) -> list[SuiteReport]:
-    ordered = [n for n in SUITE_ORDER if n in names]
-    return [SUITE_RUNNERS[name](ctx) for name in ordered]
+    return [run(ctx) for name, run in SUITE_RUNNERS.items() if name in names]

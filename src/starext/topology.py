@@ -43,7 +43,6 @@ class BasicClosed:
 class CoverVerdict(Enum):
     YES = "yes"
     NO = "no"
-    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,12 @@ Concrete syntax::
     atom    := term '=' term | term '<' term | REL '(' term, ... ')'
              | '(' formula ')'
 
-Terms reuse the expression grammar with variables by name and calls of
-registry functions of any arity.
+Terms are funlang expressions (:class:`~starext.funlang.FnExpr`): the
+expression grammar with variables by name, ``x`` included, each a
+:class:`~starext.funlang.Name` leaf, and calls of registry functions of
+any arity, each ``Compose(body, tuple_expr(args))``. A term gets its value
+by binding its names with :func:`~starext.funlang.substitute`: to
+constants on the base side, to the arguments' sequences on the hyper side.
 """
 
 from __future__ import annotations
@@ -39,61 +43,34 @@ import numpy as np
 
 from .errors import ParseError
 from .funlang import (
-    Add,
+    P1,
+    P2,
+    VAR,
     Compose,
     Const,
-    DivC,
     FnExpr,
     IfEq,
     IndexPredicate,
-    ModC,
-    Mul,
-    P1,
-    P2,
-    PairE,
+    Name,
     Sub,
+    _KEYWORDS,
+    _Parser,
+    _tokenize,
+    and_,
     compile_fn,
     eval_vec,
     interpret,
     is_closed,
+    not_,
+    or_,
     pair as pair_encode,
-    unpair as pair_decode,
+    pretty,
+    substitute,
 )
-from .funlang import _tokenize  # shared tokenizer
 from .hyper import Hyperpoint, Universe
 from .nary import EQUALITY, LESS_THAN, NaryFn, NaryRel, tuple_expr
 
-
-# ---------------------------------------------------------------------------
-# Terms
-
-class Term:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class TVar(Term):
-    name: str
-
-
-@dataclass(frozen=True)
-class TConst(Term):
-    value: int
-
-
-@dataclass(frozen=True)
-class TOp(Term):
-    """Built-in operator application; op in (+ - * div mod pair p1 p2)."""
-
-    op: str
-    args: tuple[Term, ...]
-    divisor: int = 0
-
-
-@dataclass(frozen=True)
-class TApp(Term):
-    fn: str
-    args: tuple[Term, ...]
+_QUANTIFIERS = ("forall", "exists")
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +82,14 @@ class Formula:
 
 @dataclass(frozen=True)
 class AtomEq(Formula):
-    left: Term
-    right: Term
+    left: FnExpr
+    right: FnExpr
 
 
 @dataclass(frozen=True)
 class AtomRel(Formula):
     rel: str
-    args: tuple[Term, ...]
+    args: tuple[FnExpr, ...]
 
 
 @dataclass(frozen=True)
@@ -144,7 +121,7 @@ class Bounded(Formula):
 
     kind: str  # "exists" | "forall"
     var: str
-    bound: Term
+    bound: FnExpr
     body: Formula
 
 
@@ -168,31 +145,12 @@ class Registry:
 # ---------------------------------------------------------------------------
 # Pretty
 
-def term_text(t: Term) -> str:
-    match t:
-        case TVar(name):
-            return name
-        case TConst(v):
-            return str(v)
-        case TOp(op, args, divisor):
-            if op in ("+", "-", "*"):
-                return f"({term_text(args[0])} {op} {term_text(args[1])})"
-            if op in ("div", "mod"):
-                return f"({term_text(args[0])} {op} {divisor})"
-            inner = ", ".join(term_text(a) for a in args)
-            return f"{op}({inner})"
-        case TApp(fn, args):
-            inner = ", ".join(term_text(a) for a in args)
-            return f"{fn}({inner})"
-    raise TypeError(f"not a Term: {t!r}")
-
-
 def formula_text(phi: Formula) -> str:
     match phi:
         case AtomEq(l, r):
-            return f"{term_text(l)} = {term_text(r)}"
+            return f"{pretty(l)} = {pretty(r)}"
         case AtomRel(rel, args):
-            return f"{rel}({', '.join(term_text(a) for a in args)})"
+            return f"{rel}({', '.join(pretty(a) for a in args)})"
         case Not(b):
             return f"!({formula_text(b)})"
         case And(l, r):
@@ -202,76 +160,54 @@ def formula_text(phi: Formula) -> str:
         case Implies(l, r):
             return f"({formula_text(l)} -> {formula_text(r)})"
         case Bounded(kind, var, bound, body):
-            return f"{kind} {var} < {term_text(bound)} . {formula_text(body)}"
+            return f"{kind} {var} < {pretty(bound)} . {formula_text(body)}"
     raise TypeError(f"not a Formula: {phi!r}")
 
 
-def term_variables(t: Term) -> set[str]:
-    match t:
-        case TVar(name):
-            return {name}
-        case TConst(_):
-            return set()
-        case TOp(_, args, _) | TApp(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= term_variables(a)
-            return out
-    raise TypeError(f"not a Term: {t!r}")
+def _names(t: FnExpr) -> set[str]:
+    if isinstance(t, Name):
+        return {t.name}
+    return set().union(*(_names(c) for c in vars(t).values() if isinstance(c, FnExpr)))
 
 
 def free_variables(phi: Formula) -> set[str]:
     match phi:
         case AtomEq(l, r):
-            return term_variables(l) | term_variables(r)
+            return _names(l) | _names(r)
         case AtomRel(_, args):
-            out: set[str] = set()
-            for a in args:
-                out |= term_variables(a)
-            return out
+            return set().union(*map(_names, args))
         case Not(b):
             return free_variables(b)
         case And(l, r) | Or(l, r) | Implies(l, r):
             return free_variables(l) | free_variables(r)
         case Bounded(_, var, bound, body):
-            return (free_variables(body) - {var}) | term_variables(bound)
+            return (free_variables(body) - {var}) | _names(bound)
     raise TypeError(f"not a Formula: {phi!r}")
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
-class _FormulaParser:
+class _FormulaParser(_Parser):
+    """The expression parser, with formulas on top and terms in which every
+    non-keyword name is a variable or a registry function."""
+
     def __init__(self, tokens, registry: Registry):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens, None)
         self.registry = registry
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def at(self, value: str) -> bool:
         return self.peek()[1] == value
 
-    def expect(self, value: str):
-        kind, text, line, col = self.next()
-        if text != value:
-            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", line, col)
-
     def parse_formula(self) -> Formula:
         kind, text, _, _ = self.peek()
-        if kind == "name" and text in ("forall", "exists"):
+        if kind == "name" and text in _QUANTIFIERS:
             self.next()
             vkind, vname, line, col = self.next()
-            if vkind != "name" or vname in ("forall", "exists"):
+            if vkind != "name" or vname in _QUANTIFIERS:
                 raise ParseError("expected a variable name", line, col)
             self.expect("<")
-            bound = self.parse_term()
+            bound = self.parse_expr()
             self.expect(".")
             body = self.parse_formula()
             return Bounded(text, vname, bound, body)
@@ -279,14 +215,9 @@ class _FormulaParser:
 
     def parse_implies(self) -> Formula:
         left = self.parse_or()
-        if self.at("-"):
-            # '->' arrives as '-' '>' from the shared tokenizer
-            save = self.pos
+        if self.at("->"):
             self.next()
-            if self.at(">"):
-                self.next()
-                return Implies(left, self.parse_implies())
-            self.pos = save
+            return Implies(left, self.parse_implies())
         return left
 
     def parse_or(self) -> Formula:
@@ -307,9 +238,9 @@ class _FormulaParser:
         if self.at("!"):
             self.next()
             return Not(self.parse_unary())
-        return self.parse_atom()
+        return self.parse_literal()
 
-    def parse_atom(self) -> Formula:
+    def parse_literal(self) -> Formula:
         kind, text, line, col = self.peek()
         if self.at("("):
             save = self.pos
@@ -320,186 +251,75 @@ class _FormulaParser:
                 return inner
             except ParseError:
                 self.pos = save  # fall through: parenthesized term
-        if kind == "name" and text in self.registry.relations:
-            save = self.pos
+        if kind == "name" and text in self.registry.relations \
+                and self.tokens[self.pos + 1][1] == "(":
             self.next()
-            if self.at("("):
-                self.next()
-                args = [self.parse_term()]
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_term())
-                self.expect(")")
-                rel = self.registry.relations[text]
-                if len(args) != rel.arity:
-                    raise ParseError(
-                        f"relation {text!r} expects {rel.arity} arguments", line, col
-                    )
-                return AtomRel(text, tuple(args))
-            self.pos = save
-        left = self.parse_term()
+            args = self.parse_args()
+            rel = self.registry.relations[text]
+            if len(args) != rel.arity:
+                raise ParseError(
+                    f"relation {text!r} expects {rel.arity} arguments", line, col
+                )
+            return AtomRel(text, tuple(args))
+        left = self.parse_expr()
         kind, text, line, col = self.peek()
         if self.at("="):
             self.next()
-            return AtomEq(left, self.parse_term())
+            return AtomEq(left, self.parse_expr())
         if self.at("<"):
             self.next()
-            return AtomRel("lt", (left, self.parse_term()))
+            return AtomRel("lt", (left, self.parse_expr()))
         raise ParseError("expected '=' or '<' after a term", line, col)
 
-    # terms: same flat arithmetic as the expression grammar
+    def parse_args(self) -> list[FnExpr]:
+        self.expect("(")
+        args = [self.parse_expr()]
+        while self.at(","):
+            self.next()
+            args.append(self.parse_expr())
+        self.expect(")")
+        return args
 
-    def parse_term(self) -> Term:
-        node = self.parse_term_factor()
-        while True:
-            kind, text, _, _ = self.peek()
-            if kind == "sym" and text in "+-*":
-                if text == "-":
-                    # do not swallow the arrow of an implication
-                    if self.tokens[self.pos + 1][1] == ">":
-                        return node
-                self.next()
-                node = TOp(text, (node, self.parse_term_factor()))
-            else:
-                return node
-
-    def parse_term_factor(self) -> Term:
-        node = self.parse_term_atom()
-        while True:
-            kind, text, _, _ = self.peek()
-            if kind == "name" and text in ("mod", "div"):
-                self.next()
-                nkind, ntext, line, col = self.next()
-                if nkind != "nat" or int(ntext) == 0:
-                    raise ParseError(f"{text} requires a nonzero constant", line, col)
-                node = TOp(text, (node,), divisor=int(ntext))
-            else:
-                return node
-
-    def parse_term_atom(self) -> Term:
-        kind, text, line, col = self.next()
-        if kind == "nat":
-            return TConst(int(text))
-        if kind == "sym" and text == "(":
-            node = self.parse_term()
-            self.expect(")")
-            return node
-        if kind == "name":
-            if text in ("pair", "p1", "p2", "ifeq"):
-                self.expect("(")
-                args = [self.parse_term()]
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_term())
-                self.expect(")")
-                arity = {"pair": 2, "p1": 1, "p2": 1, "ifeq": 4}[text]
-                if len(args) != arity:
-                    raise ParseError(f"{text} expects {arity} arguments", line, col)
-                return TOp(text, tuple(args))
-            if text in self.registry.functions:
-                self.expect("(")
-                args = [self.parse_term()]
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_term())
-                self.expect(")")
-                fn = self.registry.functions[text]
-                if len(args) != fn.arity:
-                    raise ParseError(
-                        f"function {text!r} expects {fn.arity} arguments", line, col
-                    )
-                return TApp(text, tuple(args))
-            if text in ("mod", "div", "forall", "exists"):
-                raise ParseError(f"{text!r} is not a term", line, col)
-            return TVar(text)
-        raise ParseError(f"expected a term, found {text or 'end of input'!r}", line, col)
-
-
-def _retokenize(src: str):
-    # the shared tokenizer covers everything except the formula symbols
-    out = []
-    i = 0
-    buf = []
-    specials = set("=<>!&|.")
-    line, col = 1, 1
-    for ch in src:
-        if ch in specials:
-            if buf:
-                out.extend(_tokenize("".join(buf))[:-1])
-                buf.clear()
-            out.append(("sym", ch, line, col))
-        else:
-            buf.append(ch)
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-    if buf:
-        out.extend(_tokenize("".join(buf))[:-1])
-    out.append(("eof", "", line, col))
-    return out
+    def parse_atom(self) -> FnExpr:
+        kind, text, line, col = self.peek()
+        if kind != "name" or text in _KEYWORDS:
+            return super().parse_atom()
+        self.next()
+        fn = self.registry.functions.get(text)
+        if fn is not None:
+            args = self.parse_args()
+            if len(args) != fn.arity:
+                raise ParseError(
+                    f"function {text!r} expects {fn.arity} arguments", line, col
+                )
+            return Compose(fn.body, tuple_expr(args))
+        if text in _QUANTIFIERS:
+            raise ParseError(f"{text!r} is not a term", line, col)
+        return Name(text)
 
 
 def parse_formula(source: str, registry: Registry | None = None) -> Formula:
-    registry = registry or Registry.default()
-    parser = _FormulaParser(_retokenize(source), registry)
-    phi = parser.parse_formula()
-    kind, text, line, col = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {text!r}", line, col)
-    return phi
+    parser = _FormulaParser(_tokenize(source), registry or Registry.default())
+    return parser.finish(parser.parse_formula())
 
 
 # ---------------------------------------------------------------------------
 # Base evaluation
 
-def eval_term(t: Term, env: Mapping[str, int], registry: Registry) -> int:
-    match t:
-        case TVar(name):
-            if name not in env:
-                raise KeyError(f"unbound variable {name!r}")
-            return env[name]
-        case TConst(v):
-            return v
-        case TOp(op, args, divisor):
-            vals = [eval_term(a, env, registry) for a in args]
-            match op:
-                case "+":
-                    return vals[0] + vals[1]
-                case "-":
-                    return max(vals[0] - vals[1], 0)
-                case "*":
-                    return vals[0] * vals[1]
-                case "div":
-                    return vals[0] // divisor
-                case "mod":
-                    return vals[0] % divisor
-                case "pair":
-                    return pair_encode(vals[0], vals[1])
-                case "p1":
-                    return pair_decode(vals[0])[0]
-                case "p2":
-                    return pair_decode(vals[0])[1]
-                case "ifeq":
-                    return vals[2] if vals[0] == vals[1] else vals[3]
-            raise ValueError(f"bad operator {op!r}")
-        case TApp(fn, args):
-            vals = [eval_term(a, env, registry) for a in args]
-            return registry.functions[fn].apply(*vals)
-    raise TypeError(f"not a Term: {t!r}")
-
-
 def eval_base(phi: Formula, env: Mapping[str, int],
               registry: Registry | None = None) -> bool:
     """Classical satisfaction in the base structure."""
     registry = registry or Registry.default()
+    consts = {name: Const(v) for name, v in env.items()}
+
+    def value(t: FnExpr) -> int:
+        return interpret(substitute(t, consts), 0)
+
     match phi:
         case AtomEq(l, r):
-            return eval_term(l, env, registry) == eval_term(r, env, registry)
+            return value(l) == value(r)
         case AtomRel(rel, args):
-            vals = [eval_term(a, env, registry) for a in args]
-            return registry.relations[rel].holds(*vals)
+            return registry.relations[rel].holds(*map(value, args))
         case Not(b):
             return not eval_base(b, env, registry)
         case And(l, r):
@@ -509,7 +329,7 @@ def eval_base(phi: Formula, env: Mapping[str, int],
         case Implies(l, r):
             return (not eval_base(l, env, registry)) or eval_base(r, env, registry)
         case Bounded(kind, var, bound, body):
-            limit = eval_term(bound, env, registry)
+            limit = value(bound)
             inner = dict(env)
             if kind == "exists":
                 for y in range(limit):
@@ -528,88 +348,39 @@ def eval_base(phi: Formula, env: Mapping[str, int],
 # ---------------------------------------------------------------------------
 # Hyper evaluation
 
-def compile_term(t: Term, env: Mapping[str, FnExpr], registry: Registry) -> FnExpr:
-    """Term as an expression of the index, arguments substituted in."""
-    match t:
-        case TVar(name):
-            return env[name]
-        case TConst(v):
-            return Const(v)
-        case TOp(op, args, divisor):
-            parts = [compile_term(a, env, registry) for a in args]
-            match op:
-                case "+":
-                    return Add(parts[0], parts[1])
-                case "-":
-                    return Sub(parts[0], parts[1])
-                case "*":
-                    return Mul(parts[0], parts[1])
-                case "div":
-                    return DivC(parts[0], divisor)
-                case "mod":
-                    return ModC(parts[0], divisor)
-                case "pair":
-                    return PairE(parts[0], parts[1])
-                case "p1":
-                    return P1(parts[0])
-                case "p2":
-                    return P2(parts[0])
-                case "ifeq":
-                    return IfEq(parts[0], parts[1], parts[2], parts[3])
-            raise ValueError(f"bad operator {op!r}")
-        case TApp(fn, args):
-            parts = [compile_term(a, env, registry) for a in args]
-            return Compose(registry.functions[fn].body, tuple_expr(parts))
-    raise TypeError(f"not a Term: {t!r}")
+def compile_formula(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
+                    horizon: int | None = None, budget: int = 64) -> FnExpr | None:
+    """The formula as a 0/1 expression of the index, the arguments'
+    sequences bound to its variables.
 
+    Given a horizon, bounded quantifiers are unrolled into finite chains.
+    That is sound because the unrolling covers every value the bound term
+    takes on 0..horizon. None without a horizon, or when that range
+    exceeds the budget; the caller then falls back to pointwise evaluation.
+    """
+    def sub(psi: Formula, inner_env=env, inner_budget=budget) -> FnExpr | None:
+        return compile_formula(psi, inner_env, registry, horizon, inner_budget)
 
-def compile_formula(phi: Formula, env: Mapping[str, FnExpr],
-                    registry: Registry) -> FnExpr | None:
-    """Quantifier-free formulas as 0/1 expressions of the index; None
-    when a bounded quantifier blocks compilation."""
     match phi:
         case AtomEq(l, r):
-            return IfEq(
-                compile_term(l, env, registry),
-                compile_term(r, env, registry),
-                Const(1),
-                Const(0),
-            )
+            return IfEq(substitute(l, env), substitute(r, env), Const(1), Const(0))
         case AtomRel(rel, args):
-            parts = [compile_term(a, env, registry) for a in args]
+            parts = [substitute(a, env) for a in args]
             return Compose(registry.relations[rel].indicator.body, tuple_expr(parts))
         case Not(b):
-            inner = compile_formula(b, env, registry)
-            return None if inner is None else IfEq(inner, Const(0), Const(1), Const(0))
-        case And(l, r):
-            cl, cr = compile_formula(l, env, registry), compile_formula(r, env, registry)
+            inner = sub(b)
+            return None if inner is None else not_(inner)
+        case And(l, r) | Or(l, r):
+            cl, cr = sub(l), sub(r)
             if cl is None or cr is None:
                 return None
-            return IfEq(cl, Const(0), Const(0), IfEq(cr, Const(0), Const(0), Const(1)))
-        case Or(l, r):
-            cl, cr = compile_formula(l, env, registry), compile_formula(r, env, registry)
-            if cl is None or cr is None:
-                return None
-            return IfEq(cl, Const(0), IfEq(cr, Const(0), Const(0), Const(1)), Const(1))
+            return (and_ if isinstance(phi, And) else or_)(cl, cr)
         case Implies(l, r):
-            return compile_formula(Or(Not(l), r), env, registry)
-        case Bounded(_, _, _, _):
-            return None
-    raise TypeError(f"not a Formula: {phi!r}")
-
-
-def expand_quantifiers(phi: Formula, env: Mapping[str, FnExpr],
-                       registry: Registry, horizon: int,
-                       budget: int = 64) -> FnExpr | None:
-    """Compile with bounded quantifiers unrolled into finite chains.
-
-    Sound because the unrolling covers every value the bound term takes
-    on 0..horizon; gives up (None) when that range exceeds the budget,
-    in which case the caller falls back to pointwise evaluation.
-    """
-    match phi:
+            return sub(Or(Not(l), r))
         case Bounded(kind, var, bound, body):
-            bound_expr = compile_term(bound, env, registry)
+            if horizon is None:
+                return None
+            bound_expr = substitute(bound, env)
             if is_closed(bound_expr):
                 k = interpret(bound_expr, 0)
             else:
@@ -617,48 +388,25 @@ def expand_quantifiers(phi: Formula, env: Mapping[str, FnExpr],
             if k > budget:
                 return None
             inner_budget = max(1, budget // max(k, 1))
+            # the chain and the forall clause are not and_/or_: their operands
+            # are already 0/1, and the decision-log keys follow these shapes
             acc: FnExpr | None = None
             for y in range(k):
-                inner_env = dict(env)
-                inner_env[var] = Const(y)
-                piece = expand_quantifiers(body, inner_env, registry, horizon, inner_budget)
+                piece = sub(body, {**env, var: Const(y)}, inner_budget)
                 if piece is None:
                     return None
                 in_range = IfEq(Sub(bound_expr, Const(y)), Const(0), Const(0), Const(1))
                 if kind == "exists":
-                    clause = IfEq(in_range, Const(0), Const(0),
-                                  IfEq(piece, Const(0), Const(0), Const(1)))
-                    acc = clause if acc is None else IfEq(
-                        acc, Const(0), clause, Const(1)
-                    )
+                    clause = and_(in_range, piece)
+                    acc = clause if acc is None else IfEq(acc, Const(0), clause, Const(1))
                 else:
                     clause = IfEq(in_range, Const(0), Const(1),
                                   IfEq(piece, Const(0), Const(0), Const(1)))
-                    acc = clause if acc is None else IfEq(
-                        acc, Const(0), Const(0), clause
-                    )
+                    acc = clause if acc is None else IfEq(acc, Const(0), Const(0), clause)
             if acc is None:
                 return Const(0 if kind == "exists" else 1)
             return acc
-        case Not(b):
-            inner = expand_quantifiers(b, env, registry, horizon, budget)
-            return None if inner is None else IfEq(inner, Const(0), Const(1), Const(0))
-        case And(l, r):
-            cl = expand_quantifiers(l, env, registry, horizon, budget)
-            cr = expand_quantifiers(r, env, registry, horizon, budget)
-            if cl is None or cr is None:
-                return None
-            return IfEq(cl, Const(0), Const(0), IfEq(cr, Const(0), Const(0), Const(1)))
-        case Or(l, r):
-            cl = expand_quantifiers(l, env, registry, horizon, budget)
-            cr = expand_quantifiers(r, env, registry, horizon, budget)
-            if cl is None or cr is None:
-                return None
-            return IfEq(cl, Const(0), IfEq(cr, Const(0), Const(0), Const(1)), Const(1))
-        case Implies(l, r):
-            return expand_quantifiers(Or(Not(l), r), env, registry, horizon, budget)
-        case _:
-            return compile_formula(phi, env, registry)
+    raise TypeError(f"not a Formula: {phi!r}")
 
 
 def _pointwise_fn(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
@@ -686,11 +434,9 @@ def _pointwise_fn(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
             fl, fr = _pointwise_fn(l, env, registry), _pointwise_fn(r, env, registry)
             return lambda m: (not fl(m)) or fr(m)
         case Bounded(kind, var, bound, body):
-            bound_fn = compile_fn(compile_term(bound, env, registry))
-            from .funlang import P1 as _P1, P2 as _P2, VAR as _VAR, substitute
-
-            inner_env = {n: substitute(e, _P1(_VAR)) for n, e in env.items()}
-            inner_env[var] = _P2(_VAR)
+            bound_fn = compile_fn(substitute(bound, env))
+            inner_env = {n: substitute(e, P1(VAR)) for n, e in env.items()}
+            inner_env[var] = P2(VAR)
             body_fn = _pointwise_fn(body, inner_env, registry)
             if kind == "exists":
                 return lambda m: any(
@@ -711,9 +457,7 @@ def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
     if missing:
         raise KeyError(f"environment misses variables {sorted(missing)}")
     expr_env = {name: p.seq for name, p in env.items()}
-    compiled = compile_formula(phi, expr_env, registry)
-    if compiled is None and horizon is not None:
-        compiled = expand_quantifiers(phi, expr_env, registry, horizon)
+    compiled = compile_formula(phi, expr_env, registry, horizon)
     if compiled is not None:
         return IndexPredicate.from_expr(compiled)
 

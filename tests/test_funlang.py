@@ -33,6 +33,7 @@ from starext.funlang import (
     unpair,
 )
 from starext.gen import rand_expr
+from starext.transfer import parse_formula
 
 
 # -- parsing ---------------------------------------------------------------
@@ -68,6 +69,12 @@ def test_parse_error_positions():
         parse_fn("x + $")
     assert err.value.line == 1
     assert err.value.col == 5
+    with pytest.raises(ParseError) as err:
+        parse_formula("v = w $")
+    assert (err.value.line, err.value.col) == (1, 7)
+    with pytest.raises(ParseError) as err:
+        parse_definitions("def a = x\ndef b = x + $")
+    assert (err.value.line, err.value.col) == (2, 13)
 
 
 def test_named_definitions_inline():

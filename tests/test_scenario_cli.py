@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -62,6 +63,16 @@ def test_parse_minimal_scenario():
     ("[fragment]\nfunctions = nope", "undefined"),
     ("[suites]\nwarp", "unknown suite"),
     ("[closed]\nE = [(missing, std0)]", "undefined"),
+    ("[functions]\ndef x = x + 1", "bad definition name 'x'"),
+    ("[functions]\ndef p1 = x", "bad definition name 'p1'"),
+    ("[functions]\ndef mod = x", "bad definition name 'mod'"),
+    ("[functions]\ndef ifeq = x + 2", "bad definition name 'ifeq'"),
+    ("[functions]\ndef2 g = p1(x)\ndef2 g = p2(x)", "7:1: duplicate definition 'g'"),
+    ("[functions]\ndef2 f = p1(x)", "duplicate definition 'f'"),
+    ("[config]\nhorizon = abc", "6:1: expected an integer"),
+    ("[config]\nseed = q", "6:1: expected an integer"),
+    ("[fragment]\ndepth = x", "6:1: expected an integer"),
+    ("[fragment]\nsample = 0..", "6:1: expected an integer"),
 ])
 def test_scenario_parse_errors(mutation, fragment):
     base = "[functions]\ndef f = x\n[points]\nstd0 = 0\n"
@@ -103,10 +114,19 @@ def test_cli_quick_run_green(tmp_path):
     assert (tmp_path / "a" / "decisions.log").exists()
 
 
+#: sha256 of the bundled ``standard`` scenario's report and decision log
+STANDARD_GOLDEN = {
+    "report.txt": "3552cf31ea104fc812b5429fd821a89a6633370c071fb7fd4886757fae221354",
+    "decisions.log": "90ac9958b0e1fe145b6e0e4227635eb685bb3e80fccca3585f479279bd2bdc50",
+}
+
+
 def test_cli_standard_scenario_green(tmp_path):
     # the bundled full-size scenario: every suite, zero failures
     code = main(["standard", "--out", str(tmp_path / "std")])
     assert code == 0
+    for name, digest in STANDARD_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / "std" / name).read_bytes()).hexdigest() == digest
     report = (tmp_path / "std" / "report.txt").read_text()
     assert "verdict=ok" in report
     assert " fail=0 " in report.splitlines()[-1] or "fail=0" in report
