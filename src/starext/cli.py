@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed (undecidable tolerated unless --strict),
 1 suite failures, 2 parse or configuration errors, 3 broken filter
 consistency or replay divergence (a decision that differs from the
-replayed log, or a recomputed log shorter or longer than it).
+replayed log, or a recomputed log shorter or longer than it), 4 an
+internal error while the suites run, reported as one line on stderr.
 
 The report and the log depend only on the scenario and the flags, never
 on wall-clock or filesystem specifics, so a rerun (or a rerun under
@@ -118,6 +119,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyViolation as exc:
         print(f"consistency violation: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # a fault of the verifier itself, never a verdict on the scenario
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -31,6 +31,12 @@ expression (:func:`normalize`). Normalization inlines compositions and
 cancels exact pairing redexes; it is what makes structurally different
 routes to the same function collapse to one decision-log key.
 
+Nodes stay immutable, but each remembers what was derived from it: its
+normal form, its text and whether it is closed (see :class:`FnExpr`).
+Those slots hold pure functions of the node and never take part in
+``==`` or ``hash``. Since ``*`` composes, new terms keep wrapping
+canonical ones, and every walk stops at a node whose answer is known.
+
 Evaluation: :func:`interpret` is the reference, one expression at one
 natural in exact Python ints. :func:`eval_vec` is the one evaluator for
 vectors (truth vectors of :class:`IndexPredicate`, sequence values,
@@ -72,25 +78,44 @@ def unpair(z: int) -> tuple[int, int]:
 # AST
 
 class FnExpr:
-    """Base class of expression nodes. Nodes are immutable and hashable."""
+    """Base class of expression nodes. Nodes are immutable and hashable.
 
-    __slots__ = ()
+    Three slots cache facts derived from a node: ``_nf`` its normal form
+    (:func:`normalize`; ``True`` when that is the node itself, so that no
+    node refers to itself and each is freed with its last reference),
+    ``_pp`` its text and chain flag (:func:`pretty`) and ``_closed``
+    (:func:`is_closed`). Each holds a pure function of the node's
+    structure, is written with ``object.__setattr__`` and is not a
+    dataclass field, so it never takes part in ``==``, ``hash`` or
+    ``repr``; an unset slot reads as absent. A cache lives exactly as
+    long as its node.
+    """
+
+    __slots__ = ("_nf", "_pp", "_closed")
 
 
-@dataclass(frozen=True)
+#: writes a cache slot of a frozen node (see :class:`FnExpr`)
+_remember = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class Const(FnExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(FnExpr):
     pass
 
 
 VAR = Var()
 
+#: leaves are never looked up in the caches: reading an unset slot raises
+#: and clears an AttributeError, which costs more than a leaf's answer
+_LEAVES = frozenset({Const, Var})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Name(FnExpr):
     """A free named variable of a formula term. Only :func:`substitute`,
     :func:`normalize` and :func:`pretty` accept it; bind every name before
@@ -99,13 +124,13 @@ class Name(FnExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(FnExpr):
     left: FnExpr
     right: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub(FnExpr):
     """Truncated subtraction: max(left - right, 0)."""
 
@@ -113,13 +138,13 @@ class Sub(FnExpr):
     right: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mul(FnExpr):
     left: FnExpr
     right: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivC(FnExpr):
     """Floor division by a nonzero constant."""
 
@@ -131,7 +156,7 @@ class DivC(FnExpr):
             raise ValueError("division only by a positive constant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModC(FnExpr):
     """Remainder modulo a nonzero constant."""
 
@@ -143,7 +168,7 @@ class ModC(FnExpr):
             raise ValueError("modulus only by a positive constant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IfEq(FnExpr):
     """ifeq(a, b, t, o): t if a = b else o."""
 
@@ -153,23 +178,23 @@ class IfEq(FnExpr):
     other: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairE(FnExpr):
     left: FnExpr
     right: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class P1(FnExpr):
     arg: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class P2(FnExpr):
     arg: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compose(FnExpr):
     """outer after inner: x -> outer(inner(x))."""
 
@@ -177,7 +202,7 @@ class Compose(FnExpr):
     inner: FnExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Table(FnExpr):
     """Finite lookup applied to a subexpression.
 
@@ -343,24 +368,30 @@ def compile_fn(e: FnExpr) -> Callable[[int], int]:
 INT64_SAFE = 1 << 62
 
 
-class _Overflow(Exception):
-    pass
+def _bound_pass(e: FnExpr, x_max: int) -> tuple[bool, set[int]]:
+    """Interval pass over ``e`` on inputs 0..x_max.
 
-
-def _fits_int64(e: FnExpr, x_max: int) -> bool:
-    """Interval pass: True when, for every input in 0..x_max, every node
-    value of ``e`` and the intermediates ``s*(s+1)`` of pair and ``8z+1``
-    of unpair stay below :data:`INT64_SAFE`."""
+    Returns ``(fits, shared)``. ``fits`` is True when every node value and
+    the intermediates ``s*(s+1)`` of pair and ``8z+1`` of unpair stay below
+    :data:`INT64_SAFE`; bounds saturate there, so the walk always finishes.
+    ``shared`` holds the ids of the nodes reached twice with the same input
+    bound, the nodes whose values :func:`eval_vec` keeps for reuse.
+    """
     memo: dict[tuple[int, int], int] = {}
+    shared: set[int] = set()
+    fits = True
 
-    def check(v: int) -> int:
+    def cap(v: int) -> int:
+        nonlocal fits
         if v >= INT64_SAFE:
-            raise _Overflow
+            fits = False
+            return INT64_SAFE
         return v
 
     def bound(node: FnExpr, vb: int) -> int:
         key = (id(node), vb)
         if key in memo:
+            shared.add(key[0])
             return memo[key]
         match node:
             case Const(v):
@@ -375,9 +406,9 @@ def _fits_int64(e: FnExpr, x_max: int) -> bool:
             case Mul(a, b):
                 out = bound(a, vb) * bound(b, vb)
             case DivC(a, d):
-                out = bound(a, vb) // check(d)
+                out = bound(a, vb) // cap(d)
             case ModC(a, d):
-                out = min(bound(a, vb), check(d) - 1)
+                out = min(bound(a, vb), cap(d) - 1)
             case IfEq(a, b, t, o):
                 bound(a, vb)
                 bound(b, vb)
@@ -385,28 +416,25 @@ def _fits_int64(e: FnExpr, x_max: int) -> bool:
             case PairE(a, b):
                 r = bound(b, vb)
                 s = bound(a, vb) + r
-                out = check(s * (s + 1)) // 2 + r
+                out = cap(s * (s + 1)) // 2 + r
             case P1(a) | P2(a):
                 out = bound(a, vb)
-                check(8 * out + 1)
+                cap(8 * out + 1)
             case Compose(f, g):
                 out = bound(f, bound(g, vb))
             case Table(a, entries, default):
                 av = bound(a, vb)
                 for k, _ in entries:
-                    check(k)
+                    cap(k)
                 outs = [v for _, v in entries]
                 out = max(outs + [av if default is None else default])
             case _:
                 raise TypeError(f"not an FnExpr: {node!r}")
-        memo[key] = check(out)
+        memo[key] = out = cap(out)
         return out
 
-    try:
-        bound(e, x_max)
-    except _Overflow:
-        return False
-    return True
+    bound(e, x_max)
+    return fits, shared
 
 
 _isqrt_obj = np.frompyfunc(isqrt, 1, 1)
@@ -437,12 +465,12 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
-    exact = not _fits_int64(e, x_max)
+    fits, shared = _bound_pass(e, x_max)
+    exact = not fits
     dtype = object if exact else np.int64
     xs = xs.astype(dtype)
-    # only subtrees reached along several edges are kept, so the
-    # intermediates of the rest are freed as soon as they are used
-    shared = _shared_ids(e)
+    # only values of shared nodes are kept, so the intermediates of the
+    # rest are freed as soon as they are used
     memo: dict[tuple, object] = {}
     # memo keys hold the id of the variable's value, so every value bound
     # by a composition stays alive until the end
@@ -505,24 +533,13 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         return out
 
     out = go(e, xs)
+    # go and unp refer to each other, so only the cycle collector frees
+    # them and what they hold: release the kept arrays now
+    memo.clear()
+    bindings.clear()
     if isinstance(out, np.ndarray):
         return out
     return np.full(xs.shape, out, dtype=dtype)
-
-
-def _shared_ids(e: FnExpr) -> set[int]:
-    """Ids of the nodes of ``e`` reached along more than one edge."""
-    seen: set[int] = set()
-    shared: set[int] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            shared.add(id(node))
-            continue
-        seen.add(id(node))
-        stack.extend(c for c in vars(node).values() if isinstance(c, FnExpr))
-    return shared
 
 
 def _lookup_vec(v, entries, default, dtype):
@@ -543,22 +560,26 @@ def _lookup_vec(v, entries, default, dtype):
 
 def is_closed(e: FnExpr) -> bool:
     """True when the expression contains no input variable."""
+    if type(e) in _LEAVES:
+        return type(e) is Const
+    closed = getattr(e, "_closed", None)
+    if closed is not None:
+        return closed
     match e:
-        case Const():
-            return True
-        case Var():
-            return False
         case Add(a, b) | Sub(a, b) | Mul(a, b) | PairE(a, b):
-            return is_closed(a) and is_closed(b)
+            closed = is_closed(a) and is_closed(b)
         case DivC(a, _) | ModC(a, _) | P1(a) | P2(a):
-            return is_closed(a)
+            closed = is_closed(a)
         case IfEq(a, b, t, o):
-            return all(is_closed(s) for s in (a, b, t, o))
+            closed = all(is_closed(s) for s in (a, b, t, o))
         case Compose(f, g):
-            return is_closed(g) or is_closed(f)
+            closed = is_closed(g) or is_closed(f)
         case Table(a, _, _):
-            return is_closed(a)
-    raise TypeError(f"not an FnExpr: {e!r}")
+            closed = is_closed(a)
+        case _:
+            raise TypeError(f"not an FnExpr: {e!r}")
+    _remember(e, "_closed", closed)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +643,29 @@ def normalize(e: FnExpr) -> FnExpr:
       * ``Compose(f, g)``      -> f with its variable replaced by g
       * ``p1(pair(a, b))``     -> a,  ``p2(pair(a, b))`` -> b
       * ``ifeq(a, a, t, o)``   -> t  (structural identity of a)
+
+    The rewrites are confluent, so a subterm may be replaced by its
+    normal form before its context is normalized: both walks stop at a
+    node whose ``_nf`` is known.
     """
+    nf = getattr(e, "_nf", None)
+    if nf is not None:
+        return e if nf is True else nf
 
     inlined: dict[int, FnExpr] = {}
+    memo: dict[int, FnExpr] = {}
 
     def inline(node: FnExpr) -> FnExpr:
         # memoised by id so subtrees shared in the input stay shared
         key = id(node)
         if key not in inlined:
-            inlined[key] = expand(node)
+            nf = None if type(node) in _LEAVES else getattr(node, "_nf", None)
+            if nf is None:
+                inlined[key] = expand(node)
+            else:
+                # a known normal form is its own simplification
+                nf = node if nf is True else nf
+                inlined[key] = memo[id(nf)] = nf
         return inlined[key]
 
     def expand(node: FnExpr) -> FnExpr:
@@ -662,8 +697,6 @@ def normalize(e: FnExpr) -> FnExpr:
             case Name():
                 return node
         raise TypeError(f"not an FnExpr: {node!r}")
-
-    memo: dict[int, FnExpr] = {}
 
     def simp(node: FnExpr) -> FnExpr:
         key = id(node)
@@ -705,7 +738,10 @@ def normalize(e: FnExpr) -> FnExpr:
         memo[key] = out
         return out
 
-    return simp(inline(e))
+    out = simp(inline(e))
+    _remember(e, "_nf", out)
+    _remember(out, "_nf", True)  # also when out is e: no self-reference
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +752,13 @@ _CHAIN = (Add, Sub, Mul)
 
 def pretty(e: FnExpr) -> str:
     """Canonical concrete syntax. ``parse_fn(pretty(e)) == e`` for
-    normalized, Table-free expressions."""
+    normalized, Table-free expressions.
+
+    The result is kept on ``e`` only: kept on every subtree, the texts of
+    all subtrees would stay alive."""
+    pp = getattr(e, "_pp", None)
+    if pp is not None:
+        return pp[0]
     memo: dict[int, tuple[str, bool]] = {}
 
     def go(node: FnExpr) -> tuple[str, bool]:
@@ -724,6 +766,10 @@ def pretty(e: FnExpr) -> str:
         key = id(node)
         if key in memo:
             return memo[key]
+        if type(node) not in _LEAVES:
+            out = getattr(node, "_pp", None)
+            if out is not None:
+                return out
         match node:
             case Const(v):
                 out = (str(v), False)
@@ -770,7 +816,9 @@ def pretty(e: FnExpr) -> str:
         text, is_chain = go(node)
         return f"({text})" if is_chain else text
 
-    return go(e)[0]
+    pp = go(e)
+    _remember(e, "_pp", pp)
+    return pp[0]
 
 
 # ---------------------------------------------------------------------------
@@ -932,10 +980,12 @@ class _Parser:
         )
 
 
-def parse_fn(source: str, defs: dict[str, FnExpr] | None = None) -> FnExpr:
+def parse_fn(source: str, defs: Mapping[str, FnExpr] | None = None,
+             line: int = 1, col: int = 1) -> FnExpr:
     """Parse one expression. ``defs`` supplies named functions for calls,
-    which are inlined."""
-    parser = _Parser(_tokenize(source), defs)
+    which are inlined. ``line``/``col`` place ``source`` in a larger text,
+    so errors carry positions in that text."""
+    parser = _Parser(_tokenize(source, line, col), defs)
     return parser.finish(parser.parse_expr())
 
 

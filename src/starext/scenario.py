@@ -39,7 +39,8 @@ expressions with named variables. ``[suites]`` names come from
 :data:`starext.suites.SUITE_RUNNERS`.
 
 The whole file is parsed and every name resolved before any oracle work
-starts; errors carry the offending line number.
+starts; errors carry the offending line number and, inside an expression
+or a formula, the column in the file.
 """
 
 from __future__ import annotations
@@ -157,11 +158,9 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 sc.defs[fname] = expr
 
         elif section == "points":
-            key, value = _parse_kv(line, lineno)
-            try:
-                sc.points[key] = parse_fn(value, sc.defs)
-            except ParseError as exc:
-                raise ParseError(f"in point {key}: {exc}", lineno, 1)
+            key, _ = _parse_kv(line, lineno)
+            head, _, body = raw.partition("=")
+            sc.points[key] = parse_fn(body, sc.defs, lineno, len(head) + 2)
 
         elif section == "fragment":
             key, value = _parse_kv(line, lineno)
@@ -188,10 +187,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 raise ParseError(f"unknown fragment key {key!r}", lineno, 1)
 
         elif section == "formulas":
-            try:
-                phi = parse_formula(line, sc.formula_registry())
-            except ParseError as exc:
-                raise ParseError(f"in formula: {exc}", lineno, 1)
+            phi = parse_formula(raw, sc.formula_registry(), lineno)
             sc.formulas.append((line, phi))
 
         elif section == "closed":

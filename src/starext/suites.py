@@ -440,9 +440,13 @@ def run_boolean(ctx: SuiteContext) -> SuiteReport:
             xs = range(0, min(1000, u.oracle.horizon) + 1)
         else:
             xs = [rng.randrange(1001) for _ in range(ctx.counts["boolean_xs"])]
-        witness = next(
-            (x for x in xs if u.member(u.standard(x), a) != (ind(x) == 1)), None
-        )
+        try:
+            witness = next(
+                (x for x in xs if u.member(u.standard(x), a) != (ind(x) == 1)), None
+            )
+        except Undecidable as exc:
+            report.add("standard-part", i, UNDECIDABLE, str(exc))
+            continue
         report.add("standard-part", i, PASS if witness is None else FAIL,
                    "" if witness is None else f"x={witness}")
     return report
@@ -516,17 +520,20 @@ def run_finite(ctx: SuiteContext) -> SuiteReport:
         except Undecidable as exc:
             report.add("resolve", i, UNDECIDABLE, str(exc))
             continue
-        if result is None:
-            # not a member: no level set may be accepted
-            stray = next(
-                (a for a in elems if u.eq(xi, u.standard(a))), None
-            )
-            report.add("resolve", i, PASS if stray is None else FAIL,
-                       "" if stray is None else f"level {stray} accepted outside")
-        else:
-            others = [a for a in elems if a != result and u.eq(xi, u.standard(a))]
-            report.add("resolve", i, PASS if not others else FAIL,
-                       "" if not others else f"extra levels {others}")
+        try:
+            if result is None:
+                # not a member: no level set may be accepted
+                stray = next(
+                    (a for a in elems if u.eq(xi, u.standard(a))), None
+                )
+                report.add("resolve", i, PASS if stray is None else FAIL,
+                           "" if stray is None else f"level {stray} accepted outside")
+            else:
+                others = [a for a in elems if a != result and u.eq(xi, u.standard(a))]
+                report.add("resolve", i, PASS if not others else FAIL,
+                           "" if not others else f"extra levels {others}")
+        except Undecidable as exc:
+            report.add("resolve", i, UNDECIDABLE, str(exc))
     report.add("violations", 0, PASS if violations == 0 else FAIL,
                f"count={violations}")
     return report
@@ -712,8 +719,14 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
         j = rng.randrange(len(frag.points))
         name, g = registry[rng.randrange(len(registry))]
         beta_prime = frag.points[j]
-        if u.eq(u.star_apply(g, alpha), beta_prime):
-            continue  # accidentally correct image; skip
+        try:
+            if u.eq(u.star_apply(g, alpha), beta_prime):
+                continue  # accidentally correct image; skip
+        except Undecidable as exc:
+            report.add("tracking-negative", neg_idx, UNDECIDABLE,
+                       f"alpha={alpha.name} g={name} beta'={beta_prime.name}: {exc}")
+            neg_idx += 1
+            continue
         verdict = check_tracking_negative(frag, alpha, g, name, beta_prime,
                                           alpha_cs=check_sets[i])
         report.add("tracking-negative", neg_idx,

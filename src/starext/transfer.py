@@ -167,7 +167,8 @@ def formula_text(phi: Formula) -> str:
 def _names(t: FnExpr) -> set[str]:
     if isinstance(t, Name):
         return {t.name}
-    return set().union(*(_names(c) for c in vars(t).values() if isinstance(c, FnExpr)))
+    children = (getattr(t, f) for f in t.__match_args__)
+    return set().union(*(_names(c) for c in children if isinstance(c, FnExpr)))
 
 
 def free_variables(phi: Formula) -> set[str]:
@@ -298,8 +299,11 @@ class _FormulaParser(_Parser):
         return Name(text)
 
 
-def parse_formula(source: str, registry: Registry | None = None) -> Formula:
-    parser = _FormulaParser(_tokenize(source), registry or Registry.default())
+def parse_formula(source: str, registry: Registry | None = None,
+                  line: int = 1, col: int = 1) -> Formula:
+    """Parse one formula; ``line``/``col`` place ``source`` in a larger
+    text, as for :func:`starext.funlang.parse_fn`."""
+    parser = _FormulaParser(_tokenize(source, line, col), registry or Registry.default())
     return parser.finish(parser.parse_formula())
 
 

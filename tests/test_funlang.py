@@ -1,3 +1,4 @@
+import gc
 import random
 from math import isqrt
 
@@ -13,6 +14,7 @@ from starext.funlang import (
     Compose,
     Const,
     DivC,
+    FnExpr,
     IfEq,
     IndexPredicate,
     ModC,
@@ -21,6 +23,7 @@ from starext.funlang import (
     P2,
     PairE,
     Sub,
+    and_,
     compile_fn,
     interpret,
     is_closed,
@@ -32,7 +35,7 @@ from starext.funlang import (
     substitute,
     unpair,
 )
-from starext.gen import rand_expr
+from starext.gen import rand_expr, rand_point_expr
 from starext.transfer import parse_formula
 
 
@@ -247,6 +250,68 @@ def test_is_closed():
     assert is_closed(parse_fn("pair(3, 4) mod 7"))
     assert not is_closed(parse_fn("x mod 7"))
     assert is_closed(Compose(Const(5), VAR))
+
+
+# -- per-node caches -----------------------------------------------------------
+
+def _fresh(e, memo=None):
+    """A never-cached copy of ``e``, rebuilt node by node (sharing kept)."""
+    memo = {} if memo is None else memo
+    if not isinstance(e, FnExpr):
+        return e
+    if id(e) not in memo:
+        memo[id(e)] = type(e)(*(_fresh(getattr(e, f), memo) for f in e.__match_args__))
+    return memo[id(e)]
+
+
+def _warm(e):
+    normalize(e)
+    pretty(e)
+    is_closed(e)
+    return e
+
+
+#: how the star extension wraps canonical terms in new ones
+_SHAPES = {
+    "compose": lambda f, g, p: Compose(f, Compose(g, p)),
+    "pair": lambda f, g, p: PairE(Compose(f, p), normalize(Compose(g, p))),
+    "and": lambda f, g, p: and_(normalize(Compose(f, p)), Compose(g, p)),
+    "agree": lambda f, g, p: Compose(CHI_DIAG, PairE(Compose(f, p), Compose(g, p))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(_SHAPES)),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_caches_match_fresh_computation(seed, shape, warm):
+    rng = random.Random(seed)
+    f, g = rand_expr(rng), rand_expr(rng)
+    p = rand_point_expr(rng)
+    if warm[0]:
+        p = _warm(normalize(p))
+    for child, w in ((f, warm[1]), (g, warm[2]), (p, warm[3])):
+        if w:
+            _warm(child)
+    e = _SHAPES[shape](f, g, p)
+    if warm[0]:
+        _warm(e)
+    n = normalize(e)
+    assert normalize(n) is n
+    # a normal form marks itself without referring to itself
+    assert all(ref is not n for ref in gc.get_referents(n))
+    assert n == normalize(_fresh(e))
+    assert pretty(e) == pretty(_fresh(e))
+    assert pretty(n) == pretty(_fresh(n)) == pretty(normalize(_fresh(e)))
+    assert is_closed(e) == is_closed(_fresh(e))
+    assert is_closed(n) == is_closed(_fresh(n))
+    for node in (e, n, f, p):
+        copy = _fresh(node)
+        assert node == copy
+        assert hash(node) == hash(copy)
+        assert repr(node) == repr(copy)
 
 
 # -- index predicates ----------------------------------------------------------

@@ -8,6 +8,7 @@ from starext.cli import main
 from starext.errors import ParseError
 from starext.funlang import interpret
 from starext.scenario import bundled_scenario_path, load_scenario, parse_scenario
+from starext.suites import SUITE_RUNNERS
 
 MINI = """
 [config]
@@ -60,6 +61,8 @@ def test_parse_minimal_scenario():
     ("[config]\nmystery = 3", "unknown config key"),
     ("[functions]\nparity = x", "expected 'def"),
     ("[points]\np = q(x)", "unknown name"),
+    ("[points]\np = q(x)", "6:5: unknown name 'q'"),
+    ("[formulas]\nv = w $", "6:7: unexpected character '$'"),
     ("[fragment]\nfunctions = nope", "undefined"),
     ("[suites]\nwarp", "unknown suite"),
     ("[closed]\nE = [(missing, std0)]", "undefined"),
@@ -258,6 +261,17 @@ def test_cli_horizon_zero_is_not_ignored(tmp_path):
     code, out = run_cli("quick", "--horizon", "0", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "horizon" in out
+
+
+def test_cli_internal_error_exit_four(tmp_path, monkeypatch, capsys):
+    def boom(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(SUITE_RUNNERS, "boolean", boom)
+    code = main(["quick", "--suite", "boolean", "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_oracle_config_honours_falsy_overrides():

@@ -1,0 +1,45 @@
+"""Suite runners report an undecidable query instead of crashing."""
+
+import pytest
+
+from starext import suites
+from starext.errors import Undecidable
+from starext.hyper import Universe
+from starext.oracle import OracleState
+from starext.scenario import bundled_scenario_path, load_scenario
+from starext.suites import UNDECIDABLE, SuiteContext
+
+
+@pytest.mark.parametrize("suite, owner, trigger, check", [
+    # boolean's first rng call starts the run: the laws and then the
+    # standard-part sweep meet undecidable queries
+    ("boolean", SuiteContext, "rng", "standard-part"),
+    # once a finite set is resolved, the level checks after it are not
+    ("finite", Universe, "decide_finite", "resolve"),
+    # keisler's only rng call opens the tracking-negative loop
+    ("keisler", SuiteContext, "rng", "tracking-negative"),
+])
+def test_undecidable_query_is_reported(monkeypatch, suite, owner, trigger, check):
+    armed = []
+    real_query = OracleState.query
+    real_trigger = getattr(owner, trigger)
+
+    def query(self, pred):
+        if armed:
+            raise Undecidable(pred.text, self.horizon, "forced by the test")
+        return real_query(self, pred)
+
+    def arm(*args, **kwargs):
+        out = real_trigger(*args, **kwargs)
+        armed.append(True)
+        return out
+
+    monkeypatch.setattr(OracleState, "query", query)
+    monkeypatch.setattr(owner, trigger, arm)
+    scenario = load_scenario(bundled_scenario_path("quick"))
+    ctx = SuiteContext(scenario, Universe(OracleState(scenario.oracle_config())))
+    report = suites.SUITE_RUNNERS[suite](ctx)
+    lines = [line for line in report.lines
+             if line.check == check and line.verdict == UNDECIDABLE]
+    assert lines
+    assert all("forced by the test" in line.witness for line in lines)
