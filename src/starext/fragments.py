@@ -133,6 +133,9 @@ class CheckSet:
 
     target: Hyperpoint
     members: list[tuple[int, str, FnExpr]]  # (point index, witness name, witness)
+    #: point index -> the first query about that point the oracle could
+    #: not decide; such a point may reach the target all the same
+    undecided: dict[int, Undecidable] = field(default_factory=dict)
 
     def indices(self) -> set[int]:
         return {i for i, _, _ in self.members}
@@ -160,7 +163,7 @@ def build_check_set(
     """
     u = frag.universe
     t_prefix = target.prefix(PREFIX_LEN)
-    members: list[tuple[int, str, FnExpr]] = []
+    check_set = CheckSet(target, [])
     for i, xi in enumerate(frag.points):
         xi_vals = xi.values(PREFIX_LEN - 1)
         found: tuple[str, FnExpr] | None = None
@@ -172,8 +175,9 @@ def build_check_set(
                     if u.eq(candidate, target):
                         found = (name, expr)
                         break
-                except Undecidable:
-                    continue
+                except Undecidable as exc:
+                    # kept without its traceback, whose frames refer back here
+                    check_set.undecided.setdefault(i, exc.with_traceback(None))
         if found is None and fallback is not None:
             extra = fallback(i)
             if extra is not None:
@@ -181,11 +185,11 @@ def build_check_set(
                 try:
                     if u.eq(u.star_apply(expr, xi), target):
                         found = (name, expr)
-                except Undecidable:
-                    pass
+                except Undecidable as exc:
+                    check_set.undecided.setdefault(i, exc.with_traceback(None))
         if found is not None:
-            members.append((i, found[0], found[1]))
-    return CheckSet(target, members)
+            check_set.members.append((i, found[0], found[1]))
+    return check_set
 
 
 @dataclass
@@ -504,11 +508,19 @@ def surjectivity_probe(
         frag, beta, fallback=composite_fallback(g, "probe", alpha_cs)
     )
     beta_tab = witness_table(frag, beta_cs)
+    undecided: Undecidable | None = None
     for i in range(n_pts):
         for j in range(n_smp):
             if beta_tab.values[i][j] != table[i][j]:
+                if i in beta_cs.undecided:
+                    # the row of a point the oracle could not place is no
+                    # evidence against the table
+                    undecided = undecided or beta_cs.undecided[i]
+                    continue
                 raise NotRepresentable(
                     f"recovered table differs at ({i}, {j}): "
                     f"{beta_tab.values[i][j]} vs {table[i][j]}"
                 )
+    if undecided is not None:
+        raise undecided
     return beta

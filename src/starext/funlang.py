@@ -29,13 +29,20 @@ one parser.
 Canonical text is produced by :func:`pretty` applied to a normalized
 expression (:func:`normalize`). Normalization inlines compositions and
 cancels exact pairing redexes; it is what makes structurally different
-routes to the same function collapse to one decision-log key.
+routes to the same function collapse to one decision-log key. It is one
+walk that substitutes and simplifies together, so a composed term is
+rebuilt once, already simplified, with no substituted copy in between.
 
 Nodes stay immutable, but each remembers what was derived from it: its
 normal form, its text and whether it is closed (see :class:`FnExpr`).
 Those slots hold pure functions of the node and never take part in
 ``==`` or ``hash``. Since ``*`` composes, new terms keep wrapping
 canonical ones, and every walk stops at a node whose answer is known.
+
+Every recursive walk is a module-level function with an explicit memo,
+or unbinds its nested functions before it returns, so no call leaves a
+reference cycle: what a walk builds is freed by reference counting as
+soon as it is dropped, and the cycle collector has nothing to find.
 
 Evaluation: :func:`interpret` is the reference, one expression at one
 natural in exact Python ints. :func:`eval_vec` is the one evaluator for
@@ -81,8 +88,9 @@ class FnExpr:
     """Base class of expression nodes. Nodes are immutable and hashable.
 
     Three slots cache facts derived from a node: ``_nf`` its normal form
-    (:func:`normalize`; ``True`` when that is the node itself, so that no
-    node refers to itself and each is freed with its last reference),
+    (:func:`normalize`, whose walk swaps the node for it; ``True`` when
+    that is the node itself, so that no node refers to itself and each is
+    freed with its last reference),
     ``_pp`` its text and chain flag (:func:`pretty`) and ``_closed``
     (:func:`is_closed`). Each holds a pure function of the node's
     structure, is written with ``object.__setattr__`` and is not a
@@ -301,12 +309,9 @@ def compile_fn(e: FnExpr) -> Callable[[int], int]:
     lines: list[str] = []
     names: dict[tuple[int, str], str] = {}
     namespace: dict[str, object] = {"_pair": pair, "_unpair": unpair}
-    counter = 0
 
     def fresh(rhs: str) -> str:
-        nonlocal counter
-        name = f"t{counter}"
-        counter += 1
+        name = f"t{len(lines)}"
         lines.append(f"    {name} = {rhs}")
         return name
 
@@ -355,9 +360,11 @@ def compile_fn(e: FnExpr) -> Callable[[int], int]:
         return out
 
     result = emit(e, "x")
+    del emit  # it refers to itself: unbound, it is freed on return
     src = "def _f(x):\n" + "\n".join(lines) + f"\n    return {result}\n"
     exec(compile(src, "<funlang>", "exec"), namespace)
-    return namespace["_f"]  # type: ignore[return-value]
+    # out of its own globals, the function is freed with its last user
+    return namespace.pop("_f")  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +441,7 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[bool, set[int]]:
         return out
 
     bound(e, x_max)
+    del bound  # it refers to itself: unbound, it and the memo are freed on return
     return fits, shared
 
 
@@ -466,7 +474,8 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
     fits, shared = _bound_pass(e, x_max)
-    exact = not fits
+    # the inputs must fit too, also when no node reads them
+    exact = not fits or x_max >= INT64_SAFE
     dtype = object if exact else np.int64
     xs = xs.astype(dtype)
     # only values of shared nodes are kept, so the intermediates of the
@@ -533,10 +542,7 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         return out
 
     out = go(e, xs)
-    # go and unp refer to each other, so only the cycle collector frees
-    # them and what they hold: release the kept arrays now
-    memo.clear()
-    bindings.clear()
+    del go, unp  # they refer to each other: unbound, they and the memo die on return
     if isinstance(out, np.ndarray):
         return out
     return np.full(xs.shape, out, dtype=dtype)
@@ -589,51 +595,51 @@ def substitute(e: FnExpr, repl: FnExpr | Mapping[str, FnExpr]) -> FnExpr:
     """Replace the input variable by ``repl``. Given a mapping instead,
     replace every :class:`Name` by its entry (KeyError when one is
     missing) and keep the input variable."""
-    names = None if isinstance(repl, FnExpr) else repl
-    memo: dict[int, FnExpr] = {}
+    return _subst(e, repl, None if isinstance(repl, FnExpr) else repl, {})
 
-    def go(node: FnExpr) -> FnExpr:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        match node:
-            case Var():
-                out: FnExpr = repl if names is None else node
-            case Const():
-                out = node
-            case Add(a, b):
-                out = Add(go(a), go(b))
-            case Sub(a, b):
-                out = Sub(go(a), go(b))
-            case Mul(a, b):
-                out = Mul(go(a), go(b))
-            case DivC(a, d):
-                out = DivC(go(a), d)
-            case ModC(a, d):
-                out = ModC(go(a), d)
-            case IfEq(a, b, t, o):
-                out = IfEq(go(a), go(b), go(t), go(o))
-            case PairE(a, b):
-                out = PairE(go(a), go(b))
-            case P1(a):
-                out = P1(go(a))
-            case P2(a):
-                out = P2(go(a))
-            case Compose(f, g):
-                # the outer function's variable is its own; names are global
-                out = Compose(f if names is None else go(f), go(g))
-            case Table(a, entries, default):
-                out = Table(go(a), entries, default)
-            case Name(name):
-                # Name cases come last here and in normalize/pretty: those
-                # walks are hot, and only formula terms hold names
-                out = node if names is None else names[name]
-            case _:
-                raise TypeError(f"not an FnExpr: {node!r}")
-        memo[key] = out
-        return out
 
-    return go(e)
+def _subst(node: FnExpr, repl, names, memo: dict[int, FnExpr]) -> FnExpr:
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    match node:
+        case Var():
+            out: FnExpr = repl if names is None else node
+        case Const():
+            out = node
+        case Add(a, b):
+            out = Add(_subst(a, repl, names, memo), _subst(b, repl, names, memo))
+        case Sub(a, b):
+            out = Sub(_subst(a, repl, names, memo), _subst(b, repl, names, memo))
+        case Mul(a, b):
+            out = Mul(_subst(a, repl, names, memo), _subst(b, repl, names, memo))
+        case DivC(a, d):
+            out = DivC(_subst(a, repl, names, memo), d)
+        case ModC(a, d):
+            out = ModC(_subst(a, repl, names, memo), d)
+        case IfEq(a, b, t, o):
+            out = IfEq(_subst(a, repl, names, memo), _subst(b, repl, names, memo),
+                       _subst(t, repl, names, memo), _subst(o, repl, names, memo))
+        case PairE(a, b):
+            out = PairE(_subst(a, repl, names, memo), _subst(b, repl, names, memo))
+        case P1(a):
+            out = P1(_subst(a, repl, names, memo))
+        case P2(a):
+            out = P2(_subst(a, repl, names, memo))
+        case Compose(f, g):
+            # the outer function's variable is its own; names are global
+            out = Compose(f if names is None else _subst(f, repl, names, memo),
+                          _subst(g, repl, names, memo))
+        case Table(a, entries, default):
+            out = Table(_subst(a, repl, names, memo), entries, default)
+        case Name(name):
+            # Name cases come last here and in normalize/pretty: those
+            # walks are hot, and only formula terms hold names
+            out = node if names is None else names[name]
+        case _:
+            raise TypeError(f"not an FnExpr: {node!r}")
+    memo[key] = out
+    return out
 
 
 def normalize(e: FnExpr) -> FnExpr:
@@ -644,111 +650,80 @@ def normalize(e: FnExpr) -> FnExpr:
       * ``p1(pair(a, b))``     -> a,  ``p2(pair(a, b))`` -> b
       * ``ifeq(a, a, t, o)``   -> t  (structural identity of a)
 
-    The rewrites are confluent, so a subterm may be replaced by its
-    normal form before its context is normalized: both walks stop at a
-    node whose ``_nf`` is known.
+    One walk substitutes and simplifies together: a node is visited with
+    the normal form that replaces its variable, ``Compose(f, g)`` visits
+    f with the normal form of g, and each rule is applied to children
+    that are already normal. The rewrites are confluent, so the walk may
+    swap a node whose ``_nf`` is known for that normal form, and stops
+    there when the variable is not replaced.
     """
     nf = getattr(e, "_nf", None)
     if nf is not None:
         return e if nf is True else nf
-
-    inlined: dict[int, FnExpr] = {}
-    memo: dict[int, FnExpr] = {}
-
-    def inline(node: FnExpr) -> FnExpr:
-        # memoised by id so subtrees shared in the input stay shared
-        key = id(node)
-        if key not in inlined:
-            nf = None if type(node) in _LEAVES else getattr(node, "_nf", None)
-            if nf is None:
-                inlined[key] = expand(node)
-            else:
-                # a known normal form is its own simplification
-                nf = node if nf is True else nf
-                inlined[key] = memo[id(nf)] = nf
-        return inlined[key]
-
-    def expand(node: FnExpr) -> FnExpr:
-        match node:
-            case Compose(f, g):
-                return substitute(inline(f), inline(g))
-            case Const() | Var():
-                return node
-            case Add(a, b):
-                return Add(inline(a), inline(b))
-            case Sub(a, b):
-                return Sub(inline(a), inline(b))
-            case Mul(a, b):
-                return Mul(inline(a), inline(b))
-            case DivC(a, d):
-                return DivC(inline(a), d)
-            case ModC(a, d):
-                return ModC(inline(a), d)
-            case IfEq(a, b, t, o):
-                return IfEq(inline(a), inline(b), inline(t), inline(o))
-            case PairE(a, b):
-                return PairE(inline(a), inline(b))
-            case P1(a):
-                return P1(inline(a))
-            case P2(a):
-                return P2(inline(a))
-            case Table(a, entries, default):
-                return Table(inline(a), entries, default)
-            case Name():
-                return node
-        raise TypeError(f"not an FnExpr: {node!r}")
-
-    def simp(node: FnExpr) -> FnExpr:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        match node:
-            case Const() | Var():
-                out = node
-            case Add(a, b):
-                out = Add(simp(a), simp(b))
-            case Sub(a, b):
-                out = Sub(simp(a), simp(b))
-            case Mul(a, b):
-                out = Mul(simp(a), simp(b))
-            case DivC(a, d):
-                out = DivC(simp(a), d)
-            case ModC(a, d):
-                out = ModC(simp(a), d)
-            case IfEq(a, b, t, o):
-                sa, sb = simp(a), simp(b)
-                if sa == sb:
-                    out = simp(t)
-                else:
-                    out = IfEq(sa, sb, simp(t), simp(o))
-            case PairE(a, b):
-                out = PairE(simp(a), simp(b))
-            case P1(a):
-                sa = simp(a)
-                out = sa.left if isinstance(sa, PairE) else P1(sa)
-            case P2(a):
-                sa = simp(a)
-                out = sa.right if isinstance(sa, PairE) else P2(sa)
-            case Table(a, entries, default):
-                out = Table(simp(a), entries, default)
-            case Name():
-                out = node
-            case _:
-                raise TypeError(f"not an FnExpr: {node!r}")
-        memo[key] = out
-        return out
-
-    out = simp(inline(e))
+    out = _normal(e, VAR, {})
     _remember(e, "_nf", out)
     _remember(out, "_nf", True)  # also when out is e: no self-reference
     return out
 
 
+def _normal(node: FnExpr, repl: FnExpr, memo: dict[tuple[int, int], FnExpr]) -> FnExpr:
+    """Normal form of ``node`` with its variable replaced by the normal
+    form ``repl``. ``memo`` is keyed by the ids of both, so subtrees shared
+    in the input stay shared; every node returned is held by the input, a
+    known normal form or ``memo``, so those ids stay unique."""
+    cls = type(node)
+    if cls is Var:
+        return repl
+    if cls is Const:
+        return node
+    key = (id(node), id(repl))
+    if key in memo:
+        return memo[key]
+    nf = getattr(node, "_nf", None)
+    if nf is True:
+        if repl is VAR:
+            return node
+    elif nf is not None:
+        return nf if repl is VAR else _normal(nf, repl, memo)
+    match node:
+        case Compose(f, g):
+            out = _normal(f, _normal(g, repl, memo), memo)
+        case Add(a, b):
+            out = Add(_normal(a, repl, memo), _normal(b, repl, memo))
+        case Sub(a, b):
+            out = Sub(_normal(a, repl, memo), _normal(b, repl, memo))
+        case Mul(a, b):
+            out = Mul(_normal(a, repl, memo), _normal(b, repl, memo))
+        case DivC(a, d):
+            out = DivC(_normal(a, repl, memo), d)
+        case ModC(a, d):
+            out = ModC(_normal(a, repl, memo), d)
+        case IfEq(a, b, t, o):
+            sa, sb = _normal(a, repl, memo), _normal(b, repl, memo)
+            if sa == sb:
+                out = _normal(t, repl, memo)
+            else:
+                out = IfEq(sa, sb, _normal(t, repl, memo), _normal(o, repl, memo))
+        case PairE(a, b):
+            out = PairE(_normal(a, repl, memo), _normal(b, repl, memo))
+        case P1(a):
+            sa = _normal(a, repl, memo)
+            out = sa.left if isinstance(sa, PairE) else P1(sa)
+        case P2(a):
+            sa = _normal(a, repl, memo)
+            out = sa.right if isinstance(sa, PairE) else P2(sa)
+        case Table(a, entries, default):
+            out = Table(_normal(a, repl, memo), entries, default)
+        case Name():
+            out = node
+        case _:
+            raise TypeError(f"not an FnExpr: {node!r}")
+    memo[key] = out
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Pretty printing
-
-_CHAIN = (Add, Sub, Mul)
-
 
 def pretty(e: FnExpr) -> str:
     """Canonical concrete syntax. ``parse_fn(pretty(e)) == e`` for
@@ -757,68 +732,65 @@ def pretty(e: FnExpr) -> str:
     The result is kept on ``e`` only: kept on every subtree, the texts of
     all subtrees would stay alive."""
     pp = getattr(e, "_pp", None)
-    if pp is not None:
-        return pp[0]
-    memo: dict[int, tuple[str, bool]] = {}
-
-    def go(node: FnExpr) -> tuple[str, bool]:
-        # returns (text, is_chain) where is_chain marks a top-level + - *
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if type(node) not in _LEAVES:
-            out = getattr(node, "_pp", None)
-            if out is not None:
-                return out
-        match node:
-            case Const(v):
-                out = (str(v), False)
-            case Var():
-                out = ("x", False)
-            case Add(a, b):
-                out = (f"{chain(a)} + {atom(b)}", True)
-            case Sub(a, b):
-                out = (f"{chain(a)} - {atom(b)}", True)
-            case Mul(a, b):
-                out = (f"{chain(a)} * {atom(b)}", True)
-            case DivC(a, d):
-                out = (f"{atom(a)} div {d}", False)
-            case ModC(a, d):
-                out = (f"{atom(a)} mod {d}", False)
-            case IfEq(a, b, t, o):
-                out = (
-                    f"ifeq({go(a)[0]}, {go(b)[0]}, {go(t)[0]}, {go(o)[0]})",
-                    False,
-                )
-            case PairE(a, b):
-                out = (f"pair({go(a)[0]}, {go(b)[0]})", False)
-            case P1(a):
-                out = (f"p1({go(a)[0]})", False)
-            case P2(a):
-                out = (f"p2({go(a)[0]})", False)
-            case Compose(_, _):
-                out = go(normalize(node))
-            case Table(a, entries, default):
-                digest = sha256(repr((entries, default)).encode()).hexdigest()[:12]
-                out = (f"table#{digest}({go(a)[0]})", False)
-            case Name(name):
-                out = (name, False)
-            case _:
-                raise TypeError(f"not an FnExpr: {node!r}")
-        memo[key] = out
-        return out
-
-    def chain(node: FnExpr) -> str:
-        # left operand of a chain may itself be a chain
-        return go(node)[0]
-
-    def atom(node: FnExpr) -> str:
-        text, is_chain = go(node)
-        return f"({text})" if is_chain else text
-
-    pp = go(e)
-    _remember(e, "_pp", pp)
+    if pp is None:
+        pp = _text(e, {})
+        _remember(e, "_pp", pp)
     return pp[0]
+
+
+def _text(node: FnExpr, memo: dict[int, tuple[str, bool]]) -> tuple[str, bool]:
+    """(text, is_chain) of ``node``, where is_chain marks a top-level + - *."""
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    if type(node) not in _LEAVES:
+        out = getattr(node, "_pp", None)
+        if out is not None:
+            return out
+    match node:
+        case Const(v):
+            out = (str(v), False)
+        case Var():
+            out = ("x", False)
+        case Add(a, b):
+            # the left operand of a chain may itself be a chain
+            out = (f"{_text(a, memo)[0]} + {_atom(b, memo)}", True)
+        case Sub(a, b):
+            out = (f"{_text(a, memo)[0]} - {_atom(b, memo)}", True)
+        case Mul(a, b):
+            out = (f"{_text(a, memo)[0]} * {_atom(b, memo)}", True)
+        case DivC(a, d):
+            out = (f"{_atom(a, memo)} div {d}", False)
+        case ModC(a, d):
+            out = (f"{_atom(a, memo)} mod {d}", False)
+        case IfEq(a, b, t, o):
+            out = (
+                f"ifeq({_text(a, memo)[0]}, {_text(b, memo)[0]}, "
+                f"{_text(t, memo)[0]}, {_text(o, memo)[0]})",
+                False,
+            )
+        case PairE(a, b):
+            out = (f"pair({_text(a, memo)[0]}, {_text(b, memo)[0]})", False)
+        case P1(a):
+            out = (f"p1({_text(a, memo)[0]})", False)
+        case P2(a):
+            out = (f"p2({_text(a, memo)[0]})", False)
+        case Compose(_, _):
+            out = _text(normalize(node), memo)
+        case Table(a, entries, default):
+            digest = sha256(repr((entries, default)).encode()).hexdigest()[:12]
+            out = (f"table#{digest}({_text(a, memo)[0]})", False)
+        case Name(name):
+            out = (name, False)
+        case _:
+            raise TypeError(f"not an FnExpr: {node!r}")
+    memo[key] = out
+    return out
+
+
+def _atom(node: FnExpr, memo: dict[int, tuple[str, bool]]) -> str:
+    text, is_chain = _text(node, memo)
+    return f"({text})" if is_chain else text
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ is thread-safe under concurrent mutation.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -63,7 +64,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.horizon < 64:
             raise ValueError("horizon too small to be meaningful")
-        if self.tiebreak != "least" and not self.tiebreak.startswith("seeded:"):
+        if self.tiebreak != "least" and not re.fullmatch(r"seeded:-?[0-9]+", self.tiebreak):
             raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
 
 

@@ -182,7 +182,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 lo, _, hi = value.partition("..")
                 if _int(lo, lineno) != 0:
                     raise ParseError("sample must start at 0", lineno, 1)
-                sample_range = (0, _int(hi, lineno) + 1)
+                stop = _int(hi, lineno) + 1
+                if stop <= 0:
+                    raise ParseError("sample must not be empty", lineno, 1)
+                sample_range = (0, stop)
             else:
                 raise ParseError(f"unknown fragment key {key!r}", lineno, 1)
 

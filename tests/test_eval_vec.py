@@ -135,7 +135,7 @@ def test_projections_of_huge_pairs_are_exact():
 def test_value_vectors_past_int64():
     vals = [2**64 + 5, 2**70, 3, pair(2**40, 2**41)]
     for e in (P1(VAR), P2(VAR), ModC(VAR, 7), Add(VAR, Const(1)),
-              _table(VAR, {3: 2**65}, None)):
+              _table(VAR, {3: 2**65}, None), Const(9)):
         got = eval_vec(e, np.array(vals, dtype=object))
         assert got.tolist() == [interpret(e, v) for v in vals]
 

@@ -2,6 +2,7 @@ import gc
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +24,12 @@ from starext.funlang import (
     P2,
     PairE,
     Sub,
+    Table,
+    Var,
+    _bound_pass,
     and_,
     compile_fn,
+    eval_vec,
     interpret,
     is_closed,
     normalize,
@@ -35,7 +40,7 @@ from starext.funlang import (
     substitute,
     unpair,
 )
-from starext.gen import rand_expr, rand_point_expr
+from starext.gen import rand_expr, rand_indicator, rand_point_expr
 from starext.transfer import parse_formula
 
 
@@ -250,6 +255,115 @@ def test_is_closed():
     assert is_closed(parse_fn("pair(3, 4) mod 7"))
     assert not is_closed(parse_fn("x mod 7"))
     assert is_closed(Compose(Const(5), VAR))
+
+
+# -- normalize against the two-pass algorithm --------------------------------
+
+def _rebuild(e, f):
+    """A new node like ``e`` with ``f`` applied to each expression child."""
+    return type(e)(*(f(c) if isinstance(c, FnExpr) else c
+                     for c in (getattr(e, name) for name in e.__match_args__)))
+
+
+def _ref_substitute(e, repl):
+    if isinstance(e, Var):
+        return repl
+    if isinstance(e, Compose):
+        return Compose(e.outer, _ref_substitute(e.inner, repl))
+    return _rebuild(e, lambda c: _ref_substitute(c, repl))
+
+
+def _ref_normalize(e):
+    """The two-pass algorithm, with no memo and no cache: inline every
+    composition by substitution, then simplify once, bottom up."""
+    def inline(node):
+        if isinstance(node, Compose):
+            return _ref_substitute(inline(node.outer), inline(node.inner))
+        return _rebuild(node, inline)
+
+    def simp(node):
+        match node:
+            case IfEq(a, b, t, o):
+                sa, sb = simp(a), simp(b)
+                return simp(t) if sa == sb else IfEq(sa, sb, simp(t), simp(o))
+            case P1(a):
+                sa = simp(a)
+                return sa.left if isinstance(sa, PairE) else P1(sa)
+            case P2(a):
+                sa = simp(a)
+                return sa.right if isinstance(sa, PairE) else P2(sa)
+        return _rebuild(node, simp)
+
+    return simp(inline(e))
+
+
+def _composition_tree(rng, depth, warm):
+    """Nested compositions of generated terms, the shapes ``*`` builds;
+    each node's normal form and text are cached first with probability
+    ``warm``."""
+    if depth == 0:
+        e = rng.choice((rand_expr, rand_indicator, rand_point_expr))(rng)
+    else:
+        sub = lambda: _composition_tree(rng, depth - 1, warm)  # noqa: E731
+        kind = rng.randrange(6)
+        if kind == 0:
+            e = Compose(rng.choice((rand_expr, rand_indicator))(rng), sub())
+        elif kind == 1:
+            e = Compose(sub(), sub())
+        elif kind == 2:
+            e = PairE(sub(), Compose(sub(), sub()))
+        elif kind == 3:
+            # an agreement set, sometimes of a term with itself
+            a = sub()
+            e = Compose(CHI_DIAG, PairE(a, a if rng.random() < 0.3 else sub()))
+        elif kind == 4:
+            e = and_(Compose(rand_indicator(rng), sub()), sub())
+        else:
+            e = Compose(P1(VAR) if rng.random() < 0.5 else P2(VAR),
+                        Compose(PairE(VAR, Table(VAR, ((1, 5), (3, 0)), None)), sub()))
+    if rng.random() < warm:
+        normalize(e)
+        pretty(e)
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from([0.0, 0.5, 1.0]))
+def test_normalize_matches_two_pass_algorithm(seed, depth, warm):
+    e = _composition_tree(random.Random(seed), depth, warm)
+    ref = _ref_normalize(e)
+    n = normalize(e)
+    assert n == ref
+    assert pretty(n) == pretty(ref) == pretty(Compose(VAR, e))
+
+
+# -- garbage -------------------------------------------------------------------
+
+_WALKS = {
+    "normalize": normalize,
+    "pretty": pretty,
+    "substitute": lambda e: substitute(e, PairE(VAR, Const(1))),
+    "eval_vec": lambda e: (eval_vec(e, np.arange(300)),
+                           eval_vec(e, np.array([2**63, 5], dtype=object))),
+    "_bound_pass": lambda e: _bound_pass(e, 300),
+    "compile_fn": compile_fn,
+}
+
+
+@pytest.mark.parametrize("walk", sorted(_WALKS))
+def test_walks_leave_no_reference_cycles(walk):
+    """What a walk builds is freed by reference counting alone."""
+    rng = random.Random(4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(100):
+            _WALKS[walk](Compose(rand_indicator(rng), rand_point_expr(rng)))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- per-node caches -----------------------------------------------------------

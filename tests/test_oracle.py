@@ -232,6 +232,8 @@ def test_bad_config_rejected():
         OracleConfig(horizon=10)
     with pytest.raises(ValueError):
         OracleConfig(tiebreak="coinflip")
+    with pytest.raises(ValueError):
+        OracleConfig(tiebreak="seeded:x")
 
 
 def test_sibling_states_share_log_but_not_commitments():

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import re
 import subprocess
 import sys
 
@@ -76,6 +78,7 @@ def test_parse_minimal_scenario():
     ("[config]\nseed = q", "6:1: expected an integer"),
     ("[fragment]\ndepth = x", "6:1: expected an integer"),
     ("[fragment]\nsample = 0..", "6:1: expected an integer"),
+    ("[fragment]\nsample = 0..-1", "6:1: sample must not be empty"),
 ])
 def test_scenario_parse_errors(mutation, fragment):
     base = "[functions]\ndef f = x\n[points]\nstd0 = 0\n"
@@ -281,3 +284,100 @@ def test_oracle_config_honours_falsy_overrides():
     with pytest.raises(ValueError):
         sc.oracle_config(tiebreak="")
     assert sc.oracle_config().horizon == 500
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+#: suites cheap enough on quick for many runs; boolean takes ten times longer
+_FUZZ_SUITES = ["axioms", "negative", "equalizer", "finite", "nary", "transfer",
+                "keisler", "topology"]
+#: replacement tokens: names, keywords, section names and symbols
+_FUZZ_TOKENS = ["x", "omega", "id", "untag", "p1", "pair", "ifeq", "mod", "div",
+                "def", "def2", "[points]", "[fragment]", "=", ",", "..", "(", ")",
+                "0", "-1", "", "#"]
+#: values at the edges of the range of each setting of [config] and
+#: [fragment] ("full" scale is left out: it runs for minutes)
+_FUZZ_SETTINGS = {
+    "horizon": ["64", "65", "63", "-1"],
+    "seed": ["0", "-1", "99999999999"],
+    "tiebreak": ["least", "seeded:0", "seeded:-2", "seeded:x", "seeded:", "coin"],
+    "scale": ["quick", "fast"],
+    "functions": ["id", "id, id", "", "untag"],
+    "points": ["omega", "omega, omega", "", "tagged1"],
+    "depth": ["-1", "0", "1"],
+    "sample": ["0..0", "0..1", "0..-1", "1..5", "0..x"],
+}
+
+
+def _mutate(rng, lines):
+    """Half of the mutants change only settings, and most of those still
+    parse; the other half are edited as text, and most of those do not."""
+    lines = list(lines)
+    if rng.random() < 0.5:
+        found = [j for j, line in enumerate(lines)
+                 if line.partition(" =")[0] in _FUZZ_SETTINGS]
+        for j in rng.sample(found, rng.randint(1, 2)):
+            key = lines[j].partition(" =")[0]
+            lines[j] = f"{key} = {rng.choice(_FUZZ_SETTINGS[key])}"
+        return lines
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        elif op == 2:
+            words = lines[i].split(" ")
+            words[rng.randrange(len(words))] = rng.choice(_FUZZ_TOKENS)
+            lines[i] = " ".join(words)
+        elif op == 3 and lines[i]:
+            j = rng.randrange(len(lines[i]))
+            lines[i] = lines[i][:j] + lines[i][j + 1:]
+        else:
+            j = rng.randrange(len(lines[i]) + 1)
+            lines[i] = lines[i][:j] + rng.choice("()=,.#[]-+*x ") + lines[i][j:]
+    return lines
+
+
+def _fuzz_flags(rng, tmp_path):
+    flags = ["--out", str(tmp_path / "out")]
+    for suite in rng.sample(_FUZZ_SUITES + ["warp"], rng.randint(0, 2)):
+        flags += ["--suite", suite]
+    if rng.random() < 0.3:
+        flags += ["--horizon", rng.choice(["64", "100", "300", "63", "-5", "abc"])]
+    if rng.random() < 0.2:
+        flags += ["--seed", rng.choice(["0", "1", "-3", "12345", "x"])]
+    if rng.random() < 0.2:
+        flags.append("--strict")
+    if rng.random() < 0.1:
+        log = tmp_path / "replay.log"
+        log.write_text(rng.choice(["", "garbage\n", "0\tx\taccept\t0\n", "1\t1\tmaybe\t2\n"]))
+        flags += ["--replay", rng.choice([str(log), str(tmp_path / "missing.log")])]
+    if rng.random() < 0.05:
+        flags.append(rng.choice(["--bogus", "--horizon"]))
+    return flags
+
+
+#: mutants run; together they take about ten seconds
+FUZZ_RUNS = 150
+
+
+def test_cli_fuzz_mutated_quick(tmp_path, capsys):
+    """Mutated scenarios and random flags end in a verdict or a one-line
+    error, never in a traceback or an internal error."""
+    quick = bundled_scenario_path("quick").read_text().splitlines()
+    for seed in range(FUZZ_RUNS):
+        rng = random.Random(seed)
+        lines = quick if rng.random() < 0.1 else _mutate(rng, quick)
+        scn = tmp_path / "fuzz.scn"
+        scn.write_text("\n".join(lines) + "\n")
+        flags = _fuzz_flags(rng, tmp_path)
+        if "--suite" not in flags:
+            flags += [arg for suite in _FUZZ_SUITES for arg in ("--suite", suite)]
+        try:
+            code = main([str(scn)] + flags)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, (seed, flags, err)
