@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConsistencyViolation, MalformedIndicator, NotSupported, Undecidable
+from .errors import MalformedIndicator, NotSupported, Undecidable
 from .funlang import (
     VAR,
     Compose,
@@ -366,18 +366,6 @@ def check_diagonal(ext: Extension, f, g, xi) -> CheckOutcome:
             f"star-equal={same}"
         ),
     )
-
-
-def realize_directedness(ext: Extension, xi, eta):
-    """Find the point whose two projections are the given points.
-
-    Returns (zeta, proj1, proj2) with the projection equations verified;
-    raises :class:`NotSupported` when the extension has no pairing.
-    """
-    zeta, pr1, pr2 = ext.realize_pair(xi, eta)
-    if not ext.eq(ext.star(pr1, zeta), xi) or not ext.eq(ext.star(pr2, zeta), eta):
-        raise ConsistencyViolation("pairing projections failed to recover the pair")
-    return zeta, pr1, pr2
 
 
 def check_directedness(ext: Extension, xi, eta) -> CheckOutcome:

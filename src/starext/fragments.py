@@ -294,11 +294,6 @@ def check_equivalence_filter_law(
 # ---------------------------------------------------------------------------
 # Filters over the index set
 
-def point_ultrafilter_member(u: Universe, xi: Hyperpoint, a: StarSet) -> bool:
-    """Membership in the ultrafilter a point generates on the base set."""
-    return u.member(xi, a)
-
-
 def product_filter_member(
     frag: Fragment,
     rows: Callable[[int], FnExpr],

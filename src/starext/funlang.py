@@ -38,6 +38,11 @@ normal form, its text and whether it is closed (see :class:`FnExpr`).
 Those slots hold pure functions of the node and never take part in
 ``==`` or ``hash``. Since ``*`` composes, new terms keep wrapping
 canonical ones, and every walk stops at a node whose answer is known.
+An owner that asks related questions passes :func:`normalize` a
+:class:`NormalMemo`, so the walks' results outlive each call: a later
+walk that meets the same node under the same replacement returns the
+node built before, caches included. A :class:`~starext.hyper.Universe`
+owns one for its membership queries.
 
 Every recursive walk is a module-level function with an explicit memo,
 or unbinds its nested functions before it returns, so no call leaves a
@@ -50,7 +55,9 @@ vectors (truth vectors of :class:`IndexPredicate`, sequence values,
 whole-range sweeps) and equals :func:`interpret` entry by entry. An
 interval pass picks its dtype: int64 when every node value and the
 intermediates ``s*(s+1)`` of pair and ``8z+1`` of unpair stay below
-2**62 on 0..max(xs), exact object-dtype Python ints otherwise.
+2**62 on 0..max(xs), exact object-dtype Python ints otherwise. Given
+truth vectors by canonical text, it reads the condition of a Boolean
+connective of known predicates from them instead of evaluating it.
 :func:`compile_fn` remains for per-index callers.
 """
 
@@ -96,7 +103,7 @@ class FnExpr:
     structure, is written with ``object.__setattr__`` and is not a
     dataclass field, so it never takes part in ``==``, ``hash`` or
     ``repr``; an unset slot reads as absent. A cache lives exactly as
-    long as its node.
+    long as its node, and an ``_nf`` that holds a node is never rewritten.
     """
 
     __slots__ = ("_nf", "_pp", "_closed")
@@ -375,18 +382,26 @@ def compile_fn(e: FnExpr) -> Callable[[int], int]:
 INT64_SAFE = 1 << 62
 
 
-def _bound_pass(e: FnExpr, x_max: int) -> tuple[bool, set[int]]:
+def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = None,
+                shape: tuple[int, ...] = ()) -> tuple[bool, set[int], dict[int, np.ndarray]]:
     """Interval pass over ``e`` on inputs 0..x_max.
 
-    Returns ``(fits, shared)``. ``fits`` is True when every node value and
-    the intermediates ``s*(s+1)`` of pair and ``8z+1`` of unpair stay below
-    :data:`INT64_SAFE`; bounds saturate there, so the walk always finishes.
-    ``shared`` holds the ids of the nodes reached twice with the same input
-    bound, the nodes whose values :func:`eval_vec` keeps for reuse.
+    Returns ``(fits, shared, decided)``. ``fits`` is True when every node
+    value and the intermediates ``s*(s+1)`` of pair and ``8z+1`` of unpair
+    stay below :data:`INT64_SAFE`; bounds saturate there, so the walk
+    always finishes. ``shared`` holds the ids of the nodes reached twice
+    with the same input bound, the nodes whose values :func:`eval_vec`
+    keeps for reuse. ``decided`` maps the id of each ``ifeq(p, 0, t, o)``
+    whose ``p`` has its text cached and a truth vector of ``shape`` in
+    ``known`` to that vector; ``p`` is not walked. It is empty when ``e``
+    holds a composition, since ``known`` describes the top-level input
+    only.
     """
     memo: dict[tuple[int, int], int] = {}
     shared: set[int] = set()
+    decided: dict[int, np.ndarray] = {}
     fits = True
+    composed = False
 
     def cap(v: int) -> int:
         nonlocal fits
@@ -396,6 +411,7 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[bool, set[int]]:
         return v
 
     def bound(node: FnExpr, vb: int) -> int:
+        nonlocal composed
         key = (id(node), vb)
         if key in memo:
             shared.add(key[0])
@@ -417,8 +433,12 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[bool, set[int]]:
             case ModC(a, d):
                 out = min(bound(a, vb), cap(d) - 1)
             case IfEq(a, b, t, o):
-                bound(a, vb)
-                bound(b, vb)
+                truth = _known_truth(a, b, known, shape) if known else None
+                if truth is None:
+                    bound(a, vb)
+                    bound(b, vb)
+                else:
+                    decided[key[0]] = truth
                 out = max(bound(t, vb), bound(o, vb))
             case PairE(a, b):
                 r = bound(b, vb)
@@ -428,6 +448,7 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[bool, set[int]]:
                 out = bound(a, vb)
                 cap(8 * out + 1)
             case Compose(f, g):
+                composed = True
                 out = bound(f, bound(g, vb))
             case Table(a, entries, default):
                 av = bound(a, vb)
@@ -442,7 +463,22 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[bool, set[int]]:
 
     bound(e, x_max)
     del bound  # it refers to itself: unbound, it and the memo are freed on return
-    return fits, shared
+    if decided and composed:
+        return _bound_pass(e, x_max)
+    return fits, shared, decided
+
+
+def _known_truth(a: FnExpr, b: FnExpr, known: Mapping[str, np.ndarray],
+                 shape: tuple[int, ...]) -> np.ndarray | None:
+    """The truth vector of ``a`` from ``known``, when ``ifeq(a, b, ...)``
+    tests ``a`` for falsity and ``a`` is compound with its text cached."""
+    if type(b) is not Const or b.value != 0 or type(a) in _LEAVES:
+        return None
+    pp = getattr(a, "_pp", None)
+    if pp is None:
+        return None
+    truth = known.get(pp[0])
+    return truth if truth is not None and truth.shape == shape else None
 
 
 _isqrt_obj = np.frompyfunc(isqrt, 1, 1)
@@ -463,17 +499,25 @@ def _unpair_vec(z, exact: bool):
     return w - y, y
 
 
-def eval_vec(e: FnExpr, xs) -> np.ndarray:
+def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
     """Evaluate ``e`` at every entry of ``xs``; equal to :func:`interpret`
     entry by entry.
 
     An interval pass over the tree picks the dtype: int64 when every
     bound stays below :data:`INT64_SAFE` on 0..max(xs), exact object-dtype
     Python ints otherwise. Shared subtrees are evaluated once.
+
+    ``known`` maps canonical texts to boolean truth vectors over the same
+    ``xs`` (an entry of another shape is ignored). At ``ifeq(p, 0, t, o)``,
+    the shape of :func:`not_`, :func:`and_` and :func:`or_`, whose ``p``
+    is a compound node with its text cached by :func:`pretty` and listed
+    in ``known``, the condition is the negated vector and ``p`` is not
+    evaluated. This holds only in an expression without compositions,
+    where every node reads the input ``xs`` itself; normal forms are such.
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
-    fits, shared = _bound_pass(e, x_max)
+    fits, shared, decided = _bound_pass(e, x_max, known, xs.shape)
     # the inputs must fit too, also when no node reads them
     exact = not fits or x_max >= INT64_SAFE
     dtype = object if exact else np.int64
@@ -515,7 +559,8 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
             case ModC(a, d):
                 out = go(a, var) % d
             case IfEq(a, b, t, o):
-                cond = go(a, var) == go(b, var)
+                truth = decided.get(key[0]) if decided else None
+                cond = go(a, var) == go(b, var) if truth is None else ~truth
                 t, o = go(t, var), go(o, var)
                 if isinstance(cond, np.ndarray):
                     out = np.where(cond, np.asarray(t, dtype), np.asarray(o, dtype))
@@ -577,7 +622,7 @@ def is_closed(e: FnExpr) -> bool:
         case DivC(a, _) | ModC(a, _) | P1(a) | P2(a):
             closed = is_closed(a)
         case IfEq(a, b, t, o):
-            closed = all(is_closed(s) for s in (a, b, t, o))
+            closed = is_closed(a) and is_closed(b) and is_closed(t) and is_closed(o)
         case Compose(f, g):
             closed = is_closed(g) or is_closed(f)
         case Table(a, _, _):
@@ -642,7 +687,30 @@ def _subst(node: FnExpr, repl, names, memo: dict[int, FnExpr]) -> FnExpr:
     return out
 
 
-def normalize(e: FnExpr) -> FnExpr:
+class NormalMemo:
+    """The memo of :func:`normalize` walks, shared by one owner's calls.
+
+    ``table`` maps ``(id(node), id(repl))`` to the normal form of ``node``
+    with its variable replaced by ``repl``, and ``roots`` holds every
+    expression walked through it. A later walk that meets a node under the
+    same replacement returns the very node built before, whose text,
+    closedness and truth vector may already be known. Ids are only unique
+    while their objects live, so the memo holds every node it keys: each is
+    reached from a root through children and ``_nf`` slots (a slot that
+    holds a node is never rewritten), or is a value of ``table``. Nothing
+    else refers to the memo, so it dies with its owner, and it grows with
+    every root: give it to an owner that lives for a bounded number of
+    calls.
+    """
+
+    __slots__ = ("table", "roots")
+
+    def __init__(self) -> None:
+        self.table: dict[tuple[int, int], FnExpr] = {}
+        self.roots: list[FnExpr] = []
+
+
+def normalize(e: FnExpr, memo: NormalMemo | None = None) -> FnExpr:
     """Canonical form: no Compose nodes, exact redexes cancelled.
 
     Rewrites applied (all exact identities of the denoted functions):
@@ -656,13 +724,25 @@ def normalize(e: FnExpr) -> FnExpr:
     that are already normal. The rewrites are confluent, so the walk may
     swap a node whose ``_nf`` is known for that normal form, and stops
     there when the variable is not replaced.
+
+    With ``memo`` (see :class:`NormalMemo`) the walk's results outlive the
+    call, so a later call that reaches the same node under the same
+    replacement stops there with the node built before.
     """
     nf = getattr(e, "_nf", None)
     if nf is not None:
         return e if nf is True else nf
-    out = _normal(e, VAR, {})
-    _remember(e, "_nf", out)
-    _remember(out, "_nf", True)  # also when out is e: no self-reference
+    if memo is None:
+        out = _normal(e, VAR, {})
+    else:
+        memo.roots.append(e)
+        out = _normal(e, VAR, memo.table)
+    if out is e:
+        _remember(e, "_nf", True)  # no self-reference
+    else:
+        _remember(e, "_nf", out)
+        if getattr(out, "_nf", None) is None:
+            _remember(out, "_nf", True)
     return out
 
 
@@ -1027,8 +1107,10 @@ class IndexPredicate:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_expr(cls, expr: FnExpr) -> "IndexPredicate":
-        norm = normalize(expr)
+    def from_expr(cls, expr: FnExpr, memo: NormalMemo | None = None) -> "IndexPredicate":
+        """The predicate of ``expr``, canonicalised through ``memo`` when
+        given (see :func:`normalize`)."""
+        norm = normalize(expr, memo)
         return cls(pretty(norm), expr=norm)
 
     @classmethod
@@ -1078,10 +1160,15 @@ class IndexPredicate:
             self._compiled = compile_fn(self.expr)  # type: ignore[arg-type]
         return self._compiled(n) != 0
 
-    def mask(self, horizon: int) -> np.ndarray:
-        """Boolean truth vector over indices 0..horizon inclusive."""
+    def mask(self, horizon: int,
+             known: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+        """Boolean truth vector over indices 0..horizon inclusive.
+
+        ``known`` maps canonical texts to truth vectors over the same
+        indices, such as the oracle's mask cache; :func:`eval_vec` reads
+        the conditions of Boolean connectives from it."""
         if self.expr is not None:
-            return eval_vec(self.expr, np.arange(horizon + 1)) != 0
+            return eval_vec(self.expr, np.arange(horizon + 1), known) != 0
         f = self._fn
         return np.fromiter(
             (f(n) != 0 for n in range(horizon + 1)), dtype=bool, count=horizon + 1

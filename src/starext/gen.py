@@ -110,24 +110,29 @@ def rand_point_expr(rng: random.Random) -> FnExpr:
 def rand_nary(rng: random.Random, arity: int) -> NaryFn:
     """Random total function of the given arity over projections."""
     projections = [projection(i + 1, arity) for i in range(arity)]
+    return NaryFn(arity, _rand_nary_body(rng, projections, 2), name=f"gen{arity}")
 
-    def build(depth: int) -> FnExpr:
-        if depth <= 0:
-            return rng.choice(projections + [Const(rng.randrange(10))])
-        pick = rng.randrange(6)
-        if pick == 0:
-            return rng.choice(projections)
-        if pick == 1:
-            return Const(rng.randrange(10))
-        if pick == 2:
-            return Add(build(depth - 1), build(depth - 1))
-        if pick == 3:
-            return Sub(build(depth - 1), build(depth - 1))
-        if pick == 4:
-            return ModC(build(depth - 1), rng.randrange(2, 10))
-        return IfEq(build(depth - 1), build(depth - 1), build(depth - 1), build(depth - 1))
 
-    return NaryFn(arity, build(2), name=f"gen{arity}")
+def _rand_nary_body(rng: random.Random, projections: list[FnExpr], depth: int) -> FnExpr:
+    """Body of :func:`rand_nary`: module-level, so no call leaves a cycle."""
+    if depth <= 0:
+        return rng.choice(projections + [Const(rng.randrange(10))])
+    pick = rng.randrange(6)
+    if pick == 0:
+        return rng.choice(projections)
+    if pick == 1:
+        return Const(rng.randrange(10))
+
+    def sub() -> FnExpr:
+        return _rand_nary_body(rng, projections, depth - 1)
+
+    if pick == 2:
+        return Add(sub(), sub())
+    if pick == 3:
+        return Sub(sub(), sub())
+    if pick == 4:
+        return ModC(sub(), rng.randrange(2, 10))
+    return IfEq(sub(), sub(), sub(), sub())
 
 
 def rand_term(rng: random.Random, variables: list[str], registry: Registry,

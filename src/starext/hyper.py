@@ -9,7 +9,9 @@ points alone. The standard copy of N embeds as the constant sequences.
 composition law holds pointwise (not merely modulo the filter). Set
 extensions are driven by 0/1 indicators; membership of a point reduces
 to one oracle query whose canonical text is shared with the equality
-queries it is provably equivalent to.
+queries it is provably equivalent to. A universe canonicalises those
+queries through a normal-form memo that it owns, so the queries about
+sets and their Boolean combinations at one point share their work.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .funlang import (
     FnExpr,
     IfEq,
     IndexPredicate,
+    NormalMemo,
     PairE,
     Table,
     and_,
@@ -129,19 +132,28 @@ class Universe:
     All equality and membership questions go through the single oracle,
     so results within a universe are mutually consistent (filter laws).
     Pure construction (``standard``, ``star_apply``) never queries.
+
+    Membership queries canonicalise through the universe's own
+    :class:`~starext.funlang.NormalMemo`. A query about a Boolean
+    combination of sets that were queried at the same point then reuses
+    their normal forms, with the texts and closedness cached on them, and
+    the oracle reads their truth vectors from its mask cache. The memo
+    holds what its queries built and dies with the universe.
     """
 
     def __init__(self, oracle: OracleState,
                  interned: dict[str, Hyperpoint] | None = None):
         self.oracle = oracle
         self._interned: dict[str, Hyperpoint] = interned if interned is not None else {}
+        self._normal_memo = NormalMemo()
 
     def with_fresh_filter(self) -> "Universe":
         """Same points and caches, a brand-new committed family.
 
         Independent checks each run against their own filter state;
         sharing the interning table keeps points identical across them,
-        and the shared decision log keeps the run replayable.
+        and the shared decision log keeps the run replayable. The new
+        universe starts an empty normal-form memo of its own.
         """
         return Universe(self.oracle.fresh_sibling(), interned=self._interned)
 
@@ -176,7 +188,7 @@ class Universe:
         return self.oracle.query(self._member_predicate(xi, a))
 
     def _member_predicate(self, xi: Hyperpoint, a: StarSet) -> IndexPredicate:
-        return IndexPredicate.from_expr(Compose(a.indicator, xi.seq))
+        return IndexPredicate.from_expr(Compose(a.indicator, xi.seq), self._normal_memo)
 
     def star_set(self, indicator: FnExpr | str, tag: str = "",
                  check_sample: int = 64) -> StarSet:

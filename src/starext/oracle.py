@@ -55,6 +55,11 @@ def tail_floor(horizon: int) -> int:
     return horizon - max(16, horizon // 8)
 
 
+def valid_tiebreak(tiebreak: str) -> bool:
+    """Whether ``tiebreak`` names a rule: ``least`` or ``seeded:<n>``."""
+    return tiebreak == "least" or re.fullmatch(r"seeded:-?[0-9]+", tiebreak) is not None
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     horizon: int = DEFAULT_HORIZON
@@ -64,7 +69,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.horizon < 64:
             raise ValueError("horizon too small to be meaningful")
-        if self.tiebreak != "least" and not re.fullmatch(r"seeded:-?[0-9]+", self.tiebreak):
+        if not valid_tiebreak(self.tiebreak):
             raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
 
 
@@ -188,7 +193,9 @@ class OracleState:
 
         mask = self._mask_cache.get(pred.text)
         if mask is None:
-            mask = pred.mask(self.horizon)
+            # the cache's vectors span 0..horizon too, so connectives of
+            # decided predicates read their parts' vectors from it
+            mask = pred.mask(self.horizon, self._mask_cache)
             if len(self._mask_cache) >= MASK_CACHE_LIMIT:
                 self._mask_cache.pop(next(iter(self._mask_cache)))
             self._mask_cache[pred.text] = mask

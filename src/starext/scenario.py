@@ -51,7 +51,7 @@ from pathlib import Path
 from .errors import ParseError
 from .funlang import FnExpr, parse_definition, parse_fn
 from .nary import NaryFn
-from .oracle import OracleConfig
+from .oracle import OracleConfig, valid_tiebreak
 from .suites import SUITE_RUNNERS
 from .transfer import Formula, Registry, parse_formula
 
@@ -139,6 +139,8 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
             elif key == "seed":
                 sc.seed = _int(value, lineno)
             elif key == "tiebreak":
+                if not valid_tiebreak(value):
+                    raise ParseError(f"unknown tiebreak {value!r}", lineno, 1)
                 sc.tiebreak = value
             elif key == "scale":
                 if value not in ("full", "quick"):

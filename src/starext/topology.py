@@ -98,14 +98,3 @@ def star_preimage(f: FnExpr, closed: BasicClosed) -> BasicClosed:
     same agreement queries, so the biconditional is exact.
     """
     return BasicClosed(tuple((Compose(g, f), target) for g, target in closed.pairs))
-
-
-def separating_closed(xi: Hyperpoint) -> BasicClosed:
-    """The basic closed set {xi} under the identity listing.
-
-    The testable surrogate for the T1 separation property: any point not
-    equal to xi (modulo the oracle) is outside this set.
-    """
-    from .funlang import VAR
-
-    return BasicClosed(((VAR, xi),))

@@ -15,7 +15,6 @@ from starext.axioms import (
     check_irredundant,
     honest_toy,
     puritz_leq,
-    realize_directedness,
     redundant_toy,
 )
 from starext.errors import NotSupported
@@ -72,9 +71,17 @@ def test_diagonal_equal_functions_always_one(u):
     assert u.eq(value, u.standard(1))
 
 
+def realize_verified_pair(ext, xi, eta):
+    """``ext.realize_pair``, with both projection equations asserted."""
+    zeta, pr1, pr2 = ext.realize_pair(xi, eta)
+    assert ext.eq(ext.star(pr1, zeta), xi)
+    assert ext.eq(ext.star(pr2, zeta), eta)
+    return zeta, pr1, pr2
+
+
 def test_directedness_standard_pair(u):
     ext = hyper_ext(u)
-    zeta, p1h, p2h = realize_directedness(ext, u.standard(3), u.standard(3))
+    zeta, p1h, p2h = realize_verified_pair(ext, u.standard(3), u.standard(3))
     assert u.eq(zeta, u.standard(pair(3, 3)))
 
 
@@ -82,7 +89,7 @@ def test_directedness_recovers_both_points(u):
     ext = hyper_ext(u)
     omega = u.point(VAR)
     sq = u.point("x * x")
-    zeta, p1h, p2h = realize_directedness(ext, omega, sq)
+    zeta, p1h, p2h = realize_verified_pair(ext, omega, sq)
     assert u.star_apply(p1h, zeta).values(300) == omega.values(300)
     assert u.star_apply(p2h, zeta).values(300) == sq.values(300)
 
@@ -91,7 +98,7 @@ def test_directedness_uniqueness_up_to_finite_change(u):
     ext = hyper_ext(u)
     omega = u.point(VAR)
     sq = u.point("x * x")
-    zeta, _, _ = realize_directedness(ext, omega, sq)
+    zeta, _, _ = realize_verified_pair(ext, omega, sq)
     perturbed = u.point(parse_fn(f"ifeq(x, 4, 0, {pretty(zeta.seq)})"))
     assert u.eq(perturbed, zeta)
 

@@ -24,10 +24,15 @@ from starext.funlang import (
     PairE,
     Sub,
     Table,
+    and_,
     eval_vec,
     interpret,
+    normalize,
+    not_,
+    or_,
     pair,
     parse_fn,
+    pretty,
     unpair,
 )
 from starext.gen import rand_expr, rand_indicator, rand_point_expr
@@ -230,3 +235,61 @@ def test_values_are_python_ints():
     assert vals == [interpret(xi.seq, n) for n in range(51)]
     small = u.point("x * x").values(20)
     assert all(type(v) is int for v in small)
+
+
+# -- truth vectors read from known ones -------------------------------------------
+
+#: the int64 path, and the object path forced by inputs past int64
+_KNOWN_INPUTS = {
+    "int64": np.arange(300),
+    "object": np.array([2**63 + 11 * k for k in range(30)] + list(range(30)), dtype=object),
+}
+
+
+def _connective_tree(rng, parts, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(parts)
+    pick = rng.randrange(3)
+    if pick == 0:
+        return not_(_connective_tree(rng, parts, depth - 1))
+    op = and_ if pick == 1 else or_
+    return op(_connective_tree(rng, parts, depth - 1), _connective_tree(rng, parts, depth - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_KNOWN_INPUTS)))
+def test_known_truth_vectors_give_the_same_values(seed, path):
+    """and/or/not trees over predicates with known truth vectors, each
+    present, absent or of another length, evaluate as without them."""
+    rng = random.Random(seed)
+    xs = _KNOWN_INPUTS[path]
+    parts = [normalize(Compose(rand_indicator(rng), rand_point_expr(rng))) for _ in range(4)]
+    known = {}
+    for part in parts:
+        text = pretty(part)
+        kind = rng.randrange(3)
+        if kind == 0:
+            known[text] = eval_vec(part, xs) != 0
+        elif kind == 1:
+            known[text] = np.ones(len(xs) + 1, dtype=bool)
+    tree = normalize(_connective_tree(rng, parts, 3))
+    got = eval_vec(tree, xs, known)
+    assert got.tolist() == eval_vec(tree, xs).tolist()
+    assert got.tolist() == [interpret(tree, int(x)) for x in xs]
+
+
+def test_known_truth_vectors_are_read_at_the_top_level_only():
+    xs = np.arange(50)
+    p = normalize(parse_fn("ifeq(x mod 3, 0, 1, 0)"))
+    # a wrong vector shows whether it was read
+    wrong = {pretty(p): np.ones(50, dtype=bool)}
+    assert eval_vec(not_(p), xs, wrong).tolist() == [0] * 50
+    assert eval_vec(not_(p), xs).tolist() == [int(x % 3 != 0) for x in range(50)]
+    # under a composition the input is another one, so nothing is read
+    shifted = Compose(not_(p), Add(VAR, Const(1)))
+    assert eval_vec(shifted, xs, wrong).tolist() == [int((x + 1) % 3 != 0) for x in range(50)]
+    # nor for a text never cached on the node, or a vector of another length
+    assert eval_vec(not_(parse_fn("ifeq(x mod 3, 0, 1, 0)")), xs, wrong).tolist() == \
+        eval_vec(not_(p), xs).tolist()
+    assert eval_vec(not_(p), xs, {pretty(p): np.ones(51, dtype=bool)}).tolist() == \
+        eval_vec(not_(p), xs).tolist()

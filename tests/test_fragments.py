@@ -10,7 +10,6 @@ from starext.fragments import (
     check_star_tracking,
     check_tracking_negative,
     composite_fallback,
-    point_ultrafilter_member,
     product_filter_member,
     refinement_violation,
     refines,
@@ -135,11 +134,11 @@ def test_refinement_detects_violations():
 def test_point_ultrafilter_membership():
     u, frag = tagged_fragment()
     evens = u.star_set("ifeq(x mod 2, 0, 1, 0)")
-    assert point_ultrafilter_member(u, u.standard(4), evens)
+    assert u.member(u.standard(4), evens)
     omega = frag.points[0]
-    d = point_ultrafilter_member(u, omega, evens)
+    d = u.member(omega, evens)
     odds = u.star_set("ifeq(x mod 2, 0, 0, 1)")
-    assert point_ultrafilter_member(u, omega, odds) == (not d)
+    assert u.member(omega, odds) == (not d)
 
 
 def test_product_filter_trivial_sets():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starext.errors import ParseError
+from starext.errors import ParseError, Undecidable
 from starext.funlang import (
     CHI_DIAG,
     VAR,
@@ -20,6 +20,7 @@ from starext.funlang import (
     IndexPredicate,
     ModC,
     Mul,
+    NormalMemo,
     P1,
     P2,
     PairE,
@@ -40,8 +41,11 @@ from starext.funlang import (
     substitute,
     unpair,
 )
-from starext.gen import rand_expr, rand_indicator, rand_point_expr
+from starext.gen import rand_expr, rand_indicator, rand_nary, rand_point_expr
+from starext.hyper import StarSet, set_complement, set_intersection, set_union
 from starext.transfer import parse_formula
+
+from .conftest import make_universe
 
 
 # -- parsing ---------------------------------------------------------------
@@ -339,8 +343,24 @@ def test_normalize_matches_two_pass_algorithm(seed, depth, warm):
 
 # -- garbage -------------------------------------------------------------------
 
+def _member_queries(e):
+    """The five queries of a boolean-suite point, through one universe's
+    normal-form memo; ``e`` is an indicator composed with a point."""
+    u = make_universe(horizon=256)
+    a, b = StarSet(normalize(e.outer)), StarSet(normalize(e))
+    xi = u.point(e.inner)
+    try:
+        for s in (a, b, set_union(a, b), set_intersection(a, b), set_complement(a)):
+            u.member(xi, s)
+    except Undecidable:
+        pass
+
+
 _WALKS = {
     "normalize": normalize,
+    "normalize_memo": lambda e: normalize(e, NormalMemo()),
+    "member_queries": _member_queries,
+    "rand_nary": lambda e: rand_nary(random.Random(pretty(e)), 3),
     "pretty": pretty,
     "substitute": lambda e: substitute(e, PairE(VAR, Const(1))),
     "eval_vec": lambda e: (eval_vec(e, np.arange(300)),

@@ -1,15 +1,21 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starext.errors import MalformedIndicator
 from starext.funlang import (
     Compose,
     Const,
+    IfEq,
     IndexPredicate,
     VAR,
     interpret,
+    normalize,
     parse_fn,
+    pretty,
 )
 from starext.gen import rand_expr, rand_indicator, rand_point_expr
 from starext.hyper import (
@@ -131,6 +137,56 @@ def test_membership_commutes_with_boolean_ops():
         assert u.member(xi, set_union(a, b)) == (ia or ib)
         assert u.member(xi, set_intersection(a, b)) == (ia and ib)
         assert u.member(xi, set_complement(a)) == (not ia)
+
+
+# -- the normal-form memo of a universe -------------------------------------------
+
+def _boolean_family(rng):
+    """Two random sets and their union, intersection and complement; the
+    indicators are normalized, as the suites make them, or left raw."""
+    a, b = (StarSet(normalize(ind) if rng.random() < 0.7 else ind)
+            for ind in (rand_indicator(rng), rand_indicator(rng)))
+    return [a, b, set_union(a, b), set_intersection(a, b), set_complement(a)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([256, 700]))
+def test_member_memo_matches_stateless_path(seed, horizon):
+    """Membership predicates built through one universe's memo equal the
+    ones built without a memo, while the sets queried before are dropped
+    and new ones take their place (and perhaps their ids)."""
+    rng = random.Random(seed)
+    u = make_universe(horizon=horizon)
+    points = [u.point(rand_point_expr(rng)) for _ in range(3)]
+    known: dict[str, np.ndarray] = {}
+    for _ in range(4):
+        family = _boolean_family(rng)
+        for xi in rng.sample(points, len(points)):
+            for s in family:
+                got = u._member_predicate(xi, s)
+                ref = IndexPredicate.from_expr(Compose(s.indicator, xi.seq))
+                assert got.text == ref.text
+                assert got.expr == ref.expr
+                mask = got.mask(horizon, known)
+                assert np.array_equal(mask, ref.mask(horizon))
+                known[got.text] = mask
+        del family, s
+
+
+def test_boolean_queries_reuse_the_parts_normal_forms():
+    u = make_universe(horizon=256)
+    a = StarSet(normalize(parse_fn("ifeq(x mod 3, 1, 1, 0)")), tag="a")
+    b = StarSet(normalize(parse_fn("ifeq(x mod 5, 2, 1, 0)")), tag="b")
+    xi = u.point("x * x + 7")
+    in_a = u._member_predicate(xi, a).expr
+    in_b = u._member_predicate(xi, b).expr
+    union = u._member_predicate(xi, set_union(a, b)).expr
+    assert isinstance(union, IfEq) and union.a is in_a and union.then.a is in_b
+    assert u._member_predicate(xi, set_complement(a)).expr.a is in_a
+    assert pretty(union) == pretty(normalize(Compose(set_union(a, b).indicator, xi.seq)))
+    # a sibling starts its own memo
+    sibling = u.with_fresh_filter()
+    assert sibling._member_predicate(xi, a).expr is not in_a
 
 
 def test_standard_part_recovers_base_set(u):

@@ -76,6 +76,8 @@ def test_parse_minimal_scenario():
     ("[functions]\ndef2 f = p1(x)", "duplicate definition 'f'"),
     ("[config]\nhorizon = abc", "6:1: expected an integer"),
     ("[config]\nseed = q", "6:1: expected an integer"),
+    ("[config]\ntiebreak = coin", "6:1: unknown tiebreak 'coin'"),
+    ("[config]\ntiebreak = seeded:x", "6:1: unknown tiebreak 'seeded:x'"),
     ("[fragment]\ndepth = x", "6:1: expected an integer"),
     ("[fragment]\nsample = 0..", "6:1: expected an integer"),
     ("[fragment]\nsample = 0..-1", "6:1: sample must not be empty"),

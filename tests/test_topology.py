@@ -9,7 +9,6 @@ from starext.topology import (
     CoverVerdict,
     closed_member,
     covers_standard,
-    separating_closed,
     star_preimage,
 )
 from tests.conftest import make_universe
@@ -103,8 +102,10 @@ def test_nonstandard_target_excludes_standard_points(u):
 
 
 def test_separating_closed_set(u):
+    """{omega} under the identity listing, the surrogate for T1
+    separation: a point not equal to omega is outside it."""
     omega = u.point(VAR)
-    sep = separating_closed(omega)
+    sep = BasicClosed(((VAR, omega),))
     assert closed_member(u, omega, sep)
     assert not closed_member(u, u.standard(3), sep)
     assert not closed_member(u, u.point("x * 2"), sep)
