@@ -20,7 +20,6 @@ from .errors import (
 from .funlang import (
     FnExpr,
     IndexPredicate,
-    compile_fn,
     interpret,
     normalize,
     pair,
@@ -48,7 +47,6 @@ __all__ = [
     "StarSet",
     "Undecidable",
     "Universe",
-    "compile_fn",
     "interpret",
     "normalize",
     "pair",

@@ -98,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = scenario.oracle_config(horizon=args.horizon)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        flag = "" if args.horizon is None else f"--horizon {args.horizon}: "
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
 
     oracle = OracleState(config, replay_log=replay_log)

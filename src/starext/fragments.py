@@ -35,7 +35,6 @@ from .funlang import (
     FnExpr,
     IfEq,
     Table,
-    compile_fn,
     eval_vec,
     normalize,
     pretty,
@@ -58,15 +57,17 @@ class Fragment:
     points: list[Hyperpoint]
     sample: list[int]
     depth: int = 0
-    _compiled: dict[str, Callable[[int], int]] = field(default_factory=dict)
+    _images: list[np.ndarray] | None = field(default=None, repr=False)
 
-    def compiled(self, name: str) -> Callable[[int], int]:
-        fn = self._compiled.get(name)
-        if fn is None:
-            expr = dict(self.registry)[name]
-            fn = compile_fn(expr)
-            self._compiled[name] = fn
-        return fn
+    def prefix_images(self) -> list[np.ndarray]:
+        """Each registry function, in registry order, applied to the
+        points' first PREFIX_LEN values: one (points x PREFIX_LEN) matrix
+        per function, computed once per fragment."""
+        if self._images is None:
+            prefixes = np.array([p.values(PREFIX_LEN - 1) for p in self.points],
+                                dtype=object).reshape(-1, PREFIX_LEN)
+            self._images = [eval_vec(expr, prefixes) for _, expr in self.registry]
+        return self._images
 
     def point_index(self, p: Hyperpoint) -> int:
         for i, q in enumerate(self.points):
@@ -140,12 +141,6 @@ class CheckSet:
     def indices(self) -> set[int]:
         return {i for i, _, _ in self.members}
 
-    def witness_for(self, index: int) -> FnExpr | None:
-        for i, _, expr in self.members:
-            if i == index:
-                return expr
-        return None
-
 
 def build_check_set(
     frag: Fragment,
@@ -162,33 +157,22 @@ def build_check_set(
     extra candidate per point, tried after the registry scan.
     """
     u = frag.universe
-    t_prefix = target.prefix(PREFIX_LEN)
+    t_prefix = eval_vec(target.seq, np.arange(PREFIX_LEN))
+    # hits[k][i]: registry function k maps point i's prefix onto the target's
+    hits = [(image == t_prefix).all(axis=1) for image in frag.prefix_images()]
     check_set = CheckSet(target, [])
     for i, xi in enumerate(frag.points):
-        xi_vals = xi.values(PREFIX_LEN - 1)
-        found: tuple[str, FnExpr] | None = None
-        for name, expr in frag.registry:
-            f = frag.compiled(name)
-            if all(f(v) == w for v, w in zip(xi_vals, t_prefix)):
-                candidate = u.star_apply(expr, xi)
-                try:
-                    if u.eq(candidate, target):
-                        found = (name, expr)
-                        break
-                except Undecidable as exc:
-                    # kept without its traceback, whose frames refer back here
-                    check_set.undecided.setdefault(i, exc.with_traceback(None))
-        if found is None and fallback is not None:
-            extra = fallback(i)
-            if extra is not None:
-                name, expr = extra
-                try:
-                    if u.eq(u.star_apply(expr, xi), target):
-                        found = (name, expr)
-                except Undecidable as exc:
-                    check_set.undecided.setdefault(i, exc.with_traceback(None))
-        if found is not None:
-            check_set.members.append((i, found[0], found[1]))
+        candidates = [entry for entry, hit in zip(frag.registry, hits) if hit[i]]
+        if fallback is not None and (extra := fallback(i)) is not None:
+            candidates.append(extra)
+        for name, expr in candidates:
+            try:
+                if u.eq(u.star_apply(expr, xi), target):
+                    check_set.members.append((i, name, expr))
+                    break
+            except Undecidable as exc:
+                # kept without its traceback, whose frames refer back here
+                check_set.undecided.setdefault(i, exc.with_traceback(None))
     return check_set
 
 

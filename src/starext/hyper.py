@@ -34,9 +34,7 @@ from .funlang import (
     PairE,
     Table,
     and_,
-    compile_fn,
     eval_vec,
-    interpret,
     normalize,
     not_,
     or_,
@@ -54,14 +52,13 @@ class Hyperpoint:
     may still be equal modulo the oracle.
     """
 
-    __slots__ = ("seq", "text", "name", "uid", "_compiled")
+    __slots__ = ("seq", "text", "name", "uid")
 
     def __init__(self, seq: FnExpr, name: str | None = None, uid: int | None = None):
         self.seq = normalize(seq)
         self.text = pretty(self.seq)
         self.name = name
         self.uid = uid
-        self._compiled = None
 
     def __repr__(self) -> str:
         return f"[n -> {self.text}]"
@@ -71,11 +68,6 @@ class Hyperpoint:
 
     def __hash__(self) -> int:
         return hash(self.text)
-
-    def value_at(self, n: int) -> int:
-        if self._compiled is None:
-            self._compiled = compile_fn(self.seq)
-        return self._compiled(n)
 
     def values(self, upto: int) -> list[int]:
         """Sequence values on 0..upto inclusive, as Python ints."""
@@ -197,12 +189,12 @@ class Universe:
         if isinstance(indicator, str):
             indicator = parse_fn(indicator)
         indicator = normalize(indicator)
-        f = compile_fn(indicator)
-        for n in range(check_sample):
-            if f(n) not in (0, 1):
-                raise MalformedIndicator(
-                    f"indicator {pretty(indicator)!r} takes value {f(n)} at {n}"
-                )
+        values = eval_vec(indicator, np.arange(check_sample))
+        bad = np.flatnonzero(values > 1)
+        if bad.size:
+            raise MalformedIndicator(
+                f"indicator {pretty(indicator)!r} takes value {values[bad[0]]} at {bad[0]}"
+            )
         return StarSet(indicator, tag=tag)
 
     def equalizer(self, f: FnExpr, g: FnExpr) -> StarSet:
@@ -240,6 +232,6 @@ class Universe:
         Only meaningful for points whose values stay inside the tabulated
         domain; the indicator is a lookup with default 0.
         """
-        image = sorted({interpret(f, x) for x in domain})
+        image = sorted(set(eval_vec(f, np.array(list(domain))).tolist()))
         entries = tuple((v, 1) for v in image)
         return StarSet(Table(VAR, entries, 0), tag=tag or "image")

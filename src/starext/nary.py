@@ -29,7 +29,6 @@ from .funlang import (
     P1,
     P2,
     PairE,
-    compile_fn,
     interpret,
     pair,
     parse_fn,
@@ -81,9 +80,6 @@ class NaryFn:
         if len(args) != self.arity:
             raise ValueError(f"{self.name or 'fn'} expects {self.arity} arguments")
         return interpret(self.body, encode_args(list(args)))
-
-    def compiled(self):
-        return compile_fn(self.body)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ from .errors import ConsistencyViolation, ReplayMismatch, Undecidable
 from .funlang import IndexPredicate
 
 DEFAULT_HORIZON = 10_000
+#: the smallest horizon an oracle accepts
+MIN_HORIZON = 64
 
 #: minimum elements a side must keep in the top margin to count as
 #: persisting to the horizon
@@ -67,7 +69,7 @@ class OracleConfig:
     window_start: int = 0
 
     def __post_init__(self):
-        if self.horizon < 64:
+        if self.horizon < MIN_HORIZON:
             raise ValueError("horizon too small to be meaningful")
         if not valid_tiebreak(self.tiebreak):
             raise ValueError(f"unknown tiebreak {self.tiebreak!r}")

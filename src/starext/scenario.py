@@ -51,7 +51,7 @@ from pathlib import Path
 from .errors import ParseError
 from .funlang import FnExpr, parse_definition, parse_fn
 from .nary import NaryFn
-from .oracle import OracleConfig, valid_tiebreak
+from .oracle import MIN_HORIZON, OracleConfig, valid_tiebreak
 from .suites import SUITE_RUNNERS
 from .transfer import Formula, Registry, parse_formula
 
@@ -68,6 +68,8 @@ class FragmentSpec:
 class Scenario:
     name: str
     horizon: int = 10_000
+    #: the line that set ``horizon``, 0 when none did
+    horizon_line: int = 0
     seed: int = 0
     tiebreak: str = "least"
     scale: str = "full"
@@ -81,6 +83,11 @@ class Scenario:
 
     def oracle_config(self, horizon: int | None = None,
                       tiebreak: str | None = None) -> OracleConfig:
+        """The oracle's settings; ``horizon`` and ``tiebreak`` override the
+        scenario's. A scenario horizon in effect that is too small is a
+        :class:`ParseError` at its line."""
+        if horizon is None and self.horizon < MIN_HORIZON:
+            raise ParseError("horizon too small to be meaningful", self.horizon_line, 1)
         return OracleConfig(
             horizon=self.horizon if horizon is None else horizon,
             tiebreak=self.tiebreak if tiebreak is None else tiebreak,
@@ -136,6 +143,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
             key, value = _parse_kv(line, lineno)
             if key == "horizon":
                 sc.horizon = _int(value, lineno)
+                sc.horizon_line = lineno
             elif key == "seed":
                 sc.seed = _int(value, lineno)
             elif key == "tiebreak":

@@ -53,7 +53,6 @@ from .funlang import (
     FnExpr,
     IfEq,
     IndexPredicate,
-    compile_fn,
     eval_vec,
     normalize,
     not_,
@@ -435,14 +434,14 @@ def run_boolean(ctx: SuiteContext) -> SuiteReport:
 
         # the standard part of the extension is the original set
         u = ctx.fresh()
-        ind = compile_fn(a.indicator)
         if i < ctx.counts["boolean_exhaustive"]:
-            xs = range(0, min(1000, u.oracle.horizon) + 1)
+            xs = list(range(0, min(1000, u.oracle.horizon) + 1))
         else:
             xs = [rng.randrange(1001) for _ in range(ctx.counts["boolean_xs"])]
+        inside = (eval_vec(a.indicator, np.array(xs)) == 1).tolist()
         try:
             witness = next(
-                (x for x in xs if u.member(u.standard(x), a) != (ind(x) == 1)), None
+                (x for x, t in zip(xs, inside) if u.member(u.standard(x), a) != t), None
             )
         except Undecidable as exc:
             report.add("standard-part", i, UNDECIDABLE, str(exc))

@@ -12,8 +12,11 @@ computes the truth set {m : the formula holds at the arguments' values
 at m} as an index predicate and asks the oracle, which is exactly the
 ultrapower satisfaction reduced to filter membership. Quantifier-free
 formulas compile to expressions, so their truth-set text coincides with
-the equality/membership queries they are equivalent to; quantified ones
-fall back to a pointwise evaluator with a formula-derived text.
+the equality/membership queries they are equivalent to; so do quantified
+ones whose bounds stay within an unrolling budget. The others get a
+formula-derived ``sat[...]`` text and a vector function: each quantifier
+evaluates its body once on the grid of (index, value) pairs below its
+bound.
 
 Concrete syntax::
 
@@ -43,6 +46,7 @@ import numpy as np
 
 from .errors import ParseError
 from .funlang import (
+    INT64_SAFE,
     P1,
     P2,
     VAR,
@@ -57,13 +61,11 @@ from .funlang import (
     _Parser,
     _tokenize,
     and_,
-    compile_fn,
     eval_vec,
     interpret,
     is_closed,
     not_,
     or_,
-    pair as pair_encode,
     pretty,
     substitute,
 )
@@ -360,7 +362,7 @@ def compile_formula(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
     Given a horizon, bounded quantifiers are unrolled into finite chains.
     That is sound because the unrolling covers every value the bound term
     takes on 0..horizon. None without a horizon, or when that range
-    exceeds the budget; the caller then falls back to pointwise evaluation.
+    exceeds the budget; the caller then evaluates quantifiers on a grid.
     """
     def sub(psi: Formula, inner_env=env, inner_budget=budget) -> FnExpr | None:
         return compile_formula(psi, inner_env, registry, horizon, inner_budget)
@@ -413,43 +415,62 @@ def compile_formula(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
     raise TypeError(f"not a Formula: {phi!r}")
 
 
-def _pointwise_fn(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
-    """Per-index truth as a composition of compiled expressions.
+#: entries of the (index, bound variable) grid a quantifier evaluates at once
+GRID_LIMIT = 1 << 20
 
-    Quantifiers become Python loops over a compiled body; the loop
-    variable is threaded through a pair encoding so no per-iteration
-    environment is built.
+
+def _truth_vec(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
+    """Truth at an array of indices, as a boolean array.
+
+    Connectives combine the vectors of their parts. A quantifier
+    evaluates its body on the flat grid of pairs (m, y) with y below the
+    bound at m, each encoded as ``pair(m, y)`` so that no per-pair
+    environment is built, and counts the true entries per m.
     """
     direct = compile_formula(phi, env, registry)
     if direct is not None:
-        c = compile_fn(direct)
-        return lambda m: c(m) != 0
+        return lambda ms: eval_vec(direct, ms) != 0
     match phi:
         case Not(b):
-            inner = _pointwise_fn(b, env, registry)
-            return lambda m: not inner(m)
-        case And(l, r):
-            fl, fr = _pointwise_fn(l, env, registry), _pointwise_fn(r, env, registry)
-            return lambda m: fl(m) and fr(m)
-        case Or(l, r):
-            fl, fr = _pointwise_fn(l, env, registry), _pointwise_fn(r, env, registry)
-            return lambda m: fl(m) or fr(m)
+            inner = _truth_vec(b, env, registry)
+            return lambda ms: ~inner(ms)
+        case And(l, r) | Or(l, r):
+            fl, fr = _truth_vec(l, env, registry), _truth_vec(r, env, registry)
+            both = np.logical_and if isinstance(phi, And) else np.logical_or
+            return lambda ms: both(fl(ms), fr(ms))
         case Implies(l, r):
-            fl, fr = _pointwise_fn(l, env, registry), _pointwise_fn(r, env, registry)
-            return lambda m: (not fl(m)) or fr(m)
+            return _truth_vec(Or(Not(l), r), env, registry)
         case Bounded(kind, var, bound, body):
-            bound_fn = compile_fn(substitute(bound, env))
+            bound_expr = substitute(bound, env)
             inner_env = {n: substitute(e, P1(VAR)) for n, e in env.items()}
             inner_env[var] = P2(VAR)
-            body_fn = _pointwise_fn(body, inner_env, registry)
-            if kind == "exists":
-                return lambda m: any(
-                    body_fn(pair_encode(m, y)) for y in range(bound_fn(m))
-                )
-            return lambda m: all(
-                body_fn(pair_encode(m, y)) for y in range(bound_fn(m))
-            )
+            body_vec = _truth_vec(body, inner_env, registry)
+            return lambda ms: _quantify(kind, ms, eval_vec(bound_expr, ms), body_vec)
     raise TypeError(f"not a Formula: {phi!r}")
+
+
+def _quantify(kind: str, ms: np.ndarray, bounds: np.ndarray, body_vec) -> np.ndarray:
+    """``kind`` y < bounds[i] of the body at pair(ms[i], y), for every i.
+
+    The grid is cut into slices of at most :data:`GRID_LIMIT` entries; an
+    index with bound 0 has no entry, so exists is False and forall True.
+    """
+    counts = bounds.astype(np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    hits = np.zeros(len(ms))
+    total = int(counts.sum())
+    for lo in range(0, total, GRID_LIMIT):
+        flat = np.arange(lo, min(lo + GRID_LIMIT, total))
+        seg = np.searchsorted(ends, flat, side="right")
+        m, y = ms[seg], flat - starts[seg]
+        s_max = int(m.max()) + int(y.max())
+        if s_max * (s_max + 1) >= INT64_SAFE:
+            m = m.astype(object)  # the codes need exact Python ints
+        s = m + y
+        body = body_vec(s * (s + 1) // 2 + y)
+        hits += np.bincount(seg, weights=body, minlength=len(ms))
+    return hits > 0 if kind == "exists" else hits == counts
 
 
 def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
@@ -468,14 +489,12 @@ def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
     names = sorted(env)
     binding = ", ".join(f"{n} := {env[n].text}" for n in names)
     text = f"sat[{formula_text(phi)} | {binding}]"
-    points = [env[n] for n in names]
-    fn = _pointwise_fn(phi, expr_env, registry)
-
-    if all(isinstance(p.seq, Const) for p in points):
+    vec = _truth_vec(phi, expr_env, registry)
+    if all(isinstance(env[n].seq, Const) for n in names):
         # standard environment: truth is index-independent
-        value = bool(fn(0))
-        return IndexPredicate.from_fn(lambda _m, v=value: int(v), text)
-    return IndexPredicate.from_fn(lambda m: 1 if fn(m) else 0, text)
+        value = bool(vec(np.zeros(1, dtype=np.int64))[0])
+        return IndexPredicate(text, vec=lambda ns: np.full(np.shape(ns), value))
+    return IndexPredicate(text, vec=vec)
 
 
 def eval_hyper(phi: Formula, env: Mapping[str, Hyperpoint], u: Universe,

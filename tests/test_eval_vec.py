@@ -189,10 +189,17 @@ def test_unpair_near_the_int64_limit():
 H = 400
 
 
-def assert_mask_is_pointwise(pred):
+def truth(pred):
+    """The reference truth of an expression predicate at one index."""
+    return lambda n: interpret(pred.expr, n) != 0
+
+
+def assert_mask_is_pointwise(pred, reference=None):
+    """``reference(n)`` is the truth at n, by default :func:`truth`."""
+    reference = reference or truth(pred)
     mask = pred.mask(H)
     assert mask.dtype == bool and mask.shape == (H + 1,)
-    assert mask.tolist() == [pred.truth_at(n) for n in range(H + 1)]
+    assert mask.tolist() == [reference(n) for n in range(H + 1)]
 
 
 def test_agreement_masks_are_pointwise():
@@ -218,13 +225,23 @@ def test_member_masks_are_pointwise():
 
 def test_combinator_masks_are_pointwise():
     rng = random.Random(13)
-    sat = IndexPredicate.from_fn(lambda n: int(n % 7 in (1, 4)), "sat[test]")
+    sat = IndexPredicate("sat[test]", vec=lambda ns: np.isin(ns % 7, (1, 4)))
+    in_sat = lambda n: n % 7 in (1, 4)
     for _ in range(20):
         p = IndexPredicate.from_expr(rand_indicator(rng))
         q = IndexPredicate.from_expr(rand_indicator(rng))
-        for pred in (p.conj(q), p.disj(q), p.negate(), q.negate().negate(),
-                     p.conj(sat), sat.disj(q), sat.negate()):
-            assert_mask_is_pointwise(pred)
+        pt, qt = truth(p), truth(q)
+        for pred, reference in (
+            (p.conj(q), lambda n: pt(n) and qt(n)),
+            (p.disj(q), lambda n: pt(n) or qt(n)),
+            (p.negate(), lambda n: not pt(n)),
+            (q.negate().negate(), qt),
+            (p.conj(sat), lambda n: pt(n) and in_sat(n)),
+            (sat.disj(q), lambda n: in_sat(n) or qt(n)),
+            (sat.negate(), lambda n: not in_sat(n)),
+            (sat.negate().conj(sat.disj(p)), lambda n: not in_sat(n) and pt(n)),
+        ):
+            assert_mask_is_pointwise(pred, reference)
 
 
 def test_values_are_python_ints():

@@ -197,8 +197,15 @@ def test_standard_part_recovers_base_set(u):
 
 
 def test_malformed_indicator_rejected(u):
-    with pytest.raises(MalformedIndicator):
-        u.star_set("x + 2")
+    # the message names the first bad index of the sample and its value
+    for src, message in [
+        ("x + 2", "indicator 'x + 2' takes value 2 at 0"),
+        ("ifeq(x, 5, 7, x mod 2)", "indicator 'ifeq(x, 5, 7, x mod 2)' takes value 7 at 5"),
+        ("x div 20", "indicator 'x div 20' takes value 2 at 40"),
+    ]:
+        with pytest.raises(MalformedIndicator) as err:
+            u.star_set(src)
+        assert str(err.value) == message
 
 
 # -- equalizers -------------------------------------------------------------------------

@@ -268,6 +268,30 @@ def test_cli_horizon_zero_is_not_ignored(tmp_path):
     assert "horizon" in out
 
 
+#: a three-section scenario whose own horizon is too small
+_LOW_HORIZON = "[config]\nhorizon = 63\n[points]\nomega = x\n[suites]\nfinite\n"
+
+
+def test_cli_scenario_horizon_error_names_its_line(tmp_path, capsys):
+    scn = tmp_path / "low.scn"
+    scn.write_text(_LOW_HORIZON)
+    assert main([str(scn), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: 2:1: horizon too small to be meaningful\n"
+
+
+def test_cli_horizon_flag_error_names_the_flag(tmp_path, capsys):
+    assert main(["quick", "--horizon", "63", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --horizon 63: horizon too small to be meaningful\n")
+
+
+def test_cli_horizon_flag_overrides_bad_scenario_horizon(tmp_path):
+    scn = tmp_path / "low.scn"
+    scn.write_text(_LOW_HORIZON)
+    assert main([str(scn), "--horizon", "500", "--out", str(tmp_path / "o")]) == 0
+    assert "horizon: 500" in (tmp_path / "o" / "report.txt").read_text()
+
+
 def test_cli_internal_error_exit_four(tmp_path, monkeypatch, capsys):
     def boom(ctx):
         raise RuntimeError("boom")

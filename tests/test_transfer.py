@@ -1,18 +1,39 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starext.errors import ParseError
-from starext.funlang import Const, VAR, parse_fn
+from starext.funlang import (
+    P1,
+    P2,
+    VAR,
+    Const,
+    DivC,
+    ModC,
+    Mul,
+    Name,
+    interpret,
+    pair,
+    parse_fn,
+    substitute,
+)
 from starext.gen import rand_formula
+from starext.hyper import Hyperpoint
+from starext import transfer
 from starext.nary import NaryFn
 from starext.transfer import (
     And,
     AtomEq,
     Bounded,
+    Implies,
     Not,
     Or,
     Registry,
+    compile_formula,
     eval_base,
     eval_hyper,
     formula_text,
@@ -187,3 +208,88 @@ def test_formula_text_reused_as_predicate_id():
     assert first == second
     assert len(u.oracle.log) == mid  # repeated evaluation reuses the entry
     assert mid == before + 1
+
+
+# -- the sat path --------------------------------------------------------------
+
+def _reference_fn(phi, env, registry):
+    """Per-index truth as the ``sat`` path computed it one index at a
+    time: Python loops over each quantifier's range, the body at the
+    pair encoding of (index, value), expressions by :func:`interpret`."""
+    direct = compile_formula(phi, env, registry)
+    if direct is not None:
+        return lambda m: interpret(direct, m) != 0
+    match phi:
+        case Not(b):
+            inner = _reference_fn(b, env, registry)
+            return lambda m: not inner(m)
+        case And(l, r):
+            fl, fr = _reference_fn(l, env, registry), _reference_fn(r, env, registry)
+            return lambda m: fl(m) and fr(m)
+        case Or(l, r):
+            fl, fr = _reference_fn(l, env, registry), _reference_fn(r, env, registry)
+            return lambda m: fl(m) or fr(m)
+        case Implies(l, r):
+            fl, fr = _reference_fn(l, env, registry), _reference_fn(r, env, registry)
+            return lambda m: (not fl(m)) or fr(m)
+        case Bounded(kind, var, bound, body):
+            bound_expr = substitute(bound, env)
+            inner_env = {n: substitute(e, P1(VAR)) for n, e in env.items()}
+            inner_env[var] = P2(VAR)
+            body_fn = _reference_fn(body, inner_env, registry)
+            if kind == "exists":
+                return lambda m: any(
+                    body_fn(pair(m, y)) for y in range(interpret(bound_expr, m)))
+            return lambda m: all(
+                body_fn(pair(m, y)) for y in range(interpret(bound_expr, m)))
+    raise TypeError(f"not a Formula: {phi!r}")
+
+
+V, Y = Name("v"), Name("y")
+#: bounds of the outer quantifier, all beyond the unrolling budget of 64 on
+#: 0..H so that they reach the sat path; the first three are 0 somewhere
+_OUTER_BOUNDS = [ModC(V, 67), DivC(V, 4), Mul(ModC(V, 5), Const(20)), Const(70)]
+#: bounds of a nested quantifier, which is always on the sat path; the
+#: first three are 0 somewhere
+_INNER_BOUNDS = [ModC(Y, 4), ModC(V, 3), Const(0), Const(3)]
+#: the point bound to v: values up to about H, and a standard point at
+#: which every outer bound is a constant above 64
+_POINTS = ["x", "x mod 400", "ifeq(x mod 3, 0, x, 7)", "334"]
+SAT_H = 500
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_OUTER_BOUNDS),
+       st.sampled_from(_INNER_BOUNDS + [None]), st.sampled_from(_POINTS),
+       st.sampled_from([transfer.GRID_LIMIT, 97]))
+def test_sat_masks_match_per_index_reference(seed, outer, inner, point, grid_limit):
+    rng = random.Random(seed)
+    reg = Registry.default()
+    variables = ["v", "y"] if inner is None else ["v", "y", "z"]
+    phi = rand_formula(rng, variables, reg, depth=2, allow_quantifier=False)
+    if inner is not None:
+        phi = Bounded(rng.choice(["exists", "forall"]), "z", inner, phi)
+    phi = Bounded(rng.choice(["exists", "forall"]), "y", outer, phi)
+    env = {"v": Hyperpoint(parse_fn(point))}
+    pred = truth_predicate(phi, env, reg, horizon=SAT_H)
+    assert pred.text.startswith("sat[")
+    with mock.patch.object(transfer, "GRID_LIMIT", grid_limit):
+        mask = pred.mask(SAT_H)
+    reference = _reference_fn(phi, {"v": env["v"].seq}, reg)
+    assert mask.tolist() == [reference(m) for m in range(SAT_H + 1)]
+
+
+def test_quantifier_grid_encodes_large_indices_exactly():
+    ms = np.array([0, 2**31, 2**40, 2**61], dtype=object)
+    bounds = np.array([2, 0, 3, 1])
+    seen = []
+
+    def body(codes):
+        seen.extend(codes.tolist())
+        return np.ones(len(codes), dtype=bool)
+
+    assert transfer._quantify("forall", ms, bounds, body).tolist() == [True] * 4
+    assert seen == [pair(m, y) for m, b in zip(ms.tolist(), bounds.tolist())
+                    for y in range(b)]
+    assert transfer._quantify("exists", ms, bounds, body).tolist() == [
+        True, False, True, True]
