@@ -248,13 +248,13 @@ def _reference_fn(phi, env, registry):
 V, Y = Name("v"), Name("y")
 #: bounds of the outer quantifier, all beyond the unrolling budget of 64 on
 #: 0..H so that they reach the sat path; the first three are 0 somewhere
-_OUTER_BOUNDS = [ModC(V, 67), DivC(V, 4), Mul(ModC(V, 5), Const(20)), Const(70)]
+_OUTER_BOUNDS = [ModC(V, 67), DivC(V, 6), Mul(ModC(V, 5), Const(20)), Const(70)]
 #: bounds of a nested quantifier, which is always on the sat path; the
 #: first three are 0 somewhere
 _INNER_BOUNDS = [ModC(Y, 4), ModC(V, 3), Const(0), Const(3)]
 #: the point bound to v: values up to about H, and a standard point at
 #: which every outer bound is a constant above 64
-_POINTS = ["x", "x mod 400", "ifeq(x mod 3, 0, x, 7)", "334"]
+_POINTS = ["x", "x mod 400", "ifeq(x mod 3, 0, x, 7)", "534"]
 SAT_H = 500
 
 
