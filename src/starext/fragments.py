@@ -157,7 +157,7 @@ def build_check_set(
     extra candidate per point, tried after the registry scan.
     """
     u = frag.universe
-    t_prefix = eval_vec(target.seq, np.arange(PREFIX_LEN))
+    t_prefix = target.prefix(PREFIX_LEN)
     # hits[k][i]: registry function k maps point i's prefix onto the target's
     hits = [(image == t_prefix).all(axis=1) for image in frag.prefix_images()]
     check_set = CheckSet(target, [])

@@ -15,8 +15,8 @@ formulas compile to expressions, so their truth-set text coincides with
 the equality/membership queries they are equivalent to; so do quantified
 ones whose bounds stay within an unrolling budget. The others get a
 formula-derived ``sat[...]`` text and a vector function: each quantifier
-evaluates its body once on the grid of (index, value) pairs below its
-bound.
+evaluates its body on the grid of (index, value) pairs below its bound,
+walking the values upward until every index's answer is known.
 
 Concrete syntax::
 
@@ -63,9 +63,9 @@ from .funlang import (
     and_,
     eval_vec,
     interpret,
-    is_closed,
     not_,
     or_,
+    pair,
     pretty,
     substitute,
 )
@@ -335,19 +335,9 @@ def eval_base(phi: Formula, env: Mapping[str, int],
         case Implies(l, r):
             return (not eval_base(l, env, registry)) or eval_base(r, env, registry)
         case Bounded(kind, var, bound, body):
-            limit = value(bound)
-            inner = dict(env)
-            if kind == "exists":
-                for y in range(limit):
-                    inner[var] = y
-                    if eval_base(body, inner, registry):
-                        return True
-                return False
-            for y in range(limit):
-                inner[var] = y
-                if not eval_base(body, inner, registry):
-                    return False
-            return True
+            truths = (eval_base(body, {**env, var: y}, registry)
+                      for y in range(value(bound)))
+            return any(truths) if kind == "exists" else all(truths)
     raise TypeError(f"not a Formula: {phi!r}")
 
 
@@ -387,10 +377,7 @@ def compile_formula(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
             if horizon is None:
                 return None
             bound_expr = substitute(bound, env)
-            if is_closed(bound_expr):
-                k = interpret(bound_expr, 0)
-            else:
-                k = int(eval_vec(bound_expr, np.arange(horizon + 1)).max())
+            k = int(eval_vec(bound_expr, np.arange(horizon + 1)).max())
             if k > budget:
                 return None
             inner_budget = max(1, budget // max(k, 1))
@@ -425,7 +412,7 @@ def _truth_vec(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
     Connectives combine the vectors of their parts. A quantifier
     evaluates its body on the flat grid of pairs (m, y) with y below the
     bound at m, each encoded as ``pair(m, y)`` so that no per-pair
-    environment is built, and counts the true entries per m.
+    environment is built.
     """
     direct = compile_formula(phi, env, registry)
     if direct is not None:
@@ -452,25 +439,32 @@ def _truth_vec(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
 def _quantify(kind: str, ms: np.ndarray, bounds: np.ndarray, body_vec) -> np.ndarray:
     """``kind`` y < bounds[i] of the body at pair(ms[i], y), for every i.
 
-    The grid is cut into slices of at most :data:`GRID_LIMIT` entries; an
-    index with bound 0 has no entry, so exists is False and forall True.
+    y is walked upward in rounds of at most :data:`GRID_LIMIT` pairs. An
+    index leaves the walk at its first witness (exists) or counterexample
+    (forall), or when its range runs out, so a large bound costs nothing
+    once the answer is known; an index with bound 0 is never walked, so
+    exists is False and forall True there.
     """
-    counts = bounds.astype(np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    hits = np.zeros(len(ms))
-    total = int(counts.sum())
-    for lo in range(0, total, GRID_LIMIT):
-        flat = np.arange(lo, min(lo + GRID_LIMIT, total))
-        seg = np.searchsorted(ends, flat, side="right")
-        m, y = ms[seg], flat - starts[seg]
+    decisive = kind == "exists"  # the body value that settles an index
+    settled = np.zeros(len(ms), dtype=bool)
+    # y stays far below INT64_SAFE, so larger bounds compare the same
+    bounds = np.minimum(bounds, INT64_SAFE).astype(np.int64)
+    live = np.flatnonzero(bounds > 0)
+    y0 = 0
+    while len(live):
+        width = max(1, GRID_LIMIT // len(live))
+        seg = np.repeat(live, width)
+        y = np.tile(np.arange(y0, y0 + width), len(live))
+        inside = y < bounds[seg]
+        seg, y = seg[inside], y[inside]
+        m = ms[seg]
         s_max = int(m.max()) + int(y.max())
         if s_max * (s_max + 1) >= INT64_SAFE:
             m = m.astype(object)  # the codes need exact Python ints
-        s = m + y
-        body = body_vec(s * (s + 1) // 2 + y)
-        hits += np.bincount(seg, weights=body, minlength=len(ms))
-    return hits > 0 if kind == "exists" else hits == counts
+        settled[seg[body_vec(pair(m, y)) == decisive]] = True
+        y0 += width
+        live = live[~settled[live] & (bounds[live] > y0)]
+    return settled if decisive else ~settled
 
 
 def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],

@@ -293,3 +293,21 @@ def test_quantifier_grid_encodes_large_indices_exactly():
                     for y in range(b)]
     assert transfer._quantify("exists", ms, bounds, body).tolist() == [
         True, False, True, True]
+
+
+@pytest.mark.parametrize("src, point, expected", [
+    # bounds near 5e18: below 2**63 each, far beyond it summed over 0..H
+    ("exists y < v . y = 0", "x * 500000000000000", lambda m: m > 0),
+    ("forall y < v . !(y = 1)", "x * 500000000000000", lambda m: m == 0),
+    # bounds up to 1e24, past int64
+    ("exists y < v * v . y = 0", "x * x * x * x * x * x", lambda m: m > 0),
+    ("exists y < v . exists z < y * y . z = 1", "x * x * x * x * x * x",
+     lambda m: m > 1),
+    ("exists y < v * v . y = 0", "x", lambda m: m > 0),
+])
+def test_quantifier_stops_at_first_witness(src, point, expected):
+    h = 10000
+    pred = truth_predicate(parse_formula(src), {"v": Hyperpoint(parse_fn(point))},
+                           horizon=h)
+    assert pred.text.startswith("sat[")
+    assert pred.mask(h).tolist() == [expected(m) for m in range(h + 1)]
