@@ -26,7 +26,6 @@ from .errors import MalformedIndicator, NotSupported, Undecidable
 from .funlang import (
     VAR,
     Compose,
-    Const,
     FnExpr,
     P1,
     P2,
@@ -86,13 +85,7 @@ class Extension:
     def standard(self, x: int):
         raise NotImplementedError
 
-    def standard_sample(self) -> Sequence[int]:
-        raise NotImplementedError
-
     def identity_handle(self):
-        raise NotImplementedError
-
-    def constant_handle(self, x: int):
         raise NotImplementedError
 
     def supports_pairing(self) -> bool:
@@ -138,14 +131,8 @@ class UltrapowerExtension(Extension):
     def standard(self, x: int) -> Hyperpoint:
         return self.universe.standard(x)
 
-    def standard_sample(self):
-        return range(64)
-
     def identity_handle(self) -> FnExpr:
         return VAR
-
-    def constant_handle(self, x: int) -> FnExpr:
-        return Const(x)
 
     def supports_pairing(self) -> bool:
         return True
@@ -239,19 +226,10 @@ class ToyExtension(Extension):
             raise ValueError(f"{x} outside the toy standard part")
         return x
 
-    def standard_sample(self):
-        return range(self.standard_size)
-
     def identity_handle(self):
         if "id" not in self.tables:
             raise NotSupported("toy lacks an identity function")
         return "id"
-
-    def constant_handle(self, x: int):
-        name = f"c{x}"
-        if name not in self.tables:
-            raise NotSupported(f"toy lacks the constant {x}")
-        return name
 
     def all_points(self):
         return range(self.carrier_size)

@@ -56,7 +56,6 @@ class Fragment:
     registry: list[tuple[str, FnExpr]]
     points: list[Hyperpoint]
     sample: list[int]
-    depth: int = 0
     _images: list[np.ndarray] | None = field(default=None, repr=False)
 
     def prefix_images(self) -> list[np.ndarray]:
@@ -91,7 +90,7 @@ def build_fragment(
     a merely filter-equal pair then shows up as two fragment points,
     which is harmless for every law checked here.
     """
-    frag = Fragment(u, list(registry), [], list(sample), depth)
+    frag = Fragment(u, list(registry), [], list(sample))
     seen_texts: dict[str, int] = {}
     buckets: dict[tuple[int, ...], list[int]] = {}
 
@@ -320,8 +319,6 @@ def product_filter_member(
 class TrackingReport:
     """Outcome of checking that hat-encoding tracks one star application."""
 
-    alpha_index: int
-    fn_name: str
     forward_pass: int = 0
     forward_fail: int = 0
     forward_undecided: int = 0
@@ -369,7 +366,7 @@ def check_star_tracking(
     beta_cs = build_check_set(frag, beta, fallback=composite_fallback(g, g_name, alpha_cs))
     alpha_tab = witness_table(frag, alpha_cs)
     beta_tab = witness_table(frag, beta_cs)
-    report = TrackingReport(alpha_index=ai, fn_name=g_name)
+    report = TrackingReport()
 
     beta_witness = {i: expr for i, _, expr in beta_cs.members}
     for i, _name, f_expr in alpha_cs.members:

@@ -52,13 +52,12 @@ class Hyperpoint:
     may still be equal modulo the oracle.
     """
 
-    __slots__ = ("seq", "text", "name", "uid")
+    __slots__ = ("seq", "text", "name")
 
-    def __init__(self, seq: FnExpr, name: str | None = None, uid: int | None = None):
+    def __init__(self, seq: FnExpr, name: str | None = None):
         self.seq = normalize(seq)
         self.text = pretty(self.seq)
         self.name = name
-        self.uid = uid
 
     def __repr__(self) -> str:
         return f"[n -> {self.text}]"
@@ -158,7 +157,6 @@ class Universe:
         existing = self._interned.get(candidate.text)
         if existing is not None:
             return existing
-        candidate.uid = len(self._interned)
         self._interned[candidate.text] = candidate
         return candidate
 

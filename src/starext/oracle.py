@@ -3,7 +3,7 @@
 A genuine nonprincipal ultrafilter needs the axiom of choice; this module
 answers membership queries one at a time while keeping the committed
 family consistent up to a finite horizon H. Decisions are made on the
-window (b, H] of the index set, where b is a fixed lower bound (default 0):
+window [1, H] of the index set; index 0 is left out (``WINDOW_START``):
 
   1. Let C be the intersection of everything committed so far (accepted
      sets and complements of rejected sets). If C and the queried set S
@@ -43,6 +43,9 @@ DEFAULT_HORIZON = 10_000
 #: the smallest horizon an oracle accepts
 MIN_HORIZON = 64
 
+#: the least index of the decision window [WINDOW_START, H]
+WINDOW_START = 1
+
 #: minimum elements a side must keep in the top margin to count as
 #: persisting to the horizon
 TAIL_COUNT = 3
@@ -66,7 +69,6 @@ def valid_tiebreak(tiebreak: str) -> bool:
 class OracleConfig:
     horizon: int = DEFAULT_HORIZON
     tiebreak: str = "least"  # "least" or "seeded:<n>"
-    window_start: int = 0
 
     def __post_init__(self):
         if self.horizon < MIN_HORIZON:
@@ -150,7 +152,6 @@ class OracleState:
         # committed intersection C over indices 0..H
         self._commit = np.ones(self.horizon + 1, dtype=bool)
         self._tail_lo = tail_floor(self.horizon) + 1
-        self._win_lo = self.config.window_start + 1
         if self.config.tiebreak.startswith("seeded:"):
             seed = int(self.config.tiebreak.split(":", 1)[1])
             self._rng: random.Random | None = random.Random(seed)
@@ -167,10 +168,6 @@ class OracleState:
         )
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def commitments(self) -> list[tuple[str, bool]]:
-        return [(e.text, e.decision == "accept") for e in self._entries]
 
     @property
     def entries(self) -> list[LogEntry]:
@@ -245,7 +242,7 @@ class OracleState:
 
     def _windowed(self, mask: np.ndarray) -> np.ndarray:
         out = mask.copy()
-        out[: self._win_lo] = False
+        out[:WINDOW_START] = False
         return out
 
     @staticmethod

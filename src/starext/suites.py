@@ -4,6 +4,12 @@ Each suite emits one line per checked instance:
 
     <check>\t<instance-id>\t<pass|fail|undecidable>\t<witness?>
 
+``SuiteReport.law`` and ``SuiteReport.instance`` are the one path from a
+check to its line: ``law`` writes a pass line, or a fail line carrying
+its witness, and an ``Undecidable`` raised inside ``instance`` becomes
+that instance's ``undecidable`` line, with the oracle's reason as its
+witness.
+
 All randomness is drawn from per-suite generators seeded from the
 scenario seed, so a rerun of the same scenario produces byte-identical
 reports. "undecidable" is a third verdict; it never silently converts
@@ -13,7 +19,9 @@ to pass or fail.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -162,14 +170,23 @@ class SuiteReport:
     def add(self, check: str, index: int, verdict: str, witness: str = "") -> None:
         self.lines.append(ReportLine(check, f"{index:04d}", verdict, witness))
 
-    def add_outcome(self, check: str, index: int, outcome: CheckOutcome,
-                    expect: str = PASS) -> None:
-        verdict = PASS if outcome.status == expect else (
-            UNDECIDABLE if outcome.status == UNDECIDABLE else FAIL
-        )
-        self.lines.append(
-            ReportLine(check, f"{index:04d}", verdict, outcome.witness)
-        )
+    def add_outcome(self, check: str, index: int, outcome: CheckOutcome) -> None:
+        verdict = outcome.status if outcome.status in (PASS, UNDECIDABLE) else FAIL
+        self.add(check, index, verdict, outcome.witness)
+
+    def law(self, check: str, index: int, ok: bool, witness: str = "") -> None:
+        """A pass line, or a fail line carrying ``witness``."""
+        self.add(check, index, PASS if ok else FAIL, "" if ok else witness)
+
+    @contextmanager
+    def instance(self, check: str, index: int, prefix: str = ""):
+        """One instance of ``check``: an undecidable query inside ends it
+        with an ``undecidable`` line whose witness is ``prefix`` and the
+        reason."""
+        try:
+            yield
+        except Undecidable as exc:
+            self.add(check, index, UNDECIDABLE, prefix + str(exc))
 
     def count(self, verdict: str) -> int:
         return sum(1 for line in self.lines if line.verdict == verdict)
@@ -241,6 +258,11 @@ class SuiteContext:
     def fn_pool(self) -> list[tuple[str, FnExpr]]:
         return list(self.scenario.defs.items())
 
+    def extension(self, u: Universe) -> UltrapowerExtension:
+        """The ultrapower over ``u`` with the scenario's functions, or
+        the identity alone when the scenario defines none."""
+        return UltrapowerExtension(u, self.fn_pool() or [("id", VAR)])
+
     def sample_fn(self, rng: random.Random) -> FnExpr:
         pool = self.fn_pool()
         if pool and rng.random() < 0.4:
@@ -263,75 +285,64 @@ def run_axioms(ctx: SuiteContext) -> SuiteReport:
         xi = ctx.sample_points(rng, 1)[0]
         lhs = eval_vec(Compose(g, Compose(f, xi.seq)), sample)
         rhs = eval_vec(Compose(Compose(g, f), xi.seq), sample)
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size == 0:
-            report.add("comp", i, PASS)
-        else:
-            report.add("comp", i, FAIL, f"differs at index {bad[0]}")
+        bad = next(iter(np.flatnonzero(lhs != rhs)), None)
+        report.law("comp", i, bad is None, f"differs at index {bad}")
 
     rng = ctx.rng("axioms.diag")
     for i in range(ctx.counts["diag"]):
         f = ctx.sample_fn(rng)
         g = ctx.sample_fn(rng)
         xi = ctx.sample_points(rng, 1)[0]
-        ext = UltrapowerExtension(ctx.fresh(), ctx.fn_pool() or [("id", VAR)])
-        report.add_outcome("diag", i, check_diagonal(ext, f, g, xi))
+        report.add_outcome("diag", i, check_diagonal(ctx.extension(ctx.fresh()), f, g, xi))
 
     rng = ctx.rng("axioms.dir")
     for i in range(ctx.counts["dir"]):
         xi, eta = ctx.sample_points(rng, 2)
         u = ctx.fresh()
-        ext = UltrapowerExtension(u, ctx.fn_pool() or [("id", VAR)])
-        outcome = check_directedness(ext, xi, eta)
-        if outcome.status == PASS and i % 10 == 0:
-            # uniqueness: a realizer perturbed on a finite index set is
-            # still equal to the canonical one
+        outcome = check_directedness(ctx.extension(u), xi, eta)
+        if outcome.status != PASS or i % 10:
+            report.add_outcome("dir", i, outcome)
+            continue
+        # uniqueness: a realizer perturbed on a finite index set is
+        # still equal to the canonical one
+        with report.instance("dir", i):
             zeta = u.point(outcome.witness)
             patched = u.point(IfEq(VAR, Const(i % 50), Const(0), zeta.seq))
-            try:
-                if not u.eq(patched, zeta):
-                    outcome = CheckOutcome(FAIL, witness="perturbed realizer not equal")
-            except Undecidable:
-                outcome = CheckOutcome(UNDECIDABLE)
-        report.add_outcome("dir", i, outcome)
+            if not u.eq(patched, zeta):
+                outcome = CheckOutcome(FAIL, witness="perturbed realizer not equal")
+            report.add_outcome("dir", i, outcome)
 
     rng = ctx.rng("axioms.irredundant")
     for i in range(ctx.counts["irredundant"]):
         xi = ctx.sample_points(rng, 1)[0]
-        ext = UltrapowerExtension(ctx.fresh(), ctx.fn_pool() or [("id", VAR)])
-        report.add_outcome("irredundant", i, check_irredundant(ext, xi))
+        report.add_outcome("irredundant", i, check_irredundant(ctx.extension(ctx.fresh()), xi))
 
     rng = ctx.rng("axioms.puritz")
     for i in range(ctx.counts["puritz"]):
         kind = i % 3
         u = ctx.fresh()
-        ext = UltrapowerExtension(u, ctx.fn_pool() or [("id", VAR)])
         consts = UltrapowerExtension(u, [(f"c{k}", Const(k)) for k in range(8)])
-        try:
+        with report.instance("puritz", i):
             if kind == 0:
                 # image points are always dominated
                 xi = ctx.sample_points(rng, 1)[0]
                 f = ctx.sample_fn(rng)
                 eta = u.star_apply(f, xi)
-                found = puritz_leq(ext, eta, xi)
-                ok = found is not None or puritz_leq(
+                ok = puritz_leq(ctx.extension(u), eta, xi) is not None or puritz_leq(
                     UltrapowerExtension(u, [("w", f)]), eta, xi
                 ) is not None
-                report.add("puritz", i, PASS if ok else FAIL)
+                report.law("puritz", i, ok)
             elif kind == 1:
                 # standard points are below everything, via constants
                 xi = ctx.sample_points(rng, 1)[0]
                 k = rng.randrange(8)
-                found = puritz_leq(consts, u.standard(k), xi)
-                report.add("puritz", i, PASS if found is not None else FAIL)
+                report.law("puritz", i, puritz_leq(consts, u.standard(k), xi) is not None)
             else:
                 # nothing nonstandard sits below a standard point
                 omega = u.point(VAR)
                 found = puritz_leq(consts, omega, u.standard(rng.randrange(8)))
-                report.add("puritz", i, PASS if found is None else FAIL,
+                report.law("puritz", i, found is None,
                            "" if found is None else pretty(found))
-        except Undecidable as exc:
-            report.add("puritz", i, UNDECIDABLE, str(exc))
     return report
 
 
@@ -369,8 +380,7 @@ def run_negative(ctx: SuiteContext) -> SuiteReport:
 
     honest = honest_toy()
     clean = all(_violation(check, honest) is None for check, *_ in NEGATIVE_CONTROLS)
-    report.add("honest-clean", 0, PASS if clean else FAIL,
-               "" if clean else "checker flagged the honest toy")
+    report.law("honest-clean", 0, clean, "checker flagged the honest toy")
 
     for check, make_toy, label, prefix in NEGATIVE_CONTROLS:
         caught = _violation(check, make_toy())
@@ -379,7 +389,7 @@ def run_negative(ctx: SuiteContext) -> SuiteReport:
         toy = make_toy()
         others_ok = all(_violation(other, toy) is None
                         for other, *_ in NEGATIVE_CONTROLS if other != check)
-        report.add(f"{label}-isolated", 0, PASS if others_ok else FAIL)
+        report.law(f"{label}-isolated", 0, others_ok)
     return report
 
 
@@ -389,10 +399,7 @@ def _run_toy(check: str, make_toy, prefix: str):
     def run(ctx: SuiteContext) -> SuiteReport:
         report = SuiteReport(f"toy_{check}")
         caught = _violation(check, make_toy())
-        if caught:
-            report.add(check, 0, FAIL, f"{prefix}{caught.witness}")
-        else:
-            report.add(check, 0, PASS)
+        report.law(check, 0, not caught, f"{prefix}{caught.witness}" if caught else "")
         return report
 
     return run
@@ -411,26 +418,22 @@ def run_boolean(ctx: SuiteContext) -> SuiteReport:
         inter = set_intersection(a, b)
         comp = set_complement(a)
         points = ctx.sample_points(rng, ctx.counts["boolean_points"])
-        bad = ""
-        verdict = PASS
-        try:
+        with report.instance("laws", i):
+            bad = ""
             for xi in points:
                 # the laws relate the queries of one (sets, point) triple
                 u = ctx.fresh()
                 in_a = u.member(xi, a)
                 in_b = u.member(xi, b)
                 if u.member(xi, union) != (in_a or in_b):
-                    verdict, bad = FAIL, f"union law at {xi!r}"
+                    bad = f"union law at {xi!r}"
+                elif u.member(xi, inter) != (in_a and in_b):
+                    bad = f"intersection law at {xi!r}"
+                elif u.member(xi, comp) != (not in_a):
+                    bad = f"complement law at {xi!r}"
+                if bad:
                     break
-                if u.member(xi, inter) != (in_a and in_b):
-                    verdict, bad = FAIL, f"intersection law at {xi!r}"
-                    break
-                if u.member(xi, comp) != (not in_a):
-                    verdict, bad = FAIL, f"complement law at {xi!r}"
-                    break
-        except Undecidable as exc:
-            verdict, bad = UNDECIDABLE, str(exc)
-        report.add("laws", i, verdict, bad)
+            report.law("laws", i, not bad, bad)
 
         # the standard part of the extension is the original set
         u = ctx.fresh()
@@ -439,15 +442,11 @@ def run_boolean(ctx: SuiteContext) -> SuiteReport:
         else:
             xs = [rng.randrange(1001) for _ in range(ctx.counts["boolean_xs"])]
         inside = (eval_vec(a.indicator, np.array(xs)) == 1).tolist()
-        try:
+        with report.instance("standard-part", i):
             witness = next(
                 (x for x, t in zip(xs, inside) if u.member(u.standard(x), a) != t), None
             )
-        except Undecidable as exc:
-            report.add("standard-part", i, UNDECIDABLE, str(exc))
-            continue
-        report.add("standard-part", i, PASS if witness is None else FAIL,
-                   "" if witness is None else f"x={witness}")
+            report.law("standard-part", i, witness is None, f"x={witness}")
     return report
 
 
@@ -457,8 +456,7 @@ def run_boolean(ctx: SuiteContext) -> SuiteReport:
 def run_equalizer(ctx: SuiteContext) -> SuiteReport:
     report = SuiteReport("equalizer")
     rng = ctx.rng("equalizer")
-    n = ctx.counts["equalizer"]
-    for i in range(n):
+    for i in range(ctx.counts["equalizer"]):
         u = ctx.fresh()
         if i % 10 == 7:
             f = ctx.sample_fn(rng)
@@ -479,14 +477,10 @@ def run_equalizer(ctx: SuiteContext) -> SuiteReport:
             report.add("reduction-text", i, FAIL,
                        f"{member_pred.text} vs {eq_pred.text}")
             continue
-        try:
+        with report.instance("biconditional", i):
             lhs = u.member(xi, eqz)
             rhs = u.eq(fa, ga)
-        except Undecidable as exc:
-            report.add("biconditional", i, UNDECIDABLE, str(exc))
-            continue
-        report.add("biconditional", i, PASS if lhs == rhs else FAIL,
-                   "" if lhs == rhs else f"member={lhs} eq={rhs}")
+            report.law("biconditional", i, lhs == rhs, f"member={lhs} eq={rhs}")
     return report
 
 
@@ -510,29 +504,22 @@ def run_finite(ctx: SuiteContext) -> SuiteReport:
             xi = u.point(parse_fn(f"x mod {rng.randrange(2, 8)}"))
         else:
             xi = ctx.sample_points(rng, 1)[0]
-        try:
-            result = u.decide_finite(xi, elems)
-        except ConsistencyViolation as exc:
-            violations += 1
-            report.add("resolve", i, FAIL, f"partition law broken: {exc}")
-            continue
-        except Undecidable as exc:
-            report.add("resolve", i, UNDECIDABLE, str(exc))
-            continue
-        try:
+        with report.instance("resolve", i):
+            try:
+                result = u.decide_finite(xi, elems)
+            except ConsistencyViolation as exc:
+                violations += 1
+                report.add("resolve", i, FAIL, f"partition law broken: {exc}")
+                continue
             if result is None:
                 # not a member: no level set may be accepted
                 stray = next(
                     (a for a in elems if u.eq(xi, u.standard(a))), None
                 )
-                report.add("resolve", i, PASS if stray is None else FAIL,
-                           "" if stray is None else f"level {stray} accepted outside")
+                report.law("resolve", i, stray is None, f"level {stray} accepted outside")
             else:
                 others = [a for a in elems if a != result and u.eq(xi, u.standard(a))]
-                report.add("resolve", i, PASS if not others else FAIL,
-                           "" if not others else f"extra levels {others}")
-        except Undecidable as exc:
-            report.add("resolve", i, UNDECIDABLE, str(exc))
+                report.law("resolve", i, not others, f"extra levels {others}")
     report.add("violations", 0, PASS if violations == 0 else FAIL,
                f"count={violations}")
     return report
@@ -549,25 +536,18 @@ def run_nary(ctx: SuiteContext) -> SuiteReport:
         arity = rng.randrange(1, 4)
         fn = rand_nary(rng, arity)
         args = ctx.sample_points(rng, arity)
-        try:
+        with report.instance("routes", i):
             direct = star_nary_direct(u, fn, args)
             parametric = star_nary_parametric(u, fn, args)
             if not u.eq(direct, parametric):
                 report.add("routes", i, FAIL, "routes diverge")
                 continue
-            ok = True
-            for j, dec in enumerate(
-                alternative_decompositions(args, ctx.counts["nary_alt"], rng)
-            ):
-                alt = star_nary_parametric(u, fn, args, decomposition=dec)
-                if not u.eq(alt, direct):
-                    report.add("routes", i, FAIL, f"decomposition {j} diverges")
-                    ok = False
-                    break
-            if ok:
-                report.add("routes", i, PASS)
-        except Undecidable as exc:
-            report.add("routes", i, UNDECIDABLE, str(exc))
+            decompositions = alternative_decompositions(args, ctx.counts["nary_alt"], rng)
+            diverging = next((
+                j for j, dec in enumerate(decompositions)
+                if not u.eq(star_nary_parametric(u, fn, args, decomposition=dec), direct)
+            ), None)
+            report.law("routes", i, diverging is None, f"decomposition {diverging} diverges")
 
     rng = ctx.rng("nary.comp")
     for i in range(ctx.counts["nary_comp"]):
@@ -577,7 +557,7 @@ def run_nary(ctx: SuiteContext) -> SuiteReport:
         outer = rand_nary(rng, n)
         inners = [rand_nary(rng, m) for _ in range(n)]
         args = ctx.sample_points(rng, m)
-        try:
+        with report.instance("compose", i):
             lhs = star_nary_direct(
                 u, outer, [star_nary_direct(u, psi, args) for psi in inners]
             )
@@ -585,9 +565,7 @@ def run_nary(ctx: SuiteContext) -> SuiteReport:
                 m, Compose(outer.body, tuple_expr([psi.body for psi in inners]))
             )
             rhs = star_nary_direct(u, composed, args)
-            report.add("compose", i, PASS if u.eq(lhs, rhs) else FAIL)
-        except Undecidable as exc:
-            report.add("compose", i, UNDECIDABLE, str(exc))
+            report.law("compose", i, u.eq(lhs, rhs))
     return report
 
 
@@ -603,29 +581,21 @@ def run_transfer(ctx: SuiteContext) -> SuiteReport:
         u = ctx.fresh()
         phi = rand_formula(rng, variables, registry, depth=2)
         env = {name: rng.randrange(1000) for name in variables}
-        try:
-            ok = transfer_check(phi, env, u, registry)
-            report.add("standard-env", i, PASS if ok else FAIL)
-        except Undecidable as exc:
-            report.add("standard-env", i, UNDECIDABLE, str(exc))
+        with report.instance("standard-env", i):
+            report.law("standard-env", i, transfer_check(phi, env, u, registry))
 
     rng = ctx.rng("transfer.scenario")
     for i, (src, phi) in enumerate(ctx.scenario.formulas):
         u = ctx.fresh()
         fv = sorted(free_variables(phi))
-        verdict = PASS
-        witness = src
-        try:
+        with report.instance("scenario-formula", i):
             for _ in range(ctx.counts["scenario_envs"]):
                 env = {name: rng.randrange(200) for name in fv}
                 if not transfer_check(phi, env, u, registry):
-                    verdict = FAIL
-                    witness = f"{src} at {env}"
+                    report.add("scenario-formula", i, FAIL, f"{src} at {env}")
                     break
-        except Undecidable as exc:
-            verdict = UNDECIDABLE
-            witness = str(exc)
-        report.add("scenario-formula", i, verdict, witness)
+            else:
+                report.add("scenario-formula", i, PASS, src)
 
     rng = ctx.rng("transfer.los")
     points = ctx.named_points() or [ctx.universe.point(VAR)]
@@ -637,7 +607,7 @@ def run_transfer(ctx: SuiteContext) -> SuiteReport:
         psi = rand_formula(rng, ["v"], registry, depth=1,
                            allow_quantifier=False)
         env = {"v": rng.choice(points)}
-        try:
+        with report.instance("negation-law", i):
             a = eval_hyper(phi, env, u, registry)
             na = eval_hyper(Not(phi), env, u, registry)
             if na != (not a):
@@ -647,10 +617,7 @@ def run_transfer(ctx: SuiteContext) -> SuiteReport:
             both = eval_hyper(And(phi, psi), env, u, registry)
             either = eval_hyper(Or(phi, psi), env, u, registry)
             ok = both == (a and b) and either == (a or b)
-            report.add("negation-law", i, PASS if ok else FAIL,
-                       "" if ok else "conjunction or disjunction law")
-        except Undecidable as exc:
-            report.add("negation-law", i, UNDECIDABLE, str(exc))
+            report.law("negation-law", i, ok, "conjunction or disjunction law")
     return report
 
 
@@ -670,32 +637,28 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
         return report
     registry = [(name, sc.defs[name]) for name in spec.functions]
     base = [u.point(sc.points[name], name) for name in spec.points]
-    try:
+    frag = None
+    with report.instance("fragment", 0):
         frag = build_fragment(u, registry, base, list(range(spec.sample_stop)),
                               depth=spec.depth)
-    except Undecidable as exc:
-        report.add("fragment", 0, UNDECIDABLE, str(exc))
+        report.add("fragment", 0, PASS,
+                   f"{len(frag.points)} points, {len(registry)} functions, "
+                   f"sample 0..{spec.sample_stop - 1}")
+    if frag is None:
         return report
-    report.add("fragment", 0, PASS,
-               f"{len(frag.points)} points, {len(registry)} functions, "
-               f"sample 0..{spec.sample_stop - 1}")
 
     check_sets = {i: build_check_set(frag, p) for i, p in enumerate(frag.points)}
     tables = {i: witness_table(frag, cs) for i, cs in check_sets.items()}
 
     # directedness on the fragment: reach sets pairwise intersect
-    empty_meets = 0
-    for i in check_sets:
-        for j in check_sets:
-            if i < j and not (check_sets[i].indices() & check_sets[j].indices()):
-                empty_meets += 1
+    empty_meets = sum(not (a.indices() & b.indices())
+                      for a, b in combinations(check_sets.values(), 2))
     report.add("reach-intersection", 0, PASS if empty_meets == 0 else FAIL,
                f"empty intersections: {empty_meets}")
 
     violations = check_equivalence_filter_law(frag, check_sets, tables)
-    report.add("equivalence-filter-law", 0,
-               PASS if not violations else FAIL,
-               "" if not violations else f"{len(violations)} refinement failures")
+    report.law("equivalence-filter-law", 0, not violations,
+               f"{len(violations)} refinement failures")
 
     total_inner = 0
     undecided_inner = 0
@@ -705,13 +668,12 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
             rep = check_star_tracking(frag, alpha, g, name, alpha_cs=check_sets[i])
             total_inner += rep.forward_pass + rep.forward_fail + rep.forward_undecided
             undecided_inner += rep.forward_undecided
+            label = f"alpha={alpha.name or alpha.text} g={name}"
             if rep.forward_fail or rep.product_verdict != ACCEPT:
-                report.add("tracking", idx, FAIL,
-                           f"alpha={alpha.name or alpha.text} g={name} "
-                           f"verdict={rep.product_verdict} " + "; ".join(rep.details))
+                report.add("tracking", idx, FAIL, f"{label} verdict={rep.product_verdict} "
+                           + "; ".join(rep.details))
             elif rep.forward_undecided:
-                report.add("tracking", idx, UNDECIDABLE,
-                           f"alpha={alpha.name or alpha.text} g={name}")
+                report.add("tracking", idx, UNDECIDABLE, label)
             else:
                 report.add("tracking", idx, PASS)
             idx += 1
@@ -722,19 +684,14 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
         j = rng.randrange(len(frag.points))
         name, g = registry[rng.randrange(len(registry))]
         beta_prime = frag.points[j]
-        try:
+        label = f"alpha={alpha.name} g={name} beta'={beta_prime.name}"
+        with report.instance("tracking-negative", neg_idx, f"{label}: "):
             if u.eq(u.star_apply(g, alpha), beta_prime):
                 continue  # accidentally correct image; skip
-        except Undecidable as exc:
-            report.add("tracking-negative", neg_idx, UNDECIDABLE,
-                       f"alpha={alpha.name} g={name} beta'={beta_prime.name}: {exc}")
-            neg_idx += 1
-            continue
-        verdict = check_tracking_negative(frag, alpha, g, name, beta_prime,
-                                          alpha_cs=check_sets[i])
-        report.add("tracking-negative", neg_idx,
-                   PASS if verdict != ACCEPT else FAIL,
-                   f"alpha={alpha.name} g={name} beta'={beta_prime.name} -> {verdict}")
+            verdict = check_tracking_negative(frag, alpha, g, name, beta_prime,
+                                              alpha_cs=check_sets[i])
+            report.add("tracking-negative", neg_idx,
+                       PASS if verdict != ACCEPT else FAIL, f"{label} -> {verdict}")
         neg_idx += 1
 
     rate = (undecided_inner / total_inner) if total_inner else 0.0
@@ -742,35 +699,30 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
                f"{undecided_inner}/{total_inner} = {rate:.1%}")
 
     # range of the encoding: tables respecting the equivalences are hit
-    try:
-        alpha = frag.points[0]
-        tab = tables[0]
-        beta = surjectivity_probe(frag, alpha, tab.values, alpha_cs=check_sets[0])
-        report.add("probe-self", 0, PASS if u.eq(beta, alpha) else FAIL)
-    except NotRepresentable as exc:
-        report.add("probe-self", 0, FAIL, str(exc))
-    except Undecidable as exc:
-        report.add("probe-self", 0, UNDECIDABLE, str(exc))
-    try:
-        const_tab = [[9] * len(frag.sample) for _ in frag.points]
-        beta = surjectivity_probe(frag, frag.points[0], const_tab,
-                                  alpha_cs=check_sets[0])
-        report.add("probe-constant", 0,
-                   PASS if u.eq(beta, u.standard(9)) else FAIL)
-    except NotRepresentable as exc:
-        report.add("probe-constant", 0, FAIL, str(exc))
-    except Undecidable as exc:
-        report.add("probe-constant", 0, UNDECIDABLE, str(exc))
+    with report.instance("probe-self", 0):
+        try:
+            beta = surjectivity_probe(frag, frag.points[0], tables[0].values,
+                                      alpha_cs=check_sets[0])
+            report.law("probe-self", 0, u.eq(beta, frag.points[0]))
+        except NotRepresentable as exc:
+            report.add("probe-self", 0, FAIL, str(exc))
+    with report.instance("probe-constant", 0):
+        try:
+            const_tab = [[9] * len(frag.sample) for _ in frag.points]
+            beta = surjectivity_probe(frag, frag.points[0], const_tab,
+                                      alpha_cs=check_sets[0])
+            report.law("probe-constant", 0, u.eq(beta, u.standard(9)))
+        except NotRepresentable as exc:
+            report.add("probe-constant", 0, FAIL, str(exc))
     # a table breaking the constancy precondition must be refused
-    try:
+    with report.instance("probe-rejects-invalid", 0):
         bad = [list(range(len(frag.sample))) for _ in frag.points]
         bad[0][0] = 1 if bad[0][0] == 0 else 0
-        surjectivity_probe(frag, frag.points[0], bad, alpha_cs=check_sets[0])
-        report.add("probe-rejects-invalid", 0, FAIL, "invalid table accepted")
-    except NotRepresentable:
-        report.add("probe-rejects-invalid", 0, PASS)
-    except Undecidable as exc:
-        report.add("probe-rejects-invalid", 0, UNDECIDABLE, str(exc))
+        try:
+            surjectivity_probe(frag, frag.points[0], bad, alpha_cs=check_sets[0])
+            report.add("probe-rejects-invalid", 0, FAIL, "invalid table accepted")
+        except NotRepresentable:
+            report.add("probe-rejects-invalid", 0, PASS)
     return report
 
 
@@ -797,13 +749,9 @@ def run_topology(ctx: SuiteContext) -> SuiteReport:
             report.add("cover", i, FAIL, f"expected cover, got {result.verdict.value}")
             continue
         points = ctx.sample_points(rng, 6)
-        try:
+        with report.instance("cover", i):
             stray = next((p for p in points if not closed_member(u, p, closed)), None)
-        except Undecidable as exc:
-            report.add("cover", i, UNDECIDABLE, str(exc))
-            continue
-        report.add("cover", i, PASS if stray is None else FAIL,
-                   "" if stray is None else f"point outside a cover: {stray!r}")
+            report.law("cover", i, stray is None, f"point outside a cover: {stray!r}")
 
     for i in range(ctx.counts["topo_noncovers"]):
         u = ctx.fresh()
@@ -829,14 +777,10 @@ def run_topology(ctx: SuiteContext) -> SuiteReport:
         )
         closed = BasicClosed(pairs)
         xi = ctx.sample_points(rng, 1)[0]
-        try:
+        with report.instance("continuity", i):
             lhs = closed_member(u, u.star_apply(f, xi), closed)
             rhs = closed_member(u, xi, star_preimage(f, closed))
-        except Undecidable as exc:
-            report.add("continuity", i, UNDECIDABLE, str(exc))
-            continue
-        report.add("continuity", i, PASS if lhs == rhs else FAIL,
-                   "" if lhs == rhs else f"image={lhs} preimage={rhs}")
+            report.law("continuity", i, lhs == rhs, f"image={lhs} preimage={rhs}")
 
     # monotonicity: adding a pair can only grow the membership set
     rng = ctx.rng("topology.monotone")
@@ -849,13 +793,9 @@ def run_topology(ctx: SuiteContext) -> SuiteReport:
         closed = BasicClosed(base_pairs)
         bigger = closed.with_pair(ctx.sample_fn(rng), ctx.sample_points(rng, 1)[0])
         xi = ctx.sample_points(rng, 1)[0]
-        try:
-            if closed_member(u, xi, closed) and not closed_member(u, xi, bigger):
-                report.add("monotone", i, FAIL)
-            else:
-                report.add("monotone", i, PASS)
-        except Undecidable as exc:
-            report.add("monotone", i, UNDECIDABLE, str(exc))
+        with report.instance("monotone", i):
+            report.law("monotone", i, not closed_member(u, xi, closed)
+                       or closed_member(u, xi, bigger))
 
     for i, (name, pairs) in enumerate(ctx.scenario.closed_sets.items()):
         u = ctx.fresh()
@@ -864,11 +804,9 @@ def run_topology(ctx: SuiteContext) -> SuiteReport:
             for fname, pname in pairs
         ))
         points = ctx.sample_points(ctx.rng(f"topology.scenario.{name}"), 4)
-        try:
+        with report.instance("scenario-closed", i, f"{name}: "):
             members = sum(1 for p in points if closed_member(u, p, closed))
             report.add("scenario-closed", i, PASS, f"{name}: {members}/4 members")
-        except Undecidable as exc:
-            report.add("scenario-closed", i, UNDECIDABLE, f"{name}: {exc}")
     return report
 
 

@@ -65,16 +65,15 @@ def closed_member(u: Universe, xi: Hyperpoint, closed: BasicClosed) -> bool:
     return False
 
 
-def covers_standard(u: Universe, closed: BasicClosed,
-                    bound: int | None = None) -> CoverResult:
+def covers_standard(u: Universe, closed: BasicClosed) -> CoverResult:
     """Density check for a set with standard targets.
 
     Verifies that the union of the listed preimages contains every base
-    element up to the bound (default: the oracle horizon). A YES means
-    the set is the whole extension, so every point is a member; a NO
-    carries the least uncovered element.
+    element up to the oracle horizon. A YES means the set is the whole
+    extension, so every point is a member; a NO carries the least
+    uncovered element.
     """
-    bound = u.oracle.horizon if bound is None else bound
+    bound = u.oracle.horizon
     for _, target in closed.pairs:
         if not isinstance(target.seq, Const):
             raise ValueError(

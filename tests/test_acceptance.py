@@ -1,37 +1,17 @@
 """Acceptance gate: one test per criterion, full-size counts.
 
 Each test prints a single verdict line (visible under ``pytest -s``) and
-asserts the criterion at its stated tolerance. All criteria run against
-the bundled standard scenario at horizon 10000 except the determinism
-one, which exercises the CLI end to end.
+asserts the criterion at its stated tolerance. Criteria 1-9 read the
+suite reports of one CLI run of the bundled standard scenario at horizon
+10000 (the session fixture ``standard_run``); the determinism criterion
+exercises the CLI end to end.
 """
 
-import time
-
 from starext.cli import main
-from starext.hyper import Universe
-from starext.oracle import OracleState
 from starext.scenario import bundled_scenario_path, load_scenario
-from starext.suites import (
-    FULL_COUNTS,
-    SuiteContext,
-    run_axioms,
-    run_boolean,
-    run_equalizer,
-    run_finite,
-    run_keisler,
-    run_nary,
-    run_negative,
-    run_topology,
-    run_transfer,
-)
+from starext.suites import FULL_COUNTS
 
 SCENARIO = load_scenario(bundled_scenario_path("standard"))
-
-
-def fresh_context() -> SuiteContext:
-    oracle = OracleState(SCENARIO.oracle_config())
-    return SuiteContext(SCENARIO, Universe(oracle), dict(FULL_COUNTS))
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -43,11 +23,9 @@ def by_check(report, check: str):
     return [line for line in report.lines if line.check == check]
 
 
-def test_criterion_1_axiom_suite():
-    ctx = fresh_context()
-    start = time.monotonic()
-    report = run_axioms(ctx)
-    elapsed = time.monotonic() - start
+def test_criterion_1_axiom_suite(standard_run):
+    report = standard_run.reports["axioms"]
+    elapsed = standard_run.wall_s["axioms"]
 
     comp = by_check(report, "comp")
     diag = by_check(report, "diag")
@@ -66,8 +44,8 @@ def test_criterion_1_axiom_suite():
     ))
 
 
-def test_criterion_2_negative_controls():
-    report = run_negative(fresh_context())
+def test_criterion_2_negative_controls(standard_run):
+    report = standard_run.reports["negative"]
     ok = report.failures == 0 and report.passes == len(report.lines) == 7
     caught = {l.check: l.verdict for l in report.lines}
     verdict(2, ok, (
@@ -76,9 +54,8 @@ def test_criterion_2_negative_controls():
     ))
 
 
-def test_criterion_3_boolean_structure():
-    ctx = fresh_context()
-    report = run_boolean(ctx)
+def test_criterion_3_boolean_structure(standard_run):
+    report = standard_run.reports["boolean"]
     laws = by_check(report, "laws")
     std = by_check(report, "standard-part")
     ok = (
@@ -87,13 +64,13 @@ def test_criterion_3_boolean_structure():
     )
     verdict(3, ok, (
         f"union/intersection/complement exact on {len(laws)} pairs x "
-        f"{ctx.counts['boolean_points']} points; standard part recovered "
+        f"{FULL_COUNTS['boolean_points']} points; standard part recovered "
         f"on all sampled x <= 1000"
     ))
 
 
-def test_criterion_4_equalizer():
-    report = run_equalizer(fresh_context())
+def test_criterion_4_equalizer(standard_run):
+    report = standard_run.reports["equalizer"]
     bic = by_check(report, "biconditional")
     text_fails = by_check(report, "reduction-text")
     ok = len(bic) == 500 and all(l.verdict == "pass" for l in bic) \
@@ -104,8 +81,8 @@ def test_criterion_4_equalizer():
     ))
 
 
-def test_criterion_5_finite_triviality():
-    report = run_finite(fresh_context())
+def test_criterion_5_finite_triviality(standard_run):
+    report = standard_run.reports["finite"]
     resolve = by_check(report, "resolve")
     violations = by_check(report, "violations")
     ok = (
@@ -118,8 +95,8 @@ def test_criterion_5_finite_triviality():
     ))
 
 
-def test_criterion_6_nary_uniqueness():
-    report = run_nary(fresh_context())
+def test_criterion_6_nary_uniqueness(standard_run):
+    report = standard_run.reports["nary"]
     routes = by_check(report, "routes")
     ok = len(routes) == 500 and all(l.verdict == "pass" for l in routes)
     verdict(6, ok, (
@@ -128,8 +105,8 @@ def test_criterion_6_nary_uniqueness():
     ))
 
 
-def test_criterion_7_transfer():
-    report = run_transfer(fresh_context())
+def test_criterion_7_transfer(standard_run):
+    report = standard_run.reports["transfer"]
     std = by_check(report, "standard-env")
     ok = len(std) == 200 and all(l.verdict == "pass" for l in std)
     verdict(7, ok, (
@@ -138,8 +115,8 @@ def test_criterion_7_transfer():
     ))
 
 
-def test_criterion_8_fragment_construction():
-    report = run_keisler(fresh_context())
+def test_criterion_8_fragment_construction(standard_run):
+    report = standard_run.reports["keisler"]
     frag_line = by_check(report, "fragment")[0]
     law = by_check(report, "equivalence-filter-law")[0]
     tracking = by_check(report, "tracking")
@@ -161,8 +138,8 @@ def test_criterion_8_fragment_construction():
     ))
 
 
-def test_criterion_9_star_topology():
-    report = run_topology(fresh_context())
+def test_criterion_9_star_topology(standard_run):
+    report = standard_run.reports["topology"]
     covers = by_check(report, "cover")
     noncovers = by_check(report, "non-cover")
     continuity = by_check(report, "continuity")

@@ -129,13 +129,12 @@ STANDARD_GOLDEN = {
 }
 
 
-def test_cli_standard_scenario_green(tmp_path):
+def test_cli_standard_scenario_green(standard_run):
     # the bundled full-size scenario: every suite, zero failures
-    code = main(["standard", "--out", str(tmp_path / "std")])
-    assert code == 0
+    assert standard_run.code == 0
     for name, digest in STANDARD_GOLDEN.items():
-        assert hashlib.sha256((tmp_path / "std" / name).read_bytes()).hexdigest() == digest
-    report = (tmp_path / "std" / "report.txt").read_text()
+        assert hashlib.sha256((standard_run.out / name).read_bytes()).hexdigest() == digest
+    report = (standard_run.out / "report.txt").read_text()
     assert "verdict=ok" in report
     assert " fail=0 " in report.splitlines()[-1] or "fail=0" in report
     for section in ("[axioms]", "[negative]", "[boolean]", "[equalizer]",

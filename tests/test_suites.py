@@ -18,9 +18,25 @@ QUICK = bundled_scenario_path("quick").read_text().replace(
 
 
 @pytest.mark.parametrize("suite, owner, trigger, check", [
+    # after the first directedness check, the uniqueness check of its
+    # realizer is not decided
+    ("axioms", suites, "check_directedness", "dir"),
+    # once irredundancy is checked, the Puritz order is not decided
+    ("axioms", suites, "check_irredundant", "puritz"),
     # boolean's first rng call starts the run: the laws and then the
     # standard-part sweep meet undecidable queries
+    ("boolean", SuiteContext, "rng", "laws"),
     ("boolean", SuiteContext, "rng", "standard-part"),
+    ("equalizer", SuiteContext, "rng", "biconditional"),
+    ("nary", SuiteContext, "rng", "routes"),
+    ("nary", SuiteContext, "rng", "compose"),
+    ("transfer", SuiteContext, "rng", "standard-env"),
+    ("transfer", SuiteContext, "rng", "scenario-formula"),
+    ("transfer", SuiteContext, "rng", "negation-law"),
+    ("topology", SuiteContext, "rng", "cover"),
+    ("topology", SuiteContext, "rng", "continuity"),
+    ("topology", SuiteContext, "rng", "monotone"),
+    ("topology", SuiteContext, "rng", "scenario-closed"),
     # once a finite set is resolved, the level checks after it are not
     ("finite", Universe, "decide_finite", "resolve"),
     # keisler's only rng call opens the tracking-negative loop
