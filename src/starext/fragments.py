@@ -197,28 +197,33 @@ class WitnessTable:
 
 
 def witness_table(frag: Fragment, check_set: CheckSet) -> WitnessTable:
-    n_pts, n_smp = len(frag.points), len(frag.sample)
-    codes = np.empty((n_pts, n_smp), dtype=np.int64)
-    encode: dict[int, int] = {}
-    row_exprs: list[FnExpr] = []
-    values: list[list[int]] = []
+    """The table of ``check_set``'s target. Rows that share a witness text
+    share one evaluation. The codes number the distinct values in order of
+    first appearance, reading the table row by row; the table is object
+    dtype, exact Python ints, when any row is."""
     witness_by_index = {i: expr for i, _, expr in check_set.members}
     sample = np.array(frag.sample)
-    row_cache: dict[str, list[int]] = {}
-    for i in range(n_pts):
+    row_cache: dict[str, tuple[np.ndarray, list[int]]] = {}
+    row_exprs: list[FnExpr] = []
+    rows: list[np.ndarray] = []
+    values: list[list[int]] = []
+    for i in range(len(frag.points)):
         row_expr = witness_by_index.get(i, VAR)
         key = pretty(row_expr)
         if key not in row_cache:
-            row_cache[key] = eval_vec(row_expr, sample).tolist()
-        row_vals = row_cache[key]
+            row = eval_vec(row_expr, sample)
+            row_cache[key] = (row, row.tolist())
+        row, row_vals = row_cache[key]
         row_exprs.append(row_expr)
+        rows.append(row)
         values.append(row_vals)
-        for j, v in enumerate(row_vals):
-            code = encode.get(v)
-            if code is None:
-                code = len(encode)
-                encode[v] = code
-            codes[i, j] = code
+    grid = np.stack(rows) if rows else np.empty((0, len(frag.sample)), dtype=np.int64)
+    # np.unique numbers the values in sorted order; ranking each value's
+    # first index renumbers them in order of appearance
+    _, first, inverse = np.unique(grid.ravel(), return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    codes = rank[inverse.ravel()].reshape(grid.shape)
     return WitnessTable(check_set.target, check_set, codes, row_exprs, values)
 
 
@@ -290,26 +295,38 @@ def product_filter_member(
     accepts when the inner-true set contains some check set, rejects
     when its complement does, and reports UNDECIDED otherwise.
     """
+    return _product_filter(frag, rows, check_sets)[0]
+
+
+def _product_filter(
+    frag: Fragment,
+    rows: Callable[[int], FnExpr],
+    check_sets: dict[int, CheckSet],
+) -> tuple[str, Undecidable | None]:
+    """:func:`product_filter_member`'s verdict, and the first inner query
+    the oracle could not decide."""
     u = frag.universe
     inner_true: set[int] = set()
     inner_undecided: set[int] = set()
+    first_undecided: Undecidable | None = None
     for i, xi in enumerate(frag.points):
         ind = normalize(rows(i))
         try:
             if u.member(xi, StarSet(ind, tag=f"row[{i}]")):
                 inner_true.add(i)
-        except Undecidable:
+        except Undecidable as exc:
             inner_undecided.add(i)
+            first_undecided = first_undecided or exc.with_traceback(None)
     universe_indices = set(range(len(frag.points)))
     for cs in check_sets.values():
         reach = cs.indices()
         if reach and reach <= inner_true:
-            return ACCEPT
+            return ACCEPT, first_undecided
     for cs in check_sets.values():
         reach = cs.indices()
         if reach and reach <= (universe_indices - inner_true - inner_undecided):
-            return REJECT
-    return UNDECIDED
+            return REJECT, first_undecided
+    return UNDECIDED, first_undecided
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +341,9 @@ class TrackingReport:
     forward_undecided: int = 0
     product_verdict: str = UNDECIDED
     details: list[str] = field(default_factory=list)
+    #: the first query of the check the oracle could not decide, building
+    #: the check sets included
+    undecided: Undecidable | None = None
 
     @property
     def ok(self) -> bool:
@@ -367,6 +387,8 @@ def check_star_tracking(
     alpha_tab = witness_table(frag, alpha_cs)
     beta_tab = witness_table(frag, beta_cs)
     report = TrackingReport()
+    for cs in (alpha_cs, beta_cs):
+        report.undecided = report.undecided or next(iter(cs.undecided.values()), None)
 
     beta_witness = {i: expr for i, _, expr in beta_cs.members}
     for i, _name, f_expr in alpha_cs.members:
@@ -383,15 +405,17 @@ def check_star_tracking(
             else:
                 report.forward_fail += 1
                 report.details.append(f"inner set rejected at point {i}")
-        except Undecidable:
+        except Undecidable as exc:
             report.forward_undecided += 1
+            report.undecided = report.undecided or exc.with_traceback(None)
 
     def rows(i: int) -> FnExpr:
         a_row = alpha_tab.row_exprs[i]
         b_row = beta_tab.row_exprs[i]
         return IfEq(Compose(g, a_row), b_row, Const(1), Const(0))
 
-    report.product_verdict = product_filter_member(frag, rows, {ai: alpha_cs})
+    report.product_verdict, undecided = _product_filter(frag, rows, {ai: alpha_cs})
+    report.undecided = report.undecided or undecided
     return report
 
 
@@ -488,10 +512,12 @@ def surjectivity_probe(
     for i in range(n_pts):
         for j in range(n_smp):
             if beta_tab.values[i][j] != table[i][j]:
-                if i in beta_cs.undecided:
-                    # the row of a point the oracle could not place is no
-                    # evidence against the table
-                    undecided = undecided or beta_cs.undecided[i]
+                unplaced = beta_cs.undecided.get(i) or alpha_cs.undecided.get(i)
+                if unplaced is not None:
+                    # the row of a point the oracle could not place, in
+                    # beta's check set or in alpha's that gives its
+                    # fallback witness, is no evidence against the table
+                    undecided = undecided or unplaced
                     continue
                 raise NotRepresentable(
                     f"recovered table differs at ({i}, {j}): "

@@ -22,6 +22,13 @@ the complement, superset and finite-union laws hold mechanically for all
 later queries. Repeating a query (same canonical predicate text) returns
 the recorded decision without a new entry.
 
+C is stored over indices 0..H and is False below ``WINDOW_START`` from
+the start, so ``C & S`` and ``C & ~S`` are windowed already. A decision
+on a cached truth vector is a fixed handful of whole-array operations:
+``inside = C & S`` and ``outside = C ^ inside``, ``count_nonzero`` for
+the sizes and the tail counts, ``argmax`` for a side's least element
+(0 when the side is empty), and the chosen side becomes C.
+
 The state is single-writer: callers must serialize queries. Nothing here
 is thread-safe under concurrent mutation.
 """
@@ -149,8 +156,9 @@ class OracleState:
         self._replay_log = replay_log
         self._decisions: dict[str, bool] = {}
         self._mask_cache = mask_cache if mask_cache is not None else {}
-        # committed intersection C over indices 0..H
+        # committed intersection C over indices 0..H, False below the window
         self._commit = np.ones(self.horizon + 1, dtype=bool)
+        self._commit[:WINDOW_START] = False
         self._tail_lo = tail_floor(self.horizon) + 1
         if self.config.tiebreak.startswith("seeded:"):
             seed = int(self.config.tiebreak.split(":", 1)[1])
@@ -185,10 +193,8 @@ class OracleState:
             return known
 
         const = pred.constant_value()
-        if const is True:
-            return self._record(pred, True, self._first_of(self._windowed(self._commit)))
-        if const is False:
-            return self._record(pred, False, self._first_of(self._windowed(self._commit)))
+        if const is not None:
+            return self._record(pred, const, int(self._commit.argmax()))
 
         mask = self._mask_cache.get(pred.text)
         if mask is None:
@@ -199,20 +205,22 @@ class OracleState:
                 self._mask_cache.pop(next(iter(self._mask_cache)))
             self._mask_cache[pred.text] = mask
 
-        inside = self._windowed(self._commit & mask)
-        outside = self._windowed(self._commit & ~mask)
-        n_in = int(inside.sum())
-        n_out = int(outside.sum())
+        # C is False below the window, so both sides are windowed already
+        # and argmax gives a side's least element (0 when it is empty)
+        inside = self._commit & mask
+        outside = self._commit ^ inside
+        n_in = np.count_nonzero(inside)
+        n_out = np.count_nonzero(outside)
 
         if n_in == 0 and n_out == 0:
             raise Undecidable(pred.text, self.horizon, "window exhausted")
         if n_in == 0:
-            return self._record(pred, False, self._first_of(outside))
+            return self._record(pred, False, int(outside.argmax()))
         if n_out == 0:
-            return self._record(pred, True, self._first_of(inside))
+            return self._record(pred, True, int(inside.argmax()))
 
-        in_persists = int(inside[self._tail_lo:].sum()) >= TAIL_COUNT
-        out_persists = int(outside[self._tail_lo:].sum()) >= TAIL_COUNT
+        in_persists = np.count_nonzero(inside[self._tail_lo:]) >= TAIL_COUNT
+        out_persists = np.count_nonzero(outside[self._tail_lo:]) >= TAIL_COUNT
         if not in_persists and not out_persists:
             raise Undecidable(pred.text, self.horizon, "no side persists near the horizon")
         if in_persists and not out_persists:
@@ -222,14 +230,13 @@ class OracleState:
         elif self._rng is not None:
             accept = self._rng.random() < 0.5
         else:
-            accept = self._first_of(inside) <= self._first_of(outside)
-        witness = self._first_of(inside if accept else outside)
-        return self._record(pred, accept, witness, mask)
+            accept = int(inside.argmax()) <= int(outside.argmax())
+        side = inside if accept else outside
+        return self._record(pred, accept, int(side.argmax()), side)
 
     def check_consistency(self) -> None:
         """Verify the committed family still reaches past every witness."""
-        win = self._windowed(self._commit)
-        if not win.any():
+        if not self._commit.any():
             raise ConsistencyViolation("committed intersection empty in window")
         if self._entries:
             top = max(e.witness for e in self._entries)
@@ -240,21 +247,13 @@ class OracleState:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _windowed(self, mask: np.ndarray) -> np.ndarray:
-        out = mask.copy()
-        out[:WINDOW_START] = False
-        return out
-
-    @staticmethod
-    def _first_of(mask: np.ndarray) -> int:
-        hits = np.flatnonzero(mask)
-        return int(hits[0]) if hits.size else 0
-
     def _record(self, pred: IndexPredicate, accept: bool, witness: int,
-                mask: np.ndarray | None = None) -> bool:
-        if mask is not None:
-            self._commit &= mask if accept else ~mask
-            if not self._windowed(self._commit).any():
+                commit: np.ndarray | None = None) -> bool:
+        """Log the decision; ``commit``, when given, is the new committed
+        intersection C."""
+        if commit is not None:
+            self._commit = commit
+            if not commit.any():
                 raise ConsistencyViolation(
                     f"commitment to {pred.text!r} emptied the filter window"
                 )

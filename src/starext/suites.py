@@ -46,6 +46,8 @@ from .axioms import (
 )
 from .fragments import (
     ACCEPT,
+    REJECT,
+    UNDECIDED,
     build_check_set,
     build_fragment,
     check_equivalence_filter_law,
@@ -650,11 +652,25 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
     check_sets = {i: build_check_set(frag, p) for i, p in enumerate(frag.points)}
     tables = {i: witness_table(frag, cs) for i, cs in check_sets.items()}
 
-    # directedness on the fragment: reach sets pairwise intersect
-    empty_meets = sum(not (a.indices() & b.indices())
-                      for a, b in combinations(check_sets.values(), 2))
-    report.add("reach-intersection", 0, PASS if empty_meets == 0 else FAIL,
-               f"empty intersections: {empty_meets}")
+    # directedness on the fragment: reach sets pairwise intersect; an
+    # empty meet that a point the oracle could not place might fill is
+    # undecided, not empty
+    empty_meets = 0
+    unplaced: Undecidable | None = None
+    for a, b in combinations(check_sets.values(), 2):
+        if a.indices() & b.indices():
+            continue
+        maybe = (a.indices() | a.undecided.keys()) & (b.indices() | b.undecided.keys())
+        if maybe:
+            i = min(maybe)
+            unplaced = unplaced or a.undecided.get(i) or b.undecided[i]
+        else:
+            empty_meets += 1
+    if unplaced is not None and not empty_meets:
+        report.add("reach-intersection", 0, UNDECIDABLE, str(unplaced))
+    else:
+        report.add("reach-intersection", 0, PASS if empty_meets == 0 else FAIL,
+                   f"empty intersections: {empty_meets}")
 
     violations = check_equivalence_filter_law(frag, check_sets, tables)
     report.law("equivalence-filter-law", 0, not violations,
@@ -662,18 +678,24 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
 
     total_inner = 0
     undecided_inner = 0
+    first_undecided: Undecidable | None = None
     idx = 0
     for i, alpha in enumerate(frag.points):
         for name, g in registry:
             rep = check_star_tracking(frag, alpha, g, name, alpha_cs=check_sets[i])
             total_inner += rep.forward_pass + rep.forward_fail + rep.forward_undecided
             undecided_inner += rep.forward_undecided
+            first_undecided = first_undecided or rep.undecided
             label = f"alpha={alpha.name or alpha.text} g={name}"
-            if rep.forward_fail or rep.product_verdict != ACCEPT:
+            # an open product verdict is undecidable when the oracle left
+            # it open, and a failure of the policy otherwise
+            open_ = rep.forward_undecided or rep.product_verdict == UNDECIDED
+            if (rep.forward_fail or rep.product_verdict == REJECT
+                    or (open_ and rep.undecided is None)):
                 report.add("tracking", idx, FAIL, f"{label} verdict={rep.product_verdict} "
                            + "; ".join(rep.details))
-            elif rep.forward_undecided:
-                report.add("tracking", idx, UNDECIDABLE, label)
+            elif open_:
+                report.add("tracking", idx, UNDECIDABLE, f"{label}: {rep.undecided}")
             else:
                 report.add("tracking", idx, PASS)
             idx += 1
@@ -694,9 +716,13 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
                        PASS if verdict != ACCEPT else FAIL, f"{label} -> {verdict}")
         neg_idx += 1
 
-    rate = (undecided_inner / total_inner) if total_inner else 0.0
-    report.add("undecided-rate", 0, PASS if rate <= 0.20 else FAIL,
-               f"{undecided_inner}/{total_inner} = {rate:.1%}")
+    if not total_inner and first_undecided is not None:
+        # no point was placed in a check set to ask about
+        report.add("undecided-rate", 0, UNDECIDABLE, f"0/0: {first_undecided}")
+    else:
+        rate = (undecided_inner / total_inner) if total_inner else 0.0
+        report.add("undecided-rate", 0, PASS if rate <= 0.20 else FAIL,
+                   f"{undecided_inner}/{total_inner} = {rate:.1%}")
 
     # range of the encoding: tables respecting the equivalences are hit
     with report.instance("probe-self", 0):

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 from starext.errors import NotRepresentable
 from starext.fragments import (
     ACCEPT,
     REJECT,
+    CheckSet,
+    WitnessTable,
     build_check_set,
     build_fragment,
     check_equivalence_filter_law,
@@ -16,7 +19,7 @@ from starext.fragments import (
     surjectivity_probe,
     witness_table,
 )
-from starext.funlang import Const, VAR, parse_definitions, parse_fn
+from starext.funlang import Const, VAR, eval_vec, parse_definitions, parse_fn, pretty
 from tests.conftest import make_universe
 
 TAGGED_DEFS = """
@@ -108,6 +111,62 @@ def test_table_equivalence_relation():
     encoded = pair(7, 3)
     if encoded < len(frag.sample):
         assert tab.related((1, encoded), (0, 3))
+
+
+def loop_witness_table(frag, check_set):
+    """:func:`witness_table` cell by cell: each new value gets the next code."""
+    n_pts, n_smp = len(frag.points), len(frag.sample)
+    codes = np.empty((n_pts, n_smp), dtype=np.int64)
+    encode = {}
+    row_exprs = []
+    values = []
+    witness_by_index = {i: expr for i, _, expr in check_set.members}
+    sample = np.array(frag.sample)
+    row_cache = {}
+    for i in range(n_pts):
+        row_expr = witness_by_index.get(i, VAR)
+        key = pretty(row_expr)
+        if key not in row_cache:
+            row_cache[key] = eval_vec(row_expr, sample).tolist()
+        row_vals = row_cache[key]
+        row_exprs.append(row_expr)
+        values.append(row_vals)
+        for j, v in enumerate(row_vals):
+            code = encode.get(v)
+            if code is None:
+                code = len(encode)
+                encode[v] = code
+            codes[i, j] = code
+    return WitnessTable(check_set.target, check_set, codes, row_exprs, values)
+
+
+#: witnesses whose values pass int64 on the sample, and small ones that
+#: share some of their values (0 among them)
+BIG = parse_fn("x * 9223372036854775808 * 4 + x mod 2")
+BIG_SHIFTED = parse_fn("x * 9223372036854775808 * 4 + 1")
+SMALL = parse_fn("x mod 3")
+
+
+@pytest.mark.parametrize("rows", ["check-sets", "object", "mixed"])
+def test_witness_table_matches_cell_loop(rows):
+    u, frag = tagged_fragment(sample_stop=60)
+    if rows == "check-sets":
+        check_sets = [build_check_set(frag, p) for p in frag.points]
+    else:
+        # every row is object dtype, or object rows sit beside the int64
+        # rows of a small witness and of the identity
+        witnesses = {"object": {0: BIG, 1: BIG_SHIFTED, 2: BIG},
+                     "mixed": {0: BIG, 2: SMALL}}[rows]
+        check_sets = [CheckSet(frag.points[0], [(i, f"w{i}", w) for i, w in witnesses.items()])]
+    for cs in check_sets:
+        got, want = witness_table(frag, cs), loop_witness_table(frag, cs)
+        assert got.codes.dtype == want.codes.dtype
+        assert got.codes.shape == want.codes.shape
+        assert (got.codes == want.codes).all()
+        assert got.values == want.values
+        assert got.row_exprs == want.row_exprs
+    if rows != "check-sets":
+        assert max(map(max, got.values)) >= 2**64
 
 
 def test_equivalence_filter_law_holds_on_tagged_fragment():

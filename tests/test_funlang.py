@@ -1,5 +1,7 @@
 import gc
 import random
+from dataclasses import dataclass
+from hashlib import sha256
 from math import isqrt
 
 import numpy as np
@@ -20,6 +22,7 @@ from starext.funlang import (
     IndexPredicate,
     ModC,
     Mul,
+    Name,
     NormalMemo,
     P1,
     P2,
@@ -28,6 +31,8 @@ from starext.funlang import (
     Table,
     Var,
     _bound_pass,
+    _normal,
+    _text,
     and_,
     eval_vec,
     interpret,
@@ -40,6 +45,7 @@ from starext.funlang import (
     substitute,
     unpair,
 )
+from starext import funlang
 from starext.gen import rand_expr, rand_indicator, rand_nary, rand_point_expr
 from starext.hyper import Hyperpoint, StarSet, set_complement, set_intersection, set_union
 from starext.transfer import parse_formula, truth_predicate
@@ -157,6 +163,196 @@ def test_table_node_eval():
     t0 = Table(VAR, ((1, 10),), 0)
     assert interpret(t0, 7) == 0
     assert interpret(t0, 1) == 10
+
+
+# -- exact-type dispatch against the match-based walks -------------------------
+
+def _ref_interpret(e, x):
+    """:func:`interpret` as a ``match`` on positional class patterns."""
+    match e:
+        case Const(v):
+            return v
+        case Var():
+            return x
+        case Add(a, b):
+            return _ref_interpret(a, x) + _ref_interpret(b, x)
+        case Sub(a, b):
+            l, r = _ref_interpret(a, x), _ref_interpret(b, x)
+            return l - r if l >= r else 0
+        case Mul(a, b):
+            return _ref_interpret(a, x) * _ref_interpret(b, x)
+        case DivC(a, d):
+            return _ref_interpret(a, x) // d
+        case ModC(a, d):
+            return _ref_interpret(a, x) % d
+        case IfEq(a, b, t, o):
+            if _ref_interpret(a, x) == _ref_interpret(b, x):
+                return _ref_interpret(t, x)
+            return _ref_interpret(o, x)
+        case PairE(a, b):
+            return pair(_ref_interpret(a, x), _ref_interpret(b, x))
+        case P1(a):
+            return unpair(_ref_interpret(a, x))[0]
+        case P2(a):
+            return unpair(_ref_interpret(a, x))[1]
+        case Compose(f, g):
+            return _ref_interpret(f, _ref_interpret(g, x))
+        case Table(a, entries, default):
+            v = _ref_interpret(a, x)
+            for k, out in entries:
+                if k == v:
+                    return out
+            return v if default is None else default
+        case _:
+            raise TypeError(f"not an FnExpr: {e!r}")
+
+
+def _ref_text(node):
+    """(text, is_chain) of ``node`` as a ``match``, reading no cache."""
+    def atom(n):
+        text, is_chain = _ref_text(n)
+        return f"({text})" if is_chain else text
+
+    match node:
+        case Const(v):
+            return (str(v), False)
+        case Var():
+            return ("x", False)
+        case Add(a, b):
+            return (f"{_ref_text(a)[0]} + {atom(b)}", True)
+        case Sub(a, b):
+            return (f"{_ref_text(a)[0]} - {atom(b)}", True)
+        case Mul(a, b):
+            return (f"{_ref_text(a)[0]} * {atom(b)}", True)
+        case DivC(a, d):
+            return (f"{atom(a)} div {d}", False)
+        case ModC(a, d):
+            return (f"{atom(a)} mod {d}", False)
+        case IfEq(a, b, t, o):
+            return (f"ifeq({_ref_text(a)[0]}, {_ref_text(b)[0]}, "
+                    f"{_ref_text(t)[0]}, {_ref_text(o)[0]})", False)
+        case PairE(a, b):
+            return (f"pair({_ref_text(a)[0]}, {_ref_text(b)[0]})", False)
+        case P1(a):
+            return (f"p1({_ref_text(a)[0]})", False)
+        case P2(a):
+            return (f"p2({_ref_text(a)[0]})", False)
+        case Compose(_, _):
+            return _ref_text(normalize(node))
+        case Table(a, entries, default):
+            digest = sha256(repr((entries, default)).encode()).hexdigest()[:12]
+            return (f"table#{digest}({_ref_text(a)[0]})", False)
+        case Name(name):
+            return (name, False)
+        case _:
+            raise TypeError(f"not an FnExpr: {node!r}")
+
+
+def _ref_is_closed(e):
+    """:func:`is_closed` as a ``match``, reading no cache."""
+    match e:
+        case Const():
+            return True
+        case Var():
+            return False
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | PairE(a, b):
+            return _ref_is_closed(a) and _ref_is_closed(b)
+        case DivC(a, _) | ModC(a, _) | P1(a) | P2(a):
+            return _ref_is_closed(a)
+        case IfEq(a, b, t, o):
+            return (_ref_is_closed(a) and _ref_is_closed(b) and _ref_is_closed(t)
+                    and _ref_is_closed(o))
+        case Compose(f, g):
+            return _ref_is_closed(g) or _ref_is_closed(f)
+        case Table(a, _, _):
+            return _ref_is_closed(a)
+        case _:
+            raise TypeError(f"not an FnExpr: {e!r}")
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except TypeError:
+        return TypeError
+
+
+#: constants on both sides of 2**63
+_big = st.one_of(st.integers(0, 9), st.integers(2**63 - 3, 2**63 + 3), st.integers(0, 2**70))
+
+_table_entries = st.dictionaries(_big, _big, max_size=3).map(lambda d: tuple(sorted(d.items())))
+
+#: every node class of the language, free names included
+_any_node = st.deferred(
+    lambda: st.one_of(
+        _big.map(Const),
+        st.just(VAR),
+        st.sampled_from(["v", "w"]).map(Name),
+        st.tuples(_any_node, _any_node).map(lambda t: Add(*t)),
+        st.tuples(_any_node, _any_node).map(lambda t: Sub(*t)),
+        st.tuples(_any_node, _any_node).map(lambda t: Mul(*t)),
+        st.tuples(_any_node, st.integers(1, 9)).map(lambda t: DivC(*t)),
+        st.tuples(_any_node, st.integers(1, 9)).map(lambda t: ModC(*t)),
+        st.tuples(_any_node, _any_node, _any_node, _any_node).map(lambda t: IfEq(*t)),
+        st.tuples(_any_node, _any_node).map(lambda t: PairE(*t)),
+        _any_node.map(P1),
+        _any_node.map(P2),
+        st.tuples(_any_node, _any_node).map(lambda t: Compose(*t)),
+        st.tuples(_any_node, _table_entries, st.none() | _big).map(lambda t: Table(*t)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_node, _any_node), st.one_of(st.integers(0, 300), st.integers(2**63 - 3, 2**70)))
+def test_dispatch_matches_match_walks(e, x):
+    # names are unbound here, so interpret and is_closed may meet one and
+    # raise; both walks must then raise alike
+    assert _outcome(interpret, e, x) == _outcome(_ref_interpret, e, x)
+    assert _outcome(is_closed, e) == _outcome(_ref_is_closed, e)
+    assert pretty(e) == _ref_text(e)[0]
+    assert _text(e, {}) == _ref_text(e)
+
+
+def _funlang_node_classes():
+    return [cls for cls in vars(funlang).values()
+            if isinstance(cls, type) and issubclass(cls, FnExpr) and cls is not FnExpr]
+
+
+def test_node_classes_are_final():
+    classes = _funlang_node_classes()
+    assert Add in classes and Name in classes and Table in classes
+    for cls in classes:
+        assert cls.__subclasses__() == [], cls
+
+
+@dataclass(frozen=True, slots=True)
+class _Foreign(FnExpr):
+    """A node class the walks do not know."""
+
+    arg: FnExpr
+
+
+def _go_alone(e):
+    """``eval_vec``'s walk without the interval pass that precedes it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funlang, "_bound_pass", lambda *args: (True, set(), {}))
+        return eval_vec(e, np.arange(5))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda e: interpret(e, 3),
+    pretty,
+    is_closed,
+    lambda e: _normal(e, VAR, {}),
+    lambda e: _bound_pass(e, 10),
+    _go_alone,
+], ids=["interpret", "_text", "is_closed", "_normal", "_bound_pass", "eval_vec"])
+def test_walks_reject_foreign_node_classes(walk):
+    for e in (_Foreign(VAR), Add(Const(1), _Foreign(VAR))):
+        with pytest.raises(TypeError, match="not an FnExpr"):
+            walk(e)
 
 
 # -- pairing -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from starext.errors import ConsistencyViolation, ReplayMismatch, Undecidable
@@ -13,6 +14,8 @@ from starext.funlang import (
 )
 from starext.gen import rand_indicator
 from starext.oracle import (
+    TAIL_COUNT,
+    WINDOW_START,
     DecisionLog,
     LogEntry,
     OracleConfig,
@@ -245,3 +248,166 @@ def test_sibling_states_share_log_but_not_commitments():
     assert len(base.log) == 2
     assert len(base.entries) == 1
     assert len(sib.entries) == 1
+
+
+# -- the whole-array decision against windowed copies -------------------------
+
+class LoopOracle(OracleState):
+    """The decision arithmetic on windowed copies: C starts all True, each
+    step copies it and clears the indices below the window, and a
+    commitment recomputes ``C &= mask`` or ``C &= ~mask``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._commit = np.ones(self.horizon + 1, dtype=bool)
+
+    def fresh_sibling(self) -> "LoopOracle":
+        return LoopOracle(self.config, replay_log=self._replay_log, log=self.log,
+                          mask_cache=self._mask_cache)
+
+    def query(self, pred):
+        known = self._decisions.get(pred.text)
+        if known is not None:
+            return known
+
+        const = pred.constant_value()
+        if const is True:
+            return self._record(pred, True, self._first_of(self._windowed(self._commit)))
+        if const is False:
+            return self._record(pred, False, self._first_of(self._windowed(self._commit)))
+
+        mask = self._mask_cache.get(pred.text)
+        if mask is None:
+            mask = pred.mask(self.horizon, self._mask_cache)
+            self._mask_cache[pred.text] = mask
+
+        inside = self._windowed(self._commit & mask)
+        outside = self._windowed(self._commit & ~mask)
+        n_in = int(inside.sum())
+        n_out = int(outside.sum())
+
+        if n_in == 0 and n_out == 0:
+            raise Undecidable(pred.text, self.horizon, "window exhausted")
+        if n_in == 0:
+            return self._record(pred, False, self._first_of(outside))
+        if n_out == 0:
+            return self._record(pred, True, self._first_of(inside))
+
+        in_persists = int(inside[self._tail_lo:].sum()) >= TAIL_COUNT
+        out_persists = int(outside[self._tail_lo:].sum()) >= TAIL_COUNT
+        if not in_persists and not out_persists:
+            raise Undecidable(pred.text, self.horizon, "no side persists near the horizon")
+        if in_persists and not out_persists:
+            accept = True
+        elif out_persists and not in_persists:
+            accept = False
+        elif self._rng is not None:
+            accept = self._rng.random() < 0.5
+        else:
+            accept = self._first_of(inside) <= self._first_of(outside)
+        witness = self._first_of(inside if accept else outside)
+        return self._record_mask(pred, accept, witness, mask)
+
+    def _record_mask(self, pred, accept, witness, mask):
+        self._commit &= mask if accept else ~mask
+        if not self._windowed(self._commit).any():
+            raise ConsistencyViolation(
+                f"commitment to {pred.text!r} emptied the filter window"
+            )
+        return self._record(pred, accept, witness)
+
+    @staticmethod
+    def _windowed(mask):
+        out = mask.copy()
+        out[:WINDOW_START] = False
+        return out
+
+    @staticmethod
+    def _first_of(mask):
+        hits = np.flatnonzero(mask)
+        return int(hits[0]) if hits.size else 0
+
+
+def random_masks(rng: random.Random, horizon: int, n: int):
+    """``n`` truth vectors over 0..horizon of the shapes that matter to a
+    decision, each with a text of its own; a few are repeats."""
+    n_idx = horizon + 1
+    tail = tail_floor(horizon)
+    np_rng = np.random.default_rng(rng.randrange(2**32))
+    masks = []
+    for k in range(n):
+        kind = rng.randrange(9)
+        if kind == 0:
+            mask = np_rng.random(n_idx) < rng.choice((0.02, 0.3, 0.5, 0.7, 0.98))
+        elif kind == 1:
+            mask = np.zeros(n_idx, dtype=bool)  # empty
+        elif kind == 2:
+            mask = np.ones(n_idx, dtype=bool)  # full
+        elif kind == 3:
+            mask = np.zeros(n_idx, dtype=bool)
+            mask[0] = True  # only the index below the window
+            mask[1:] = np_rng.random(horizon) < 0.05 * rng.randrange(2)
+        elif kind == 4:
+            # dies out before the top margin
+            mask = np.zeros(n_idx, dtype=bool)
+            stop = rng.randrange(1, tail + 2)
+            mask[:stop] = np_rng.random(stop) < 0.6
+        elif kind == 5:
+            # keeps fewer than TAIL_COUNT elements in the top margin
+            mask = np_rng.random(n_idx) < 0.5
+            mask[tail + 1:] = False
+            mask[rng.sample(range(tail + 1, n_idx), rng.randrange(TAIL_COUNT))] = True
+        elif kind == 6:
+            # keeps a thin top margin, which later splits leave to neither side
+            mask = np_rng.random(n_idx) < 0.5
+            mask[tail + 1:] = False
+            mask[rng.sample(range(tail + 1, n_idx), TAIL_COUNT + rng.randrange(3))] = True
+        elif kind == 7:
+            step = rng.randrange(2, 9)
+            mask = np.arange(n_idx) % step == rng.randrange(step)
+        else:
+            mask = masks[rng.randrange(len(masks))][1] if masks else np.ones(n_idx, bool)
+        if rng.random() < 0.5:
+            mask[0] = not mask[0]
+        masks.append((f"m{k}", mask))
+    return masks
+
+
+def vector_predicate(text: str, mask: np.ndarray) -> IndexPredicate:
+    return IndexPredicate(text, vec=lambda ns: mask[ns])
+
+
+def decide(state: OracleState, pred: IndexPredicate):
+    try:
+        return state.query(pred)
+    except (Undecidable, ConsistencyViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("tiebreak", ["least", "seeded:3", "seeded:-8"])
+@pytest.mark.parametrize("horizon", [64, 256, 10_000])
+def test_decision_matches_windowed_arithmetic(horizon, tiebreak):
+    rng = random.Random(horizon * 7 + len(tiebreak))
+    config = OracleConfig(horizon=horizon, tiebreak=tiebreak)
+    new, ref = OracleState(config), LoopOracle(config)
+    outcomes = []
+    for round_ in range(4):
+        if round_:
+            # a sibling starts from no commitments and shares the log
+            new, ref = new.fresh_sibling(), ref.fresh_sibling()
+        masks = random_masks(rng, horizon, 60)
+        for text, mask in masks:
+            if rng.random() < 0.05:
+                pred = IndexPredicate.full() if rng.random() < 0.5 else IndexPredicate.empty()
+            else:
+                pred = vector_predicate(text + f"r{round_}", mask)
+            got, want = decide(new, pred), decide(ref, pred)
+            assert got == want
+            outcomes.append(got)
+            assert (new._commit[WINDOW_START:] == ref._commit[WINDOW_START:]).all()
+        assert new.entries == ref.entries
+    assert new.log.to_text() == ref.log.to_text()
+    # accepts, rejects and refusals all occur; C never empties, since
+    # each commitment keeps a nonempty side, so the window is never exhausted
+    assert True in outcomes and False in outcomes
+    assert any("no side persists" in o[1] for o in outcomes if isinstance(o, tuple))

@@ -47,6 +47,11 @@ QUICK = bundled_scenario_path("quick").read_text().replace(
     ("keisler", suites, "surjectivity_probe", "probe-constant"),
     # keisler's filter state is made before the fragment is built
     ("keisler", SuiteContext, "fresh", "fragment"),
+    # once the fragment is built, no point can be placed in a check set
+    ("keisler", suites, "build_fragment", "reach-intersection"),
+    ("keisler", suites, "build_fragment", "tracking"),
+    ("keisler", suites, "build_fragment", "undecided-rate"),
+    ("keisler", suites, "build_fragment", "probe-constant"),
 ])
 def test_undecidable_query_is_reported(monkeypatch, suite, owner, trigger, check):
     armed = []
