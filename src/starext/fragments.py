@@ -370,13 +370,16 @@ def check_star_tracking(
     g: FnExpr,
     g_name: str,
     alpha_cs: CheckSet | None = None,
+    alpha_tab: WitnessTable | None = None,
 ) -> TrackingReport:
     """Verify that applying a function commutes with the I-encoding.
 
     Sets beta = star(g)(alpha) and checks, for every point xi reaching
     alpha, that {x : g(alpha-table(xi, x)) = beta-table(xi, x)} lies in
     the ultrafilter xi generates; then decides the full product-filter
-    set. Every verdict is recorded, undecided included.
+    set. Every verdict is recorded, undecided included. ``alpha_cs`` and
+    ``alpha_tab``, alpha's check set and its witness table, are built
+    when not given.
     """
     u = frag.universe
     ai = frag.point_index(alpha)
@@ -384,7 +387,8 @@ def check_star_tracking(
         alpha_cs = build_check_set(frag, alpha)
     beta = u.star_apply(g, alpha)
     beta_cs = build_check_set(frag, beta, fallback=composite_fallback(g, g_name, alpha_cs))
-    alpha_tab = witness_table(frag, alpha_cs)
+    if alpha_tab is None:
+        alpha_tab = witness_table(frag, alpha_cs)
     beta_tab = witness_table(frag, beta_cs)
     report = TrackingReport()
     for cs in (alpha_cs, beta_cs):
@@ -426,18 +430,22 @@ def check_tracking_negative(
     g_name: str,
     beta_prime: Hyperpoint,
     alpha_cs: CheckSet | None = None,
+    alpha_tab: WitnessTable | None = None,
 ) -> str:
     """Decide the tracking set against a wrong image.
 
     For beta_prime not equal to star(g)(alpha) the product-filter verdict
     must be REJECT (or UNDECIDED, reported); ACCEPT would refute the
-    converse direction of the tracking claim.
+    converse direction of the tracking claim. ``alpha_cs`` and
+    ``alpha_tab`` are built when not given, as in
+    :func:`check_star_tracking`.
     """
     if alpha_cs is None:
         alpha_cs = build_check_set(frag, alpha)
     ai = frag.point_index(alpha)
     bp_cs = build_check_set(frag, beta_prime)
-    alpha_tab = witness_table(frag, alpha_cs)
+    if alpha_tab is None:
+        alpha_tab = witness_table(frag, alpha_cs)
     bp_tab = witness_table(frag, bp_cs)
 
     def rows(i: int) -> FnExpr:
@@ -456,6 +464,7 @@ def surjectivity_probe(
     alpha: Hyperpoint,
     table: Sequence[Sequence[int]],
     alpha_cs: CheckSet | None = None,
+    alpha_tab: WitnessTable | None = None,
 ) -> Hyperpoint:
     """Recover the point whose witness table is the given I-function.
 
@@ -463,13 +472,16 @@ def surjectivity_probe(
     alpha's witness table, and every class must meet the alpha row
     (otherwise no sample-backed function can represent it); then the
     function g(x) = table[alpha row][x] satisfies: the table of
-    star(g)(alpha) reproduces ``table`` on all of I.
+    star(g)(alpha) reproduces ``table`` on all of I. ``alpha_cs`` and
+    ``alpha_tab`` are built when not given, as in
+    :func:`check_star_tracking`.
     """
     u = frag.universe
     ai = frag.point_index(alpha)
     if alpha_cs is None:
         alpha_cs = build_check_set(frag, alpha)
-    alpha_tab = witness_table(frag, alpha_cs)
+    if alpha_tab is None:
+        alpha_tab = witness_table(frag, alpha_cs)
     n_pts, n_smp = alpha_tab.codes.shape
     if len(table) != n_pts or any(len(row) != n_smp for row in table):
         raise NotRepresentable("table shape does not match the fragment index set")

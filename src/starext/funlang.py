@@ -33,11 +33,13 @@ routes to the same function collapse to one decision-log key. It is one
 walk that substitutes and simplifies together, so a composed term is
 rebuilt once, already simplified, with no substituted copy in between.
 
-Nodes stay immutable, but each remembers what was derived from it: its
-normal form, its text and whether it is closed (see :class:`FnExpr`).
-Those slots hold pure functions of the node and never take part in
-``==`` or ``hash``. Since ``*`` composes, new terms keep wrapping
-canonical ones, and every walk stops at a node whose answer is known.
+Nodes are plain slotted dataclasses, immutable by contract, and each
+remembers what was derived from it: its normal form, its text and
+whether it is closed (see :class:`FnExpr`). Those caches are dataclass
+fields that hold pure functions of the node, read ``None`` until
+computed and never take part in ``==``, ``hash`` or ``repr``. Since
+``*`` composes, new terms keep wrapping canonical ones, and every walk
+stops at a node whose answer is known.
 An owner that asks related questions passes :func:`normalize` a
 :class:`NormalMemo`, so the walks' results outlive each call: a later
 walk that meets the same node under the same replacement returns the
@@ -75,7 +77,7 @@ included, makes one :func:`eval_vec` call for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import sha256
 from math import isqrt
 from typing import Callable, Mapping
@@ -103,19 +105,27 @@ def unpair(z: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # AST
 
+@dataclass(slots=True, unsafe_hash=True)
 class FnExpr:
-    """Base class of expression nodes. Nodes are immutable and hashable.
+    """Base class of expression nodes. Nodes are hashable, and immutable
+    by contract: only the cache protocol below ever assigns a field.
 
-    Three slots cache facts derived from a node: ``_nf`` its normal form
+    Three fields cache facts derived from a node: ``_nf`` its normal form
     (:func:`normalize`, whose walk swaps the node for it; ``True`` when
     that is the node itself, so that no node refers to itself and each is
     freed with its last reference),
     ``_pp`` its text and chain flag (:func:`pretty`) and ``_closed``
     (:func:`is_closed`). Each holds a pure function of the node's
-    structure, is written with ``object.__setattr__`` and is not a
-    dataclass field, so it never takes part in ``==``, ``hash`` or
-    ``repr``; an unset slot reads as absent. A cache lives exactly as
+    structure and is ``None`` until computed. They are dataclass fields
+    outside ``__init__``, ``==``, ``hash`` and ``repr``, so
+    ``__match_args__`` lists only the structural fields and two equal
+    nodes stay equal whatever they have cached. A cache lives exactly as
     long as its node, and an ``_nf`` that holds a node is never rewritten.
+
+    The node classes are plain slotted dataclasses, not frozen ones: the
+    ``__init__`` of a frozen class writes each field through a call of
+    the base ``__setattr__``, which more than doubles the cost of building
+    a node, and ``*`` builds new nodes for every query.
 
     The node classes of this module are final: the walks dispatch on a
     node's exact class, so an instance of a subclass, of ``Add`` say,
@@ -123,31 +133,28 @@ class FnExpr:
     direct subclass of this class, with a branch in every walk.
     """
 
-    __slots__ = ("_nf", "_pp", "_closed")
+    _nf: FnExpr | bool | None = field(default=None, init=False, repr=False,
+                                      compare=False, hash=False)
+    _pp: tuple[str, bool] | None = field(default=None, init=False, repr=False,
+                                         compare=False, hash=False)
+    _closed: bool | None = field(default=None, init=False, repr=False,
+                                 compare=False, hash=False)
 
 
-#: writes a cache slot of a frozen node (see :class:`FnExpr`)
-_remember = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const(FnExpr):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(FnExpr):
     pass
 
 
 VAR = Var()
 
-#: leaves are never looked up in the caches: reading an unset slot raises
-#: and clears an AttributeError, which costs more than a leaf's answer
-_LEAVES = frozenset({Const, Var})
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Name(FnExpr):
     """A free named variable of a formula term. Only :func:`substitute`,
     :func:`normalize` and :func:`pretty` accept it; bind every name before
@@ -156,13 +163,13 @@ class Name(FnExpr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Add(FnExpr):
     left: FnExpr
     right: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Sub(FnExpr):
     """Truncated subtraction: max(left - right, 0)."""
 
@@ -170,13 +177,13 @@ class Sub(FnExpr):
     right: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mul(FnExpr):
     left: FnExpr
     right: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DivC(FnExpr):
     """Floor division by a nonzero constant."""
 
@@ -188,7 +195,7 @@ class DivC(FnExpr):
             raise ValueError("division only by a positive constant")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ModC(FnExpr):
     """Remainder modulo a nonzero constant."""
 
@@ -200,7 +207,7 @@ class ModC(FnExpr):
             raise ValueError("modulus only by a positive constant")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IfEq(FnExpr):
     """ifeq(a, b, t, o): t if a = b else o."""
 
@@ -210,23 +217,23 @@ class IfEq(FnExpr):
     other: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PairE(FnExpr):
     left: FnExpr
     right: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class P1(FnExpr):
     arg: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class P2(FnExpr):
     arg: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compose(FnExpr):
     """outer after inner: x -> outer(inner(x))."""
 
@@ -234,7 +241,7 @@ class Compose(FnExpr):
     inner: FnExpr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Table(FnExpr):
     """Finite lookup applied to a subexpression.
 
@@ -420,10 +427,10 @@ def _known_truth(a: FnExpr, b: FnExpr, known: Mapping[str, np.ndarray],
                  shape: tuple[int, ...]) -> np.ndarray | None:
     """The truth vector of ``a`` from ``known``, when ``ifeq(a, b, ...)``
     tests ``a`` for falsity and ``a`` is compound with its text cached."""
-    if type(b) is not Const or b.value != 0 or type(a) in _LEAVES:
+    if type(b) is not Const or b.value != 0:
         return None
-    pp = getattr(a, "_pp", None)
-    if pp is None:
+    pp = a._pp
+    if pp is None or type(a) is Const or type(a) is Var:
         return None
     truth = known.get(pp[0])
     return truth if truth is not None and truth.shape == shape else None
@@ -564,7 +571,7 @@ def is_closed(e: FnExpr) -> bool:
         return False
     if cls is Const:
         return True
-    closed = getattr(e, "_closed", None)
+    closed = e._closed
     if closed is not None:
         return closed
     if cls is IfEq:
@@ -578,7 +585,7 @@ def is_closed(e: FnExpr) -> bool:
         closed = is_closed(e.inner) or is_closed(e.outer)
     else:
         raise TypeError(f"not an FnExpr: {e!r}")
-    _remember(e, "_closed", closed)
+    e._closed = closed
     return closed
 
 
@@ -645,7 +652,7 @@ class NormalMemo:
     same replacement returns the very node built before, whose text,
     closedness and truth vector may already be known. Ids are only unique
     while their objects live, so the memo holds every node it keys: each is
-    reached from a root through children and ``_nf`` slots (a slot that
+    reached from a root through children and ``_nf`` fields (a field that
     holds a node is never rewritten), or is a value of ``table``. Nothing
     else refers to the memo, so it dies with its owner, and it grows with
     every root: give it to an owner that lives for a bounded number of
@@ -678,7 +685,7 @@ def normalize(e: FnExpr, memo: NormalMemo | None = None) -> FnExpr:
     call, so a later call that reaches the same node under the same
     replacement stops there with the node built before.
     """
-    nf = getattr(e, "_nf", None)
+    nf = e._nf
     if nf is not None:
         return e if nf is True else nf
     if memo is None:
@@ -687,11 +694,11 @@ def normalize(e: FnExpr, memo: NormalMemo | None = None) -> FnExpr:
         memo.roots.append(e)
         out = _normal(e, VAR, memo.table)
     if out is e:
-        _remember(e, "_nf", True)  # no self-reference
+        e._nf = True  # no self-reference
     else:
-        _remember(e, "_nf", out)
-        if getattr(out, "_nf", None) is None:
-            _remember(out, "_nf", True)
+        e._nf = out
+        if out._nf is None:
+            out._nf = True
     return out
 
 
@@ -708,7 +715,7 @@ def _normal(node: FnExpr, repl: FnExpr, memo: dict[tuple[int, int], FnExpr]) -> 
     key = (id(node), id(repl))
     if key in memo:
         return memo[key]
-    nf = getattr(node, "_nf", None)
+    nf = node._nf
     if nf is True:
         if repl is VAR:
             return node
@@ -760,10 +767,9 @@ def pretty(e: FnExpr) -> str:
 
     The result is kept on ``e`` only: kept on every subtree, the texts of
     all subtrees would stay alive."""
-    pp = getattr(e, "_pp", None)
+    pp = e._pp
     if pp is None:
-        pp = _text(e, {})
-        _remember(e, "_pp", pp)
+        pp = e._pp = _text(e, {})
     return pp[0]
 
 
@@ -778,7 +784,7 @@ def _text(node: FnExpr, memo: dict[int, tuple[str, bool]]) -> tuple[str, bool]:
     elif cls is Var:
         out = ("x", False)
     else:
-        out = getattr(node, "_pp", None)
+        out = node._pp
         if out is not None:
             return out
         if cls is IfEq:

@@ -125,11 +125,14 @@ class Universe:
     Pure construction (``standard``, ``star_apply``) never queries.
 
     Membership queries canonicalise through the universe's own
-    :class:`~starext.funlang.NormalMemo`. A query about a Boolean
-    combination of sets that were queried at the same point then reuses
-    their normal forms, with the texts and closedness cached on them, and
-    the oracle reads their truth vectors from its mask cache. The memo
-    holds what its queries built and dies with the universe.
+    :class:`~starext.funlang.NormalMemo` (:meth:`predicate`). A query
+    about a Boolean combination of sets that were queried at the same
+    point then reuses their normal forms, with the texts and closedness
+    cached on them, and the oracle reads their truth vectors from its
+    mask cache. ``formulas`` does the same for
+    :func:`starext.transfer.eval_hyper`: it holds the formulas compiled
+    in this universe (see :func:`starext.transfer.compile_formula`). Both
+    memos hold what their queries built and die with the universe.
     """
 
     def __init__(self, oracle: OracleState,
@@ -137,6 +140,7 @@ class Universe:
         self.oracle = oracle
         self._interned: dict[str, Hyperpoint] = interned if interned is not None else {}
         self._normal_memo = NormalMemo()
+        self.formulas: dict[tuple, tuple] = {}
 
     def with_fresh_filter(self) -> "Universe":
         """Same points and caches, a brand-new committed family.
@@ -144,7 +148,7 @@ class Universe:
         Independent checks each run against their own filter state;
         sharing the interning table keeps points identical across them,
         and the shared decision log keeps the run replayable. The new
-        universe starts an empty normal-form memo of its own.
+        universe starts empty memos of its own.
         """
         return Universe(self.oracle.fresh_sibling(), interned=self._interned)
 
@@ -178,7 +182,12 @@ class Universe:
         return self.oracle.query(self._member_predicate(xi, a))
 
     def _member_predicate(self, xi: Hyperpoint, a: StarSet) -> IndexPredicate:
-        return IndexPredicate.from_expr(Compose(a.indicator, xi.seq), self._normal_memo)
+        return self.predicate(Compose(a.indicator, xi.seq))
+
+    def predicate(self, expr: FnExpr) -> IndexPredicate:
+        """The predicate of ``expr``, canonicalised through this universe's
+        normal-form memo."""
+        return IndexPredicate.from_expr(expr, self._normal_memo)
 
     def star_set(self, indicator: FnExpr | str, tag: str = "",
                  check_sample: int = 64) -> StarSet:

@@ -233,6 +233,7 @@ class SuiteContext:
         self.counts = counts or (
             FULL_COUNTS if scenario.scale == "full" else QUICK_COUNTS
         )
+        self._named_points: list[Hyperpoint] | None = None
 
     def fresh(self) -> Universe:
         return self.universe.with_fresh_filter()
@@ -241,8 +242,13 @@ class SuiteContext:
         return random.Random(f"{self.scenario.seed}:{label}")
 
     def named_points(self) -> list[Hyperpoint]:
-        u = self.universe
-        return [u.point(expr, name) for name, expr in self.scenario.points.items()]
+        """The scenario's named points, built once per context; interning
+        would return the same objects on every later build."""
+        if self._named_points is None:
+            u = self.universe
+            self._named_points = [u.point(expr, name)
+                                  for name, expr in self.scenario.points.items()]
+        return list(self._named_points)
 
     def sample_points(self, rng: random.Random, k: int) -> list[Hyperpoint]:
         pool = self.named_points()
@@ -682,7 +688,8 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
     idx = 0
     for i, alpha in enumerate(frag.points):
         for name, g in registry:
-            rep = check_star_tracking(frag, alpha, g, name, alpha_cs=check_sets[i])
+            rep = check_star_tracking(frag, alpha, g, name, alpha_cs=check_sets[i],
+                                      alpha_tab=tables[i])
             total_inner += rep.forward_pass + rep.forward_fail + rep.forward_undecided
             undecided_inner += rep.forward_undecided
             first_undecided = first_undecided or rep.undecided
@@ -711,7 +718,7 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
             if u.eq(u.star_apply(g, alpha), beta_prime):
                 continue  # accidentally correct image; skip
             verdict = check_tracking_negative(frag, alpha, g, name, beta_prime,
-                                              alpha_cs=check_sets[i])
+                                              alpha_cs=check_sets[i], alpha_tab=tables[i])
             report.add("tracking-negative", neg_idx,
                        PASS if verdict != ACCEPT else FAIL, f"{label} -> {verdict}")
         neg_idx += 1
@@ -728,7 +735,7 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
     with report.instance("probe-self", 0):
         try:
             beta = surjectivity_probe(frag, frag.points[0], tables[0].values,
-                                      alpha_cs=check_sets[0])
+                                      alpha_cs=check_sets[0], alpha_tab=tables[0])
             report.law("probe-self", 0, u.eq(beta, frag.points[0]))
         except NotRepresentable as exc:
             report.add("probe-self", 0, FAIL, str(exc))
@@ -736,7 +743,7 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
         try:
             const_tab = [[9] * len(frag.sample) for _ in frag.points]
             beta = surjectivity_probe(frag, frag.points[0], const_tab,
-                                      alpha_cs=check_sets[0])
+                                      alpha_cs=check_sets[0], alpha_tab=tables[0])
             report.law("probe-constant", 0, u.eq(beta, u.standard(9)))
         except NotRepresentable as exc:
             report.add("probe-constant", 0, FAIL, str(exc))
@@ -745,7 +752,8 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
         bad = [list(range(len(frag.sample))) for _ in frag.points]
         bad[0][0] = 1 if bad[0][0] == 0 else 0
         try:
-            surjectivity_probe(frag, frag.points[0], bad, alpha_cs=check_sets[0])
+            surjectivity_probe(frag, frag.points[0], bad,
+                               alpha_cs=check_sets[0], alpha_tab=tables[0])
             report.add("probe-rejects-invalid", 0, FAIL, "invalid table accepted")
         except NotRepresentable:
             report.add("probe-rejects-invalid", 0, PASS)

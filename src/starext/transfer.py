@@ -18,6 +18,13 @@ formula-derived ``sat[...]`` text and a vector function: each quantifier
 evaluates its body on the grid of (index, value) pairs below its bound,
 walking the values upward until every index's answer is known.
 
+Each universe keeps the formulas compiled in it (``Universe.formulas``),
+so a formula built from parts already asked about, as in the Łoś laws'
+``!phi``, ``phi & psi`` and ``phi | psi``, is compiled around the very
+nodes of its parts. Canonicalised through the universe's normal-form
+memo, those parts keep their normal forms and texts, and the oracle
+reads their truth vectors from its mask cache.
+
 Concrete syntax::
 
     formula := quant | imp
@@ -345,7 +352,8 @@ def eval_base(phi: Formula, env: Mapping[str, int],
 # Hyper evaluation
 
 def compile_formula(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
-                    horizon: int | None = None, budget: int = 64) -> FnExpr | None:
+                    horizon: int | None = None, budget: int = 64,
+                    memo: dict[tuple, tuple] | None = None) -> FnExpr | None:
     """The formula as a 0/1 expression of the index, the arguments'
     sequences bound to its variables.
 
@@ -353,9 +361,33 @@ def compile_formula(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
     That is sound because the unrolling covers every value the bound term
     takes on 0..horizon. None without a horizon, or when that range
     exceeds the budget; the caller then evaluates quantifiers on a grid.
+
+    ``memo`` (a :class:`~starext.hyper.Universe`'s ``formulas``) keeps the
+    result of each call and of each connective's parts, keyed by the ids
+    of the formula, the registry and the environment's expressions. A
+    later call on a formula built from the same parts, ``Not(phi)`` say,
+    returns the very node compiled for ``phi``, with the normal form and
+    text cached on it. Each entry holds the objects its key names, so
+    their ids stay unique while the memo lives. Quantifier bodies, whose
+    environments are new at every unrolling, are compiled without it.
     """
+    if memo is None:
+        return _compile(phi, env, registry, horizon, budget, None)
+    key = (id(phi), id(registry), horizon, budget,
+           *[(name, id(e)) for name, e in sorted(env.items())])
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (_compile(phi, env, registry, horizon, budget, memo),
+                           phi, registry, env)
+    return hit[0]
+
+
+def _compile(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
+             horizon: int | None, budget: int,
+             memo: dict[tuple, tuple] | None) -> FnExpr | None:
     def sub(psi: Formula, inner_env=env, inner_budget=budget) -> FnExpr | None:
-        return compile_formula(psi, inner_env, registry, horizon, inner_budget)
+        return compile_formula(psi, inner_env, registry, horizon, inner_budget,
+                               memo if inner_env is env else None)
 
     match phi:
         case AtomEq(l, r):
@@ -469,16 +501,28 @@ def _quantify(kind: str, ms: np.ndarray, bounds: np.ndarray, body_vec) -> np.nda
 
 def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
                     registry: Registry | None = None,
-                    horizon: int | None = None) -> IndexPredicate:
-    """The index set on which the formula holds pointwise."""
+                    horizon: int | None = None,
+                    universe: Universe | None = None) -> IndexPredicate:
+    """The index set on which the formula holds pointwise.
+
+    Given a universe, the formula is compiled through its ``formulas``
+    memo (see :func:`compile_formula`) and canonicalised through its
+    normal-form memo (:meth:`~starext.hyper.Universe.predicate`); the
+    text is the same either way."""
     registry = registry or Registry.default()
     missing = free_variables(phi) - set(env)
     if missing:
         raise KeyError(f"environment misses variables {sorted(missing)}")
     expr_env = {name: p.seq for name, p in env.items()}
-    compiled = compile_formula(phi, expr_env, registry, horizon)
-    if compiled is not None:
-        return IndexPredicate.from_expr(compiled)
+    if universe is None:
+        compiled = compile_formula(phi, expr_env, registry, horizon)
+        if compiled is not None:
+            return IndexPredicate.from_expr(compiled)
+    else:
+        compiled = compile_formula(phi, expr_env, registry, horizon,
+                                   memo=universe.formulas)
+        if compiled is not None:
+            return universe.predicate(compiled)
 
     names = sorted(env)
     binding = ", ".join(f"{n} := {env[n].text}" for n in names)
@@ -493,9 +537,15 @@ def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
 
 def eval_hyper(phi: Formula, env: Mapping[str, Hyperpoint], u: Universe,
                registry: Registry | None = None) -> bool:
-    """Ultrapower satisfaction: filter membership of the truth set."""
+    """Ultrapower satisfaction: filter membership of the truth set.
+
+    The formula is compiled once per universe and environment, so the
+    Łoś laws' ``Not(phi)``, ``And(phi, psi)`` and ``Or(phi, psi)`` reuse
+    the nodes compiled for ``phi`` and ``psi``; the oracle then reads
+    their truth vectors from its mask cache instead of evaluating them
+    again."""
     return u.oracle.query(
-        truth_predicate(phi, env, registry, horizon=u.oracle.horizon)
+        truth_predicate(phi, env, registry, horizon=u.oracle.horizon, universe=u)
     )
 
 

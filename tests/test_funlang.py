@@ -48,7 +48,7 @@ from starext.funlang import (
 from starext import funlang
 from starext.gen import rand_expr, rand_indicator, rand_nary, rand_point_expr
 from starext.hyper import Hyperpoint, StarSet, set_complement, set_intersection, set_union
-from starext.transfer import parse_formula, truth_predicate
+from starext.transfer import And, Not, Or, eval_hyper, parse_formula, truth_predicate
 
 from .conftest import make_universe
 
@@ -327,7 +327,49 @@ def test_node_classes_are_final():
         assert cls.__subclasses__() == [], cls
 
 
-@dataclass(frozen=True, slots=True)
+#: a fresh instance of each node class, and its structural fields in order
+_NODE_SAMPLES = {
+    Const: (lambda: Const(3), ("value",)),
+    Var: (lambda: Var(), ()),
+    Name: (lambda: Name("v"), ("name",)),
+    Add: (lambda: Add(VAR, Const(1)), ("left", "right")),
+    Sub: (lambda: Sub(VAR, Const(1)), ("left", "right")),
+    Mul: (lambda: Mul(VAR, VAR), ("left", "right")),
+    DivC: (lambda: DivC(VAR, 2), ("arg", "divisor")),
+    ModC: (lambda: ModC(VAR, 3), ("arg", "divisor")),
+    IfEq: (lambda: IfEq(VAR, Const(0), Const(1), Const(0)), ("a", "b", "then", "other")),
+    PairE: (lambda: PairE(VAR, Const(2)), ("left", "right")),
+    P1: (lambda: P1(VAR), ("arg",)),
+    P2: (lambda: P2(VAR), ("arg",)),
+    Compose: (lambda: Compose(Add(VAR, Const(1)), VAR), ("outer", "inner")),
+    Table: (lambda: Table(VAR, ((1, 2), (4, 0)), None), ("arg", "entries", "default")),
+}
+
+_CACHES = ("_nf", "_pp", "_closed")
+
+
+def test_node_samples_cover_every_class():
+    assert set(_NODE_SAMPLES) == set(_funlang_node_classes())
+
+
+@pytest.mark.parametrize("cls", list(_NODE_SAMPLES), ids=lambda cls: cls.__name__)
+def test_node_contract(cls):
+    make, structural = _NODE_SAMPLES[cls]
+    node = make()
+    # a fresh node has computed nothing
+    assert [getattr(node, name) for name in _CACHES] == [None, None, None]
+    # caches are not structure: whatever two equal nodes hold, they stay equal
+    other = make()
+    other._nf, other._pp, other._closed = True, ("cached", False), False
+    assert node == other and other == node
+    assert hash(node) == hash(other)
+    assert repr(node) == repr(other)
+    assert "cached" not in repr(other)
+    assert cls.__match_args__ == structural
+    assert not hasattr(node, "__dict__")
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class _Foreign(FnExpr):
     """A node class the walks do not know."""
 
@@ -540,6 +582,20 @@ def _member_queries(e):
         pass
 
 
+def _los_queries(e):
+    """The five queries of a Łoś group about the point ``e``, compiled
+    through one universe's memos."""
+    u = make_universe(horizon=256)
+    phi = parse_formula("v mod 3 = 0 | v < 40")
+    psi = parse_formula("exists y < 5 . v = y + 2")
+    env = {"v": u.point(e)}
+    try:
+        for f in (phi, Not(phi), psi, And(phi, psi), Or(phi, psi)):
+            eval_hyper(f, env, u)
+    except Undecidable:
+        pass
+
+
 def _sat_mask(e):
     """A quantified predicate about the point ``e`` on the ``sat`` path,
     combined and masked."""
@@ -559,6 +615,7 @@ _WALKS = {
                            eval_vec(e, np.array([2**63, 5], dtype=object))),
     "_bound_pass": lambda e: _bound_pass(e, 300),
     "sat_mask": _sat_mask,
+    "los_queries": _los_queries,
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starext.errors import ParseError
+from starext.errors import ParseError, Undecidable
 from starext.funlang import (
     P1,
     P2,
@@ -16,15 +16,17 @@ from starext.funlang import (
     ModC,
     Mul,
     Name,
+    Var,
     interpret,
     pair,
     parse_fn,
     substitute,
 )
 from starext.gen import rand_formula
-from starext.hyper import Hyperpoint
-from starext import transfer
+from starext.hyper import Hyperpoint, Universe
+from starext import funlang, transfer
 from starext.nary import NaryFn
+from starext.oracle import OracleConfig, OracleState
 from starext.transfer import (
     And,
     AtomEq,
@@ -195,6 +197,96 @@ def test_los_connective_laws():
         a, b = eval_hyper(phi, env, u, reg), eval_hyper(psi, env, u, reg)
         assert eval_hyper(And(phi, psi), env, u, reg) == (a and b)
         assert eval_hyper(Or(phi, psi), env, u, reg) == (a or b)
+
+
+LOS_H = 256
+#: points bound to v; at the first two, ``v mod 67`` exceeds the unrolling
+#: budget of 64 on 0..LOS_H, so a quantifier bounded by it takes the sat path
+_LOS_POINTS = ["x", "x + 3", "x * 2", "ifeq(x mod 3, 0, x, 7)"]
+
+
+def _los_phi(rng, reg, kind):
+    if kind == "plain":
+        return rand_formula(rng, ["v"], reg, depth=2, allow_quantifier=False)
+    bound = ModC(Name("v"), 67) if kind == "sat" else rng.choice([ModC(Name("v"), 5),
+                                                                  Const(4)])
+    body = rand_formula(rng, ["v", "y"], reg, depth=1, allow_quantifier=False)
+    return Bounded(rng.choice(["exists", "forall"]), "y", bound, body)
+
+
+def _outcome(query, pred):
+    try:
+        return query(pred)
+    except Undecidable as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["plain", "unrolled", "sat"])
+def test_los_group_reuses_compiled_parts(monkeypatch, kind):
+    """The five queries of one Łoś group, compiled through the universe:
+    the texts and decisions of uncached predicates, and the masks of
+    !phi, phi & psi and phi | psi read the vectors of phi and psi."""
+    rng = random.Random(f"los-reuse:{kind}")
+    reg = Registry.default()
+    reads: list[list[str]] = []
+    real_known = funlang._known_truth
+
+    def known_truth(a, b, known, shape):
+        truth = real_known(a, b, known, shape)
+        if truth is not None:
+            reads[-1].append(a._pp[0])
+        return truth
+
+    monkeypatch.setattr(funlang, "_known_truth", known_truth)
+    checked = 0
+    for trial in range(8):
+        phi = _los_phi(rng, reg, kind)
+        psi = rand_formula(rng, ["v"], reg, depth=1, allow_quantifier=False)
+        group = [phi, Not(phi), psi, And(phi, psi), Or(phi, psi)]
+        src = _LOS_POINTS[trial % (2 if kind == "sat" else len(_LOS_POINTS))]
+        cache: dict[str, np.ndarray] = {}
+        u = Universe(OracleState(OracleConfig(horizon=LOS_H), mask_cache=cache))
+        seen: list[tuple] = []  # (predicate, mask-cache texts before its query)
+        real_query = u.oracle.query
+
+        def query(pred):
+            seen.append((pred, set(cache)))
+            reads.append([])
+            return real_query(pred)
+
+        monkeypatch.setattr(u.oracle, "query", query)
+        env = {"v": u.point(src)}
+        verdicts = [_outcome(lambda f: eval_hyper(f, env, u, reg), f) for f in group]
+        group_reads = reads[-len(group):]
+        reads.append([])  # the reads of the uncached queries below
+
+        fresh = make_universe(horizon=LOS_H)
+        plain = [truth_predicate(f, {"v": fresh.point(src)}, reg, horizon=LOS_H)
+                 for f in group]
+        assert [p.text for p in plain] == [pred.text for pred, _ in seen]
+        assert [_outcome(fresh.oracle.query, p) for p in plain] == verdicts
+        assert fresh.oracle.log.to_text() == u.oracle.log.to_text()
+        if kind == "sat":
+            assert plain[0].text.startswith("sat[")
+        # the memo tells environments apart: phi at another point of u
+        other = {"v": u.point("x + 5")}
+        assert (truth_predicate(phi, other, reg, horizon=LOS_H, universe=u).text
+                == truth_predicate(phi, other, reg, horizon=LOS_H).text)
+
+        for k, parts in ((1, [0]), (3, [0, 2]), (4, [0, 2])):
+            pred, cached_before = seen[k]
+            if (pred.expr is None or pred.text in cached_before
+                    or pred.constant_value() is not None):
+                continue  # no mask built for this query
+            for j in parts:
+                part = seen[j][0]
+                if (part.expr is not None and type(part.expr) not in (Const, Var)
+                        and part.text in cached_before):
+                    assert part.text in group_reads[k], (k, part.text)
+                    checked += 1
+    if kind != "sat":
+        # (a sat formula's connectives take the sat path, which reads none)
+        assert checked >= 20
 
 
 def test_formula_text_reused_as_predicate_id():

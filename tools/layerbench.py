@@ -1,0 +1,144 @@
+"""Micro-benchmarks of the per-query layers, one number per layer.
+
+Run from the root of a checkout::
+
+    python3 tools/layerbench.py
+
+Each line is the best of five repetitions, in µs per call, measured with
+``timeit`` in this one process:
+
+- building one ``IfEq`` node from existing children;
+- reading a cache field (``_nf``) of a node that has computed nothing;
+- ``normalize`` + ``pretty`` of a fresh membership query, an indicator
+  composed with a point's sequence;
+- ``eval_vec`` of that query's normal form (19 nodes) at H = 256;
+- an oracle decision on a mask already in the mask cache;
+- one Łoś group: ``eval_hyper`` of phi, !phi, psi, phi & psi and
+  phi | psi in a new universe.
+
+The inputs are fixed, so two checkouts can be compared line by line on
+one machine. The numbers depend on the machine and its load; compare
+runs made back to back.
+"""
+
+from __future__ import annotations
+
+import sys
+import timeit
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from starext.funlang import (  # noqa: E402
+    VAR,
+    Compose,
+    Const,
+    IfEq,
+    IndexPredicate,
+    eval_vec,
+    normalize,
+    parse_fn,
+    pretty,
+)
+from starext.hyper import Universe  # noqa: E402
+from starext.oracle import OracleConfig, OracleState  # noqa: E402
+from starext.transfer import And, Not, Or, Registry, eval_hyper, parse_formula  # noqa: E402
+
+H = 256
+INDICATOR = normalize(parse_fn("ifeq(x mod 5, 0, 1, ifeq(x mod 7, 2, 1, 0))"))
+SEQ = normalize(parse_fn("x * 2 + 1"))
+PHI = parse_formula("v mod 3 = 0 | v < 40")
+PSI = parse_formula("v mod 4 = 1")
+
+
+def _node_count(e) -> int:
+    return 1 + sum(_node_count(getattr(e, f)) for f in e.__match_args__
+                   if hasattr(getattr(e, f), "__match_args__"))
+
+
+def _construction():
+    a, b, t, o = VAR, Const(0), Const(1), Const(0)
+    return None, lambda: IfEq(a, b, t, o)
+
+
+def _cache_read():
+    node = IfEq(VAR, Const(0), Const(1), Const(0))
+    return None, lambda: getattr(node, "_nf", None)
+
+
+def _canonicalise():
+    return None, lambda: pretty(normalize(Compose(INDICATOR, SEQ)))
+
+
+QUERY = normalize(Compose(INDICATOR, SEQ))
+
+
+def _eval_vec():
+    xs = np.arange(H + 1)
+    return None, lambda: eval_vec(QUERY, xs)
+
+
+def _decision():
+    # cofinite masks: each decision accepts and keeps the committed set fat
+    rng = np.random.default_rng(0)
+    preds, masks = [], {}
+    for i in range(4096):
+        mask = np.arange(H + 1) >= rng.integers(0, 40)
+        preds.append(IndexPredicate(f"p{i}", vec=lambda ns: ns >= 0))
+        masks[f"p{i}"] = mask
+    state = {}
+
+    def setup():
+        oracle = OracleState(OracleConfig(horizon=H), mask_cache=dict(masks))
+        state["query"], state["next"] = oracle.query, iter(preds).__next__
+
+    return setup, lambda: state["query"](state["next"]())
+
+
+def _los_group():
+    registry = Registry.default()
+    group = [PHI, Not(PHI), PSI, And(PHI, PSI), Or(PHI, PSI)]
+
+    def run():
+        u = Universe(OracleState(OracleConfig(horizon=H)))
+        env = {"v": u.point(SEQ)}
+        for phi in group:
+            eval_hyper(phi, env, u, registry)
+
+    return None, run
+
+
+#: (label, factory returning (setup per repetition or None, statement), calls)
+BENCHES = [
+    ("node construction (IfEq)", _construction, 200_000),
+    ("cache field read, unset", _cache_read, 200_000),
+    ("normalize + pretty, member query", _canonicalise, 5_000),
+    (f"eval_vec, {_node_count(QUERY)}-node mask, H={H}", _eval_vec, 2_000),
+    ("oracle decision, cached mask", _decision, 4_000),
+    ("Łoś group, five eval_hyper", _los_group, 200),
+]
+
+
+def measure(repeat: int = 5) -> dict[str, float]:
+    """µs per call of each benchmark, the best of ``repeat`` runs."""
+    results = {}
+    for label, factory, number in BENCHES:
+        setup, stmt = factory()
+        timer = timeit.Timer(stmt, setup=setup or "pass")
+        best = min(timer.repeat(repeat=repeat, number=number))
+        results[label] = best / number * 1e6
+    return results
+
+
+def main(repeat: int = 5) -> dict[str, float]:
+    results = measure(repeat)
+    width = max(map(len, results))
+    for label, us in results.items():
+        print(f"{label:<{width}}  {us:10.2f} µs")
+    return results
+
+
+if __name__ == "__main__":
+    main()
