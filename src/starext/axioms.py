@@ -88,9 +88,6 @@ class Extension:
     def identity_handle(self):
         raise NotImplementedError
 
-    def supports_pairing(self) -> bool:
-        return False
-
     def realize_pair(self, xi, eta):
         raise NotSupported(f"{self.name} has no pairing structure")
 
@@ -133,9 +130,6 @@ class UltrapowerExtension(Extension):
 
     def identity_handle(self) -> FnExpr:
         return VAR
-
-    def supports_pairing(self) -> bool:
-        return True
 
     def realize_pair(self, xi: Hyperpoint, eta: Hyperpoint):
         zeta = self.universe.point(PairE(xi.seq, eta.seq))
@@ -285,16 +279,10 @@ def broken_diag_toy(size: int = 7) -> ToyExtension:
 def redundant_toy(size: int = 7) -> ToyExtension:
     """Violates irredundancy only: one nonstandard point is outside the
     range of every starred function."""
-    functions = {}
-    for name, (base, _) in _mod_tables(size).items():
-        # extend each table to the extra point without ever producing it
-        if name == "id":
-            star = base + (0,)
-        elif name in ("c0", "c1"):
-            star = base + (base[0],)
-        else:
-            star = base + (base[0],)
-        functions[name] = (base, star)
+    # extend each table to the extra point without ever producing it: send
+    # the point where the function sends 0 (id's base[0] is 0 itself)
+    functions = {name: (base, base + (base[0],))
+                 for name, (base, _) in _mod_tables(size).items()}
     return ToyExtension("redundant", size, size + 1, functions)
 
 

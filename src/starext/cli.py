@@ -109,11 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         reports = run_suites(ctx, suites)
         oracle.check_consistency()
-        if replay_log is not None and len(oracle.log) != len(replay_log):
-            raise ReplayMismatch(
-                f"recomputed {len(oracle.log)} decisions, "
-                f"the replayed log has {len(replay_log)}"
-            )
+        oracle.check_replay_complete()
     except ReplayMismatch as exc:
         print(f"replay mismatch: {exc}", file=sys.stderr)
         return 3

@@ -191,10 +191,6 @@ class WitnessTable:
     row_exprs: list[FnExpr]
     values: list[list[int]]
 
-    def related(self, i: tuple[int, int], j: tuple[int, int]) -> bool:
-        """The equivalence induced by the table: equal values."""
-        return self.codes[i[0], i[1]] == self.codes[j[0], j[1]]
-
 
 def witness_table(frag: Fragment, check_set: CheckSet) -> WitnessTable:
     """The table of ``check_set``'s target. Rows that share a witness text
@@ -369,8 +365,8 @@ def check_star_tracking(
     alpha: Hyperpoint,
     g: FnExpr,
     g_name: str,
-    alpha_cs: CheckSet | None = None,
-    alpha_tab: WitnessTable | None = None,
+    alpha_cs: CheckSet,
+    alpha_tab: WitnessTable,
 ) -> TrackingReport:
     """Verify that applying a function commutes with the I-encoding.
 
@@ -378,17 +374,12 @@ def check_star_tracking(
     alpha, that {x : g(alpha-table(xi, x)) = beta-table(xi, x)} lies in
     the ultrafilter xi generates; then decides the full product-filter
     set. Every verdict is recorded, undecided included. ``alpha_cs`` and
-    ``alpha_tab``, alpha's check set and its witness table, are built
-    when not given.
+    ``alpha_tab`` are alpha's check set and its witness table.
     """
     u = frag.universe
     ai = frag.point_index(alpha)
-    if alpha_cs is None:
-        alpha_cs = build_check_set(frag, alpha)
     beta = u.star_apply(g, alpha)
     beta_cs = build_check_set(frag, beta, fallback=composite_fallback(g, g_name, alpha_cs))
-    if alpha_tab is None:
-        alpha_tab = witness_table(frag, alpha_cs)
     beta_tab = witness_table(frag, beta_cs)
     report = TrackingReport()
     for cs in (alpha_cs, beta_cs):
@@ -429,23 +420,18 @@ def check_tracking_negative(
     g: FnExpr,
     g_name: str,
     beta_prime: Hyperpoint,
-    alpha_cs: CheckSet | None = None,
-    alpha_tab: WitnessTable | None = None,
+    alpha_cs: CheckSet,
+    alpha_tab: WitnessTable,
 ) -> str:
     """Decide the tracking set against a wrong image.
 
     For beta_prime not equal to star(g)(alpha) the product-filter verdict
     must be REJECT (or UNDECIDED, reported); ACCEPT would refute the
     converse direction of the tracking claim. ``alpha_cs`` and
-    ``alpha_tab`` are built when not given, as in
-    :func:`check_star_tracking`.
+    ``alpha_tab`` are as in :func:`check_star_tracking`.
     """
-    if alpha_cs is None:
-        alpha_cs = build_check_set(frag, alpha)
     ai = frag.point_index(alpha)
     bp_cs = build_check_set(frag, beta_prime)
-    if alpha_tab is None:
-        alpha_tab = witness_table(frag, alpha_cs)
     bp_tab = witness_table(frag, bp_cs)
 
     def rows(i: int) -> FnExpr:
@@ -463,8 +449,8 @@ def surjectivity_probe(
     frag: Fragment,
     alpha: Hyperpoint,
     table: Sequence[Sequence[int]],
-    alpha_cs: CheckSet | None = None,
-    alpha_tab: WitnessTable | None = None,
+    alpha_cs: CheckSet,
+    alpha_tab: WitnessTable,
 ) -> Hyperpoint:
     """Recover the point whose witness table is the given I-function.
 
@@ -473,15 +459,10 @@ def surjectivity_probe(
     (otherwise no sample-backed function can represent it); then the
     function g(x) = table[alpha row][x] satisfies: the table of
     star(g)(alpha) reproduces ``table`` on all of I. ``alpha_cs`` and
-    ``alpha_tab`` are built when not given, as in
-    :func:`check_star_tracking`.
+    ``alpha_tab`` are as in :func:`check_star_tracking`.
     """
     u = frag.universe
     ai = frag.point_index(alpha)
-    if alpha_cs is None:
-        alpha_cs = build_check_set(frag, alpha)
-    if alpha_tab is None:
-        alpha_tab = witness_table(frag, alpha_cs)
     n_pts, n_smp = alpha_tab.codes.shape
     if len(table) != n_pts or any(len(row) != n_smp for row in table):
         raise NotRepresentable("table shape does not match the fragment index set")

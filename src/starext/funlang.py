@@ -260,14 +260,6 @@ class Table(FnExpr):
             raise ValueError("table entries must be sorted by unique key")
 
 
-def succ(e: FnExpr) -> FnExpr:
-    return Add(e, Const(1))
-
-
-def pred(e: FnExpr) -> FnExpr:
-    return Sub(e, Const(1))
-
-
 def and_(p: FnExpr, q: FnExpr) -> FnExpr:
     """Conjunction of truth values (0 false, nonzero true), as 0/1."""
     return IfEq(p, Const(0), Const(0), IfEq(q, Const(0), Const(0), Const(1)))
@@ -1039,8 +1031,9 @@ class IndexPredicate:
     the same oracle query and share a decision-log entry. Truth at n means
     the underlying value is nonzero. A predicate carries an expression,
     whose truth vector comes from :func:`eval_vec`, or a vector function
-    from an array of indices to their boolean truth values (quantified
-    ``sat[...]`` formulas and combinations of them).
+    from an array of indices to their boolean truth values (the
+    ``sat[...]`` predicates of :func:`starext.transfer.truth_predicate`).
+    Combine predicates by their expressions: ``from_expr(and_(p, q))``.
     """
 
     __slots__ = ("text", "expr", "vec")
@@ -1082,19 +1075,6 @@ class IndexPredicate:
     def empty(cls) -> "IndexPredicate":
         return cls.from_expr(Const(0))
 
-    # -- combinators ---------------------------------------------------------
-
-    def negate(self) -> "IndexPredicate":
-        if self.expr is not None:
-            return IndexPredicate.from_expr(not_(self.expr))
-        return IndexPredicate(f"not[{self.text}]", vec=lambda ns: ~self._at(ns))
-
-    def conj(self, other: "IndexPredicate") -> "IndexPredicate":
-        return _combine(self, other, "and")
-
-    def disj(self, other: "IndexPredicate") -> "IndexPredicate":
-        return _combine(self, other, "or")
-
     # -- evaluation ----------------------------------------------------------
 
     def constant_value(self) -> bool | None:
@@ -1110,18 +1090,7 @@ class IndexPredicate:
         ``known`` maps canonical texts to truth vectors over the same
         indices, such as the oracle's mask cache; :func:`eval_vec` reads
         the conditions of Boolean connectives from it."""
-        return self._at(np.arange(horizon + 1), known)
-
-    def _at(self, ns: np.ndarray,
-            known: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+        ns = np.arange(horizon + 1)
         if self.expr is None:
             return self.vec(ns)  # type: ignore[misc]
         return eval_vec(self.expr, ns, known) != 0
-
-
-def _combine(p: IndexPredicate, q: IndexPredicate, op: str) -> IndexPredicate:
-    if p.expr is not None and q.expr is not None:
-        return IndexPredicate.from_expr((and_ if op == "and" else or_)(p.expr, q.expr))
-    both = np.logical_and if op == "and" else np.logical_or
-    return IndexPredicate(f"{op}[{p.text} ; {q.text}]",
-                          vec=lambda ns: both(p._at(ns), q._at(ns)))

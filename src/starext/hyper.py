@@ -32,7 +32,6 @@ from .funlang import (
     IndexPredicate,
     NormalMemo,
     PairE,
-    Table,
     and_,
     eval_vec,
     normalize,
@@ -232,13 +231,3 @@ class Universe:
                 f"{len(accepted)} level sets accepted over finite {tuple(elems)}"
             )
         return accepted[0]
-
-    def image_set(self, f: FnExpr, domain: Iterable[int], tag: str = "") -> StarSet:
-        """Extension of f(A) for a finite table of the domain A.
-
-        Only meaningful for points whose values stay inside the tabulated
-        domain; the indicator is a lookup with default 0.
-        """
-        image = sorted(set(eval_vec(f, np.array(list(domain))).tolist()))
-        entries = tuple((v, 1) for v in image)
-        return StarSet(Table(VAR, entries, 0), tag=tag or "image")

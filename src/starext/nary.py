@@ -12,6 +12,9 @@ The two routes agree; the parametric one exists to exercise that the
 extension is independent of how the arguments are realized, so it also
 accepts alternative decompositions (argument reorderings, padding,
 finite perturbations) which must all land in the same equality class.
+
+Relations have no route of their own: :func:`starext.transfer.eval_hyper`
+decides an ``AtomRel`` by the oracle's verdict on its indicator's truth set.
 """
 
 from __future__ import annotations
@@ -121,13 +124,11 @@ def star_nary_parametric(
     fn: NaryFn,
     args: list[Hyperpoint],
     decomposition: tuple[list[FnExpr], FnExpr] | None = None,
-    verify: bool = False,
 ) -> Hyperpoint:
     """Parametric route: star the unary composite at a realizing point.
 
     ``decomposition`` is a pair (fs, zeta_seq) with star(fs[i])(zeta)
-    equal to args[i]; when ``verify`` is set those equations and the
-    agreement with the direct route are checked through the oracle.
+    equal to args[i], which the caller checks through ``u.eq``.
     """
     if len(args) != fn.arity:
         raise ValueError(f"expected {fn.arity} arguments, got {len(args)}")
@@ -136,22 +137,8 @@ def star_nary_parametric(
     fs, zeta_seq = decomposition
     if len(fs) != fn.arity:
         raise ValueError("decomposition arity mismatch")
-    zeta = u.point(zeta_seq)
-    if verify:
-        for f, arg in zip(fs, args):
-            if not u.eq(u.star_apply(f, zeta), arg):
-                raise ValueError("decomposition does not realize the arguments")
     composite = Compose(fn.body, tuple_expr(fs))
-    result = u.star_apply(composite, zeta)
-    if verify and not u.eq(result, star_nary_direct(u, fn, args)):
-        raise ValueError("parametric route diverged from the direct route")
-    return result
-
-
-def star_rel(u: Universe, rel: NaryRel, args: list[Hyperpoint]) -> bool:
-    """Truth of the extended relation at hyperpoint arguments."""
-    value = star_nary_direct(u, rel.indicator, args)
-    return u.eq(value, u.standard(1))
+    return u.star_apply(composite, u.point(zeta_seq))
 
 
 def alternative_decompositions(

@@ -20,7 +20,9 @@ window [1, H] of the index set; index 0 is left out (``WINDOW_START``):
 Every decision appends one log entry and shrinks C, which is what makes
 the complement, superset and finite-union laws hold mechanically for all
 later queries. Repeating a query (same canonical predicate text) returns
-the recorded decision without a new entry.
+the recorded decision without a new entry. A replay compares each
+decision with the logged one, and its end checks that none is missing
+or extra (:meth:`OracleState.check_replay_complete`).
 
 C is stored over indices 0..H and is False below ``WINDOW_START`` from
 the start, so ``C & S`` and ``C & ~S`` are windowed already. A decision
@@ -84,6 +86,10 @@ class OracleConfig:
             raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
 
 
+#: a decision-log line: seq, text, decision and witness, tab-separated
+_LOG_LINE = re.compile(r"([0-9]+)\t([^\t]*)\t(accept|reject)\t([0-9]+)")
+
+
 class LogEntry(NamedTuple):
     seq: int
     text: str
@@ -116,14 +122,16 @@ class DecisionLog:
 
     @classmethod
     def from_text(cls, text: str) -> "DecisionLog":
+        """Parse a log; a :class:`ValueError` names the first line that is
+        not an entry whose seq is its position among the entries."""
         log = cls()
-        for lineno, line in enumerate(text.splitlines()):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            parts = line.split("\t")
-            if len(parts) != 4 or parts[2] not in ("accept", "reject"):
-                raise ValueError(f"bad log line {lineno + 1}: {line!r}")
-            log.append(LogEntry(int(parts[0]), parts[1], parts[2], int(parts[3])))
+            m = _LOG_LINE.fullmatch(line)
+            if m is None or m[1] != str(len(log)):
+                raise ValueError(f"bad log line {lineno}: {line!r}")
+            log.append(LogEntry(len(log), m[2], m[3], int(m[4])))
         return log
 
     @classmethod
@@ -212,8 +220,7 @@ class OracleState:
         n_in = np.count_nonzero(inside)
         n_out = np.count_nonzero(outside)
 
-        if n_in == 0 and n_out == 0:
-            raise Undecidable(pred.text, self.horizon, "window exhausted")
+        # C is never empty (see _record), so one side has an element
         if n_in == 0:
             return self._record(pred, False, int(outside.argmax()))
         if n_out == 0:
@@ -233,6 +240,15 @@ class OracleState:
             accept = int(inside.argmax()) <= int(outside.argmax())
         side = inside if accept else outside
         return self._record(pred, accept, int(side.argmax()), side)
+
+    def check_replay_complete(self) -> None:
+        """Raise :class:`ReplayMismatch` unless the run recomputed as many
+        decisions as the replayed log holds (each one was compared)."""
+        if self._replay_log is not None and len(self.log) != len(self._replay_log):
+            raise ReplayMismatch(
+                f"recomputed {len(self.log)} decisions, "
+                f"the replayed log has {len(self._replay_log)}"
+            )
 
     def check_consistency(self) -> None:
         """Verify the committed family still reaches past every witness."""
@@ -274,11 +290,12 @@ def replay(log: DecisionLog, queries: Iterable[IndexPredicate],
            config: OracleConfig | None = None) -> OracleState:
     """Re-run a query sequence against a recorded log.
 
-    The queries must be prefix-compatible with the log; the resulting
-    state's log equals the input log on the common prefix or
-    :class:`ReplayMismatch` is raised.
+    The queries must recompute the whole log: every decision equal to
+    the logged one, and no fewer or more decisions than it has.
+    Otherwise :class:`ReplayMismatch` is raised.
     """
     state = OracleState(config, replay_log=log)
     for pred in queries:
         state.query(pred)
+    state.check_replay_complete()
     return state

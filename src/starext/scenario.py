@@ -53,7 +53,7 @@ from .funlang import FnExpr, parse_definition, parse_fn
 from .nary import NaryFn
 from .oracle import MIN_HORIZON, OracleConfig, valid_tiebreak
 from .suites import SUITE_RUNNERS
-from .transfer import Formula, Registry, parse_formula
+from .transfer import DEFAULT_REGISTRY, Formula, Registry, parse_formula
 
 
 @dataclass
@@ -81,16 +81,15 @@ class Scenario:
     closed_sets: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     suites: list[str] = field(default_factory=list)
 
-    def oracle_config(self, horizon: int | None = None,
-                      tiebreak: str | None = None) -> OracleConfig:
-        """The oracle's settings; ``horizon`` and ``tiebreak`` override the
-        scenario's. A scenario horizon in effect that is too small is a
+    def oracle_config(self, horizon: int | None = None) -> OracleConfig:
+        """The oracle's settings; ``horizon`` overrides the scenario's. A
+        scenario horizon in effect that is too small is a
         :class:`ParseError` at its line."""
         if horizon is None and self.horizon < MIN_HORIZON:
             raise ParseError("horizon too small to be meaningful", self.horizon_line, 1)
         return OracleConfig(
             horizon=self.horizon if horizon is None else horizon,
-            tiebreak=self.tiebreak if tiebreak is None else tiebreak,
+            tiebreak=self.tiebreak,
         )
 
     def formula_registry(self) -> Registry:
@@ -99,7 +98,7 @@ class Scenario:
         }
         merged = dict(unary)
         merged.update(self.binary_fns)
-        return Registry.default().with_functions(merged)
+        return DEFAULT_REGISTRY.with_functions(merged)
 
 
 def _strip(line: str) -> str:

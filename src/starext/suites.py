@@ -226,13 +226,10 @@ class SuiteContext:
     one decision log, so the run stays replayable end to end.
     """
 
-    def __init__(self, scenario: Scenario, universe: Universe,
-                 counts: dict[str, int] | None = None):
+    def __init__(self, scenario: Scenario, universe: Universe):
         self.scenario = scenario
         self.universe = universe
-        self.counts = counts or (
-            FULL_COUNTS if scenario.scale == "full" else QUICK_COUNTS
-        )
+        self.counts = FULL_COUNTS if scenario.scale == "full" else QUICK_COUNTS
         self._named_points: list[Hyperpoint] | None = None
 
     def fresh(self) -> Universe:

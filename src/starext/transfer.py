@@ -141,14 +141,15 @@ class Registry:
     functions: Mapping[str, NaryFn]
     relations: Mapping[str, NaryRel]
 
-    @classmethod
-    def default(cls) -> "Registry":
-        return cls(functions={}, relations={"lt": LESS_THAN, "eq": EQUALITY})
-
     def with_functions(self, fns: Mapping[str, NaryFn]) -> "Registry":
         merged = dict(self.functions)
         merged.update(fns)
         return Registry(functions=merged, relations=dict(self.relations))
+
+
+#: the registry of a formula given none; one object, so that formulas
+#: compiled without a registry share a universe's ``formulas`` memo
+DEFAULT_REGISTRY = Registry(functions={}, relations={"lt": LESS_THAN, "eq": EQUALITY})
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +309,11 @@ class _FormulaParser(_Parser):
         return Name(text)
 
 
-def parse_formula(source: str, registry: Registry | None = None,
+def parse_formula(source: str, registry: Registry = DEFAULT_REGISTRY,
                   line: int = 1, col: int = 1) -> Formula:
     """Parse one formula; ``line``/``col`` place ``source`` in a larger
     text, as for :func:`starext.funlang.parse_fn`."""
-    parser = _FormulaParser(_tokenize(source, line, col), registry or Registry.default())
+    parser = _FormulaParser(_tokenize(source, line, col), registry)
     return parser.finish(parser.parse_formula())
 
 
@@ -320,9 +321,8 @@ def parse_formula(source: str, registry: Registry | None = None,
 # Base evaluation
 
 def eval_base(phi: Formula, env: Mapping[str, int],
-              registry: Registry | None = None) -> bool:
+              registry: Registry = DEFAULT_REGISTRY) -> bool:
     """Classical satisfaction in the base structure."""
-    registry = registry or Registry.default()
     consts = {name: Const(v) for name, v in env.items()}
 
     def value(t: FnExpr) -> int:
@@ -500,7 +500,7 @@ def _quantify(kind: str, ms: np.ndarray, bounds: np.ndarray, body_vec) -> np.nda
 
 
 def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
-                    registry: Registry | None = None,
+                    registry: Registry = DEFAULT_REGISTRY,
                     horizon: int | None = None,
                     universe: Universe | None = None) -> IndexPredicate:
     """The index set on which the formula holds pointwise.
@@ -509,7 +509,6 @@ def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
     memo (see :func:`compile_formula`) and canonicalised through its
     normal-form memo (:meth:`~starext.hyper.Universe.predicate`); the
     text is the same either way."""
-    registry = registry or Registry.default()
     missing = free_variables(phi) - set(env)
     if missing:
         raise KeyError(f"environment misses variables {sorted(missing)}")
@@ -536,7 +535,7 @@ def truth_predicate(phi: Formula, env: Mapping[str, Hyperpoint],
 
 
 def eval_hyper(phi: Formula, env: Mapping[str, Hyperpoint], u: Universe,
-               registry: Registry | None = None) -> bool:
+               registry: Registry = DEFAULT_REGISTRY) -> bool:
     """Ultrapower satisfaction: filter membership of the truth set.
 
     The formula is compiled once per universe and environment, so the
@@ -550,7 +549,7 @@ def eval_hyper(phi: Formula, env: Mapping[str, Hyperpoint], u: Universe,
 
 
 def transfer_check(phi: Formula, env: Mapping[str, int], u: Universe,
-                   registry: Registry | None = None) -> bool:
+                   registry: Registry = DEFAULT_REGISTRY) -> bool:
     """Standard parameters: base and hyper truth must coincide exactly."""
     base = eval_base(phi, env, registry)
     hyper_env = {name: u.standard(v) for name, v in env.items()}

@@ -212,7 +212,6 @@ def test_redundant_toy_exhausts_search():
 
 def test_toys_do_not_support_pairing():
     toy = honest_toy()
-    assert not toy.supports_pairing()
     with pytest.raises(NotSupported):
         toy.realize_pair(0, 1)
     assert check_directedness(toy, 0, 1).status == FAIL

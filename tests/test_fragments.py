@@ -105,12 +105,12 @@ def test_table_equivalence_relation():
     cs = build_check_set(frag, frag.points[1])
     tab = witness_table(frag, cs)
     # same witness value means related
-    assert tab.related((0, 3), (0, 3))
+    assert tab.codes[0, 3] == tab.codes[0, 3]
     from starext.funlang import pair
 
     encoded = pair(7, 3)
     if encoded < len(frag.sample):
-        assert tab.related((1, encoded), (0, 3))
+        assert tab.codes[1, encoded] == tab.codes[0, 3]
 
 
 def loop_witness_table(frag, check_set):
@@ -187,7 +187,7 @@ def test_refinement_detects_violations():
     pair = refinement_violation(total, t0)
     assert pair is not None
     (i, x), (j, y) = pair
-    assert total.related((i, x), (j, y)) and not t0.related((i, x), (j, y))
+    assert total.codes[i, x] == total.codes[j, y] and t0.codes[i, x] != t0.codes[j, y]
 
 
 def test_point_ultrafilter_membership():
@@ -207,9 +207,16 @@ def test_product_filter_trivial_sets():
     assert product_filter_member(frag, lambda i: Const(0), check_sets) == REJECT
 
 
+def alpha_parts(frag, alpha) -> dict:
+    """alpha's check set and witness table, as the tracking checks take them."""
+    cs = build_check_set(frag, alpha)
+    return {"alpha_cs": cs, "alpha_tab": witness_table(frag, cs)}
+
+
 def test_tracking_claim_identity():
     u, frag = tagged_fragment()
-    rep = check_star_tracking(frag, frag.points[0], VAR, "id")
+    omega = frag.points[0]
+    rep = check_star_tracking(frag, omega, VAR, "id", **alpha_parts(frag, omega))
     assert rep.ok and rep.forward_fail == 0
 
 
@@ -217,7 +224,7 @@ def test_tracking_claim_all_registry_functions():
     u, frag = tagged_fragment()
     for name, g in frag.registry:
         for i, alpha in enumerate(frag.points):
-            rep = check_star_tracking(frag, alpha, g, name)
+            rep = check_star_tracking(frag, alpha, g, name, **alpha_parts(frag, alpha))
             assert rep.ok, (name, alpha.name, rep.details, rep.product_verdict)
             assert rep.forward_undecided == 0
 
@@ -226,12 +233,13 @@ def test_tracking_negative_rejected():
     u, frag = tagged_fragment()
     omega = frag.points[0]
     # standard 0 is not the successor image of omega
+    parts = alpha_parts(frag, omega)
     verdict = check_tracking_negative(
-        frag, omega, parse_fn("x + 1"), "succ", u.standard(0)
+        frag, omega, parse_fn("x + 1"), "succ", u.standard(0), **parts
     )
     assert verdict == REJECT
     # nor is a different fragment point the identity image
-    verdict = check_tracking_negative(frag, omega, VAR, "id", frag.points[1])
+    verdict = check_tracking_negative(frag, omega, VAR, "id", frag.points[1], **parts)
     assert verdict == REJECT
 
 
@@ -239,14 +247,15 @@ def test_surjectivity_probe_recovers_table():
     u, frag = tagged_fragment()
     cs = build_check_set(frag, frag.points[0])
     tab = witness_table(frag, cs)
-    beta = surjectivity_probe(frag, frag.points[0], tab.values, alpha_cs=cs)
+    beta = surjectivity_probe(frag, frag.points[0], tab.values, alpha_cs=cs, alpha_tab=tab)
     assert u.eq(beta, frag.points[0])
 
 
 def test_surjectivity_probe_constant_table():
     u, frag = tagged_fragment()
     const_tab = [[4] * len(frag.sample) for _ in frag.points]
-    beta = surjectivity_probe(frag, frag.points[0], const_tab)
+    beta = surjectivity_probe(frag, frag.points[0], const_tab,
+                              **alpha_parts(frag, frag.points[0]))
     assert u.eq(beta, u.standard(4))
 
 
@@ -254,8 +263,9 @@ def test_surjectivity_probe_rejects_nonconstant_class():
     u, frag = tagged_fragment()
     tab = [list(frag.sample) for _ in frag.points]
     tab[1][0] = 99  # breaks constancy: (t1, 0) is related to (omega, 0)
+    parts = alpha_parts(frag, frag.points[0])
     with pytest.raises(NotRepresentable):
-        surjectivity_probe(frag, frag.points[0], tab)
+        surjectivity_probe(frag, frag.points[0], tab, **parts)
 
 
 def test_composite_fallback_supplies_witness():

@@ -38,6 +38,8 @@ from starext.funlang import (
     interpret,
     is_closed,
     normalize,
+    not_,
+    or_,
     pair,
     parse_definitions,
     parse_fn,
@@ -597,11 +599,12 @@ def _los_queries(e):
 
 
 def _sat_mask(e):
-    """A quantified predicate about the point ``e`` on the ``sat`` path,
-    combined and masked."""
+    """Connectives of a quantified formula about the point ``e``, each a
+    predicate on the ``sat`` path, masked."""
     phi = parse_formula("exists y < v mod 67 . forall z < y div 4 . z + y = v")
-    p = truth_predicate(phi, {"v": Hyperpoint(e)})
-    p.negate().conj(p).disj(IndexPredicate.full()).mask(300)
+    env = {"v": Hyperpoint(e)}
+    for f in (Not(phi), And(Not(phi), phi), Or(And(Not(phi), phi), phi)):
+        truth_predicate(f, env).mask(300)
 
 
 _WALKS = {
@@ -708,11 +711,12 @@ def test_predicate_combinators_match_pointwise_sets():
         q = IndexPredicate.from_expr(
             IfEq(rand_expr(rng, 2), rand_expr(rng, 2), Const(1), Const(0))
         )
-        conj, disj, neg = p.conj(q), p.disj(q), p.negate()
+        both, either, neg = (IndexPredicate.from_expr(e)
+                             for e in (and_(p.expr, q.expr), or_(p.expr, q.expr), not_(p.expr)))
         for n in range(1000):
             pn, qn = interpret(p.expr, n) != 0, interpret(q.expr, n) != 0
-            assert (interpret(conj.expr, n) != 0) == (pn and qn)
-            assert (interpret(disj.expr, n) != 0) == (pn or qn)
+            assert (interpret(both.expr, n) != 0) == (pn and qn)
+            assert (interpret(either.expr, n) != 0) == (pn or qn)
             assert (interpret(neg.expr, n) != 0) == (not pn)
 
 
@@ -722,7 +726,7 @@ def test_predicate_masks_match_pointwise():
     mask = p.mask(999)
     for n in range(1000):
         assert mask[n] == (n % 3 == 1)
-    nm = p.negate().mask(999)
+    nm = IndexPredicate.from_expr(not_(p.expr)).mask(999)
     assert (nm == ~mask).all()
 
 

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from starext.funlang import VAR, interpret, parse_fn
+from starext.funlang import VAR, Name, interpret, parse_fn
 from starext.gen import rand_nary, rand_point_expr
 from starext.nary import (
     ADDITION,
-    EQUALITY,
-    LESS_THAN,
     MULTIPLICATION,
     NaryFn,
     alternative_decompositions,
@@ -16,9 +14,9 @@ from starext.nary import (
     projection,
     star_nary_direct,
     star_nary_parametric,
-    star_rel,
     tuple_expr,
 )
+from starext.transfer import AtomRel, eval_hyper
 from tests.conftest import make_universe
 
 
@@ -72,9 +70,18 @@ def test_parametric_unary_is_star_apply(u):
     )
 
 
+def realizes(u, decomposition, args) -> bool:
+    """Whether star(fs[i])(zeta) equals args[i] for every i, through the
+    oracle, for the decomposition (fs, zeta_seq)."""
+    fs, zeta_seq = decomposition
+    zeta = u.point(zeta_seq)
+    return all(u.eq(u.star_apply(f, zeta), arg) for f, arg in zip(fs, args))
+
+
 def test_parametric_route_matches_direct(u):
     omega, sq = u.point(VAR), u.point("x * x")
-    p = star_nary_parametric(u, ADDITION, [omega, sq], verify=True)
+    assert realizes(u, default_decomposition([omega, sq]), [omega, sq])
+    p = star_nary_parametric(u, ADDITION, [omega, sq])
     d = star_nary_direct(u, ADDITION, [omega, sq])
     assert p.values(500) == [n + n * n for n in range(501)]
     assert u.eq(p, d)
@@ -89,7 +96,8 @@ def test_alternative_decompositions_stay_in_class():
         args = [u.point(rand_point_expr(rng)) for _ in range(arity)]
         direct = star_nary_direct(u, fn, args)
         for dec in alternative_decompositions(args, 10, rng):
-            alt = star_nary_parametric(u, fn, args, decomposition=dec, verify=True)
+            assert realizes(u, dec, args)
+            alt = star_nary_parametric(u, fn, args, decomposition=dec)
             assert u.eq(alt, direct)
 
 
@@ -97,25 +105,30 @@ def test_invalid_decomposition_rejected(u):
     omega, sq = u.point(VAR), u.point("x * x")
     fs, _ = default_decomposition([omega, sq])
     wrong = (fs, u.standard(3).seq)  # constant point cannot realize omega
-    with pytest.raises(ValueError):
-        star_nary_parametric(u, ADDITION, [omega, sq], decomposition=wrong,
-                             verify=True)
+    assert not realizes(u, wrong, [omega, sq])
+
+
+def rel_holds(u, rel: str, args) -> bool:
+    """The extended relation ``rel`` of the default registry at hyperpoint
+    arguments: the truth of the atom ``rel(a0, a1, ...)``."""
+    names = [f"a{i}" for i in range(len(args))]
+    return eval_hyper(AtomRel(rel, tuple(map(Name, names))), dict(zip(names, args)), u)
 
 
 def test_star_rel_equality_reflexive(u):
     xi = u.point("x * 3")
-    assert star_rel(u, EQUALITY, [xi, xi])
+    assert rel_holds(u, "eq", [xi, xi])
 
 
 def test_star_rel_less_than_standard(u):
-    assert star_rel(u, LESS_THAN, [u.standard(2), u.standard(5)])
-    assert not star_rel(u, LESS_THAN, [u.standard(5), u.standard(2)])
+    assert rel_holds(u, "lt", [u.standard(2), u.standard(5)])
+    assert not rel_holds(u, "lt", [u.standard(5), u.standard(2)])
 
 
 def test_star_rel_less_than_full_truth_set(u):
     omega = u.point(VAR)
     succ = u.point("x + 1")
-    assert star_rel(u, LESS_THAN, [omega, succ])
+    assert rel_holds(u, "lt", [omega, succ])
 
 
 def test_composition_preservation_footnote(u):

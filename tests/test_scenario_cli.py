@@ -306,8 +306,6 @@ def test_oracle_config_honours_falsy_overrides():
     sc = parse_scenario(MINI, name="mini")
     with pytest.raises(ValueError):
         sc.oracle_config(horizon=0)
-    with pytest.raises(ValueError):
-        sc.oracle_config(tiebreak="")
     assert sc.oracle_config().horizon == 500
 
 

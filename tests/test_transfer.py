@@ -34,6 +34,7 @@ from starext.transfer import (
     Implies,
     Not,
     Or,
+    DEFAULT_REGISTRY,
     Registry,
     compile_formula,
     eval_base,
@@ -48,7 +49,7 @@ from tests.conftest import make_universe
 
 
 def registry_with(**fns) -> Registry:
-    return Registry.default().with_functions(
+    return DEFAULT_REGISTRY.with_functions(
         {name: NaryFn(1, parse_fn(src), name=name) for name, src in fns.items()}
     )
 
@@ -70,7 +71,7 @@ def test_parse_implication_right_associative():
 
 
 def test_parse_relation_by_name():
-    reg = Registry.default()
+    reg = DEFAULT_REGISTRY
     phi = parse_formula("lt(x, y)", reg)
     assert formula_text(phi) == "lt(x, y)"
 
@@ -177,7 +178,7 @@ def test_transfer_random_sentences():
 
 def test_los_negation_law():
     rng = random.Random(23)
-    reg = Registry.default()
+    reg = DEFAULT_REGISTRY
     for _ in range(25):
         u = make_universe(horizon=500)
         phi = rand_formula(rng, ["v"], reg, depth=2, allow_quantifier=False)
@@ -188,7 +189,7 @@ def test_los_negation_law():
 
 def test_los_connective_laws():
     rng = random.Random(29)
-    reg = Registry.default()
+    reg = DEFAULT_REGISTRY
     for _ in range(25):
         u = make_universe(horizon=500)
         phi = rand_formula(rng, ["v"], reg, depth=1, allow_quantifier=False)
@@ -221,13 +222,19 @@ def _outcome(query, pred):
         return str(exc)
 
 
-@pytest.mark.parametrize("kind", ["plain", "unrolled", "sat"])
+#: phi, psi and the point of a group asked without a registry
+_LOS_DEFAULT = ("v mod 3 = 0 | v < 40", "v mod 4 = 1", "x + 3")
+
+
+@pytest.mark.parametrize("kind", ["plain", "unrolled", "sat", "default"])
 def test_los_group_reuses_compiled_parts(monkeypatch, kind):
     """The five queries of one Łoś group, compiled through the universe:
     the texts and decisions of uncached predicates, and the masks of
-    !phi, phi & psi and phi | psi read the vectors of phi and psi."""
+    !phi, phi & psi and phi | psi read the vectors of phi and psi. The
+    ``default`` group is asked without a registry, and reuses its parts
+    all the same."""
     rng = random.Random(f"los-reuse:{kind}")
-    reg = Registry.default()
+    reg = DEFAULT_REGISTRY
     reads: list[list[str]] = []
     real_known = funlang._known_truth
 
@@ -239,11 +246,14 @@ def test_los_group_reuses_compiled_parts(monkeypatch, kind):
 
     monkeypatch.setattr(funlang, "_known_truth", known_truth)
     checked = 0
-    for trial in range(8):
-        phi = _los_phi(rng, reg, kind)
-        psi = rand_formula(rng, ["v"], reg, depth=1, allow_quantifier=False)
+    for trial in range(1 if kind == "default" else 8):
+        if kind == "default":
+            phi, psi, src = *map(parse_formula, _LOS_DEFAULT[:2]), _LOS_DEFAULT[2]
+        else:
+            phi = _los_phi(rng, reg, kind)
+            psi = rand_formula(rng, ["v"], reg, depth=1, allow_quantifier=False)
+            src = _LOS_POINTS[trial % (2 if kind == "sat" else len(_LOS_POINTS))]
         group = [phi, Not(phi), psi, And(phi, psi), Or(phi, psi)]
-        src = _LOS_POINTS[trial % (2 if kind == "sat" else len(_LOS_POINTS))]
         cache: dict[str, np.ndarray] = {}
         u = Universe(OracleState(OracleConfig(horizon=LOS_H), mask_cache=cache))
         seen: list[tuple] = []  # (predicate, mask-cache texts before its query)
@@ -256,8 +266,12 @@ def test_los_group_reuses_compiled_parts(monkeypatch, kind):
 
         monkeypatch.setattr(u.oracle, "query", query)
         env = {"v": u.point(src)}
-        verdicts = [_outcome(lambda f: eval_hyper(f, env, u, reg), f) for f in group]
+        if kind == "default":
+            verdicts = [_outcome(lambda f: eval_hyper(f, env, u), f) for f in group]
+        else:
+            verdicts = [_outcome(lambda f: eval_hyper(f, env, u, reg), f) for f in group]
         group_reads = reads[-len(group):]
+        group_formulas = len(u.formulas)
         reads.append([])  # the reads of the uncached queries below
 
         fresh = make_universe(horizon=LOS_H)
@@ -284,7 +298,10 @@ def test_los_group_reuses_compiled_parts(monkeypatch, kind):
                         and part.text in cached_before):
                     assert part.text in group_reads[k], (k, part.text)
                     checked += 1
-    if kind != "sat":
+    if kind == "default":
+        assert sum(map(len, group_reads)) == 5
+        assert group_formulas == 7
+    elif kind != "sat":
         # (a sat formula's connectives take the sat path, which reads none)
         assert checked >= 20
 
@@ -356,7 +373,7 @@ SAT_H = 500
        st.sampled_from([transfer.GRID_LIMIT, 97]))
 def test_sat_masks_match_per_index_reference(seed, outer, inner, point, grid_limit):
     rng = random.Random(seed)
-    reg = Registry.default()
+    reg = DEFAULT_REGISTRY
     variables = ["v", "y"] if inner is None else ["v", "y", "z"]
     phi = rand_formula(rng, variables, reg, depth=2, allow_quantifier=False)
     if inner is not None:

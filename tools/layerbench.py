@@ -9,12 +9,17 @@ Each line is the best of five repetitions, in µs per call, measured with
 
 - building one ``IfEq`` node from existing children;
 - reading a cache field (``_nf``) of a node that has computed nothing;
+- ``parse_fn`` of an indicator and ``parse_formula`` of a quantified
+  formula, the two parsers a scenario file goes through;
 - ``normalize`` + ``pretty`` of a fresh membership query, an indicator
   composed with a point's sequence;
 - ``eval_vec`` of that query's normal form (19 nodes) at H = 256;
+- that query's truth vector (``IndexPredicate.mask``) at H = 10⁴, the
+  horizon of the bundled ``standard`` scenario;
 - an oracle decision on a mask already in the mask cache;
 - one Łoś group: ``eval_hyper`` of phi, !phi, psi, phi & psi and
-  phi | psi in a new universe.
+  phi | psi in a new universe, without a registry;
+- ``build_fragment`` on the fragment of the bundled ``quick`` scenario.
 
 The inputs are fixed, so two checkouts can be compared line by line on
 one machine. The numbers depend on the machine and its load; compare
@@ -42,12 +47,18 @@ from starext.funlang import (  # noqa: E402
     parse_fn,
     pretty,
 )
+from starext.fragments import build_fragment  # noqa: E402
 from starext.hyper import Universe  # noqa: E402
 from starext.oracle import OracleConfig, OracleState  # noqa: E402
-from starext.transfer import And, Not, Or, Registry, eval_hyper, parse_formula  # noqa: E402
+from starext.scenario import bundled_scenario_path, load_scenario  # noqa: E402
+from starext.transfer import And, Not, Or, eval_hyper, parse_formula  # noqa: E402
 
 H = 256
-INDICATOR = normalize(parse_fn("ifeq(x mod 5, 0, 1, ifeq(x mod 7, 2, 1, 0))"))
+#: the horizon of a full-scale run
+MASK_H = 10_000
+INDICATOR_TEXT = "ifeq(x mod 5, 0, 1, ifeq(x mod 7, 2, 1, 0))"
+FORMULA_TEXT = "exists y < 5 . y + y = v mod 5"
+INDICATOR = normalize(parse_fn(INDICATOR_TEXT))
 SEQ = normalize(parse_fn("x * 2 + 1"))
 PHI = parse_formula("v mod 3 = 0 | v < 40")
 PSI = parse_formula("v mod 4 = 1")
@@ -68,6 +79,10 @@ def _cache_read():
     return None, lambda: getattr(node, "_nf", None)
 
 
+def _parse():
+    return None, lambda: (parse_fn(INDICATOR_TEXT), parse_formula(FORMULA_TEXT))
+
+
 def _canonicalise():
     return None, lambda: pretty(normalize(Compose(INDICATOR, SEQ)))
 
@@ -78,6 +93,11 @@ QUERY = normalize(Compose(INDICATOR, SEQ))
 def _eval_vec():
     xs = np.arange(H + 1)
     return None, lambda: eval_vec(QUERY, xs)
+
+
+def _mask():
+    pred = IndexPredicate.from_expr(QUERY)
+    return None, lambda: pred.mask(MASK_H)
 
 
 def _decision():
@@ -98,26 +118,38 @@ def _decision():
 
 
 def _los_group():
-    registry = Registry.default()
     group = [PHI, Not(PHI), PSI, And(PHI, PSI), Or(PHI, PSI)]
 
     def run():
         u = Universe(OracleState(OracleConfig(horizon=H)))
         env = {"v": u.point(SEQ)}
         for phi in group:
-            eval_hyper(phi, env, u, registry)
+            eval_hyper(phi, env, u)
 
     return None, run
+
+
+def _fragment():
+    sc = load_scenario(bundled_scenario_path("quick"))
+    spec = sc.fragment
+    u = Universe(OracleState(sc.oracle_config()))
+    registry = [(name, sc.defs[name]) for name in spec.functions]
+    base = [u.point(sc.points[name], name) for name in spec.points]
+    sample = list(range(spec.sample_stop))
+    return None, lambda: build_fragment(u, registry, base, sample, depth=spec.depth)
 
 
 #: (label, factory returning (setup per repetition or None, statement), calls)
 BENCHES = [
     ("node construction (IfEq)", _construction, 200_000),
     ("cache field read, unset", _cache_read, 200_000),
+    ("parse_fn + parse_formula", _parse, 2_000),
     ("normalize + pretty, member query", _canonicalise, 5_000),
     (f"eval_vec, {_node_count(QUERY)}-node mask, H={H}", _eval_vec, 2_000),
+    (f"IndexPredicate.mask, H={MASK_H}", _mask, 200),
     ("oracle decision, cached mask", _decision, 4_000),
     ("Łoś group, five eval_hyper", _los_group, 200),
+    ("build_fragment, quick", _fragment, 200),
 ]
 
 
