@@ -28,7 +28,7 @@ from .funlang import (
     pretty,
     unpair,
 )
-from .hyper import Hyperpoint, StarSet, Universe, star_apply
+from .hyper import Hyperpoint, StarSet, Universe
 from .oracle import DecisionLog, OracleConfig, OracleState, replay
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "parse_fn",
     "pretty",
     "replay",
-    "star_apply",
     "unpair",
 ]
 

@@ -232,9 +232,13 @@ class ToyExtension(Extension):
 # ---------------------------------------------------------------------------
 # Toy constructors
 
-def _mod_tables(size: int) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+#: every toy extends Z_TOY_SIZE
+TOY_SIZE = 7
+
+
+def _mod_tables() -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
     def tab(f):
-        t = tuple(f(x) % size for x in range(size))
+        t = tuple(f(x) % TOY_SIZE for x in range(TOY_SIZE))
         return (t, t)
 
     return {
@@ -247,28 +251,28 @@ def _mod_tables(size: int) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
     }
 
 
-def honest_toy(size: int = 7) -> ToyExtension:
-    """The trivial extension of Z_size by itself: satisfies every law."""
-    return ToyExtension("honest-toy", size, size, _mod_tables(size))
+def honest_toy() -> ToyExtension:
+    """The trivial extension of Z_TOY_SIZE by itself: satisfies every law."""
+    return ToyExtension("honest-toy", TOY_SIZE, TOY_SIZE, _mod_tables())
 
 
-def broken_comp_toy(size: int = 7) -> ToyExtension:
+def broken_comp_toy() -> ToyExtension:
     """Violates composition only: star(dbl after succ) is mutated at 1."""
-    toy = ToyExtension("broken-comp", size, size, _mod_tables(size))
-    good = tuple(toy.tables["dbl"][toy.tables["succ"][p]] for p in range(size))
+    toy = ToyExtension("broken-comp", TOY_SIZE, TOY_SIZE, _mod_tables())
+    good = tuple(toy.tables["dbl"][toy.tables["succ"][p]] for p in range(TOY_SIZE))
     bad = list(good)
-    bad[1] = (bad[1] + 1) % size
+    bad[1] = (bad[1] + 1) % TOY_SIZE
     toy.composite_overrides[("dbl", "succ")] = tuple(bad)
     return toy
 
 
-def broken_diag_toy(size: int = 7) -> ToyExtension:
+def broken_diag_toy() -> ToyExtension:
     """Violates the diagonal law only: the indicator reports 1 at a point
     where star(succ) and star(dbl) differ."""
-    toy = ToyExtension("broken-diag", size, size, _mod_tables(size))
+    toy = ToyExtension("broken-diag", TOY_SIZE, TOY_SIZE, _mod_tables())
     fa, gb = toy.tables["succ"], toy.tables["dbl"]
-    derived = [1 if fa[p] == gb[p] else 0 for p in range(size)]
-    for p in range(size):
+    derived = [1 if fa[p] == gb[p] else 0 for p in range(TOY_SIZE)]
+    for p in range(TOY_SIZE):
         if fa[p] != gb[p]:
             derived[p] = 1
             break
@@ -276,14 +280,14 @@ def broken_diag_toy(size: int = 7) -> ToyExtension:
     return toy
 
 
-def redundant_toy(size: int = 7) -> ToyExtension:
+def redundant_toy() -> ToyExtension:
     """Violates irredundancy only: one nonstandard point is outside the
     range of every starred function."""
     # extend each table to the extra point without ever producing it: send
     # the point where the function sends 0 (id's base[0] is 0 itself)
     functions = {name: (base, base + (base[0],))
-                 for name, (base, _) in _mod_tables(size).items()}
-    return ToyExtension("redundant", size, size + 1, functions)
+                 for name, (base, _) in _mod_tables().items()}
+    return ToyExtension("redundant", TOY_SIZE, TOY_SIZE + 1, functions)
 
 
 # ---------------------------------------------------------------------------

@@ -4,26 +4,29 @@ Everything here runs on a *fragment*: finitely many named functions and
 hyperpoints, and a finite sample 0..S-1 of the base set standing in for
 the second coordinate of the index set I = points x sample.
 
-For a point a (alpha), its *check set* collects the fragment points that
-reach it: every xi with a witness f in the registry such that
-star(f)(xi) equals a, the witness being fixed deterministically as the
-first one in registry order. From the chosen witnesses a *witness table*
-encodes a as a function on I: row xi is the witness applied to the
-sample when xi reaches a, and the identity otherwise. The equivalence
-induced by a table (same value = related) is what the filter-of-
-equivalences law speaks about; tables are stored as dense code matrices
-so refinement checks are whole-array operations.
+Every check takes one route: target -> check set -> witness table ->
+verdict. The *check set* of a point a (alpha) collects the fragment
+points that reach it: every xi with a witness f in the registry such
+that star(f)(xi) equals a, the first one in registry order. Its
+*witness table* encodes a as a function on I: row xi is the witness
+applied to the sample when xi reaches a, and the identity otherwise. A
+table carries its check set, hence its target; :func:`image_table`
+gives the table of star(g)(a) from a's. The equivalence induced by a
+table (same value = related) is what the filter-of-equivalences law
+speaks about; one kernel, :func:`class_violation`, finds a value that
+is not constant on a table's classes, for that law and for the probe.
 
 The membership policy for the product filter over I ("accept when the
 inner-true set contains some check set, reject when its complement
 does") decides exactly the sets the tracking argument needs, and returns
-``UNDECIDED`` for anything else rather than guessing.
+``UNDECIDED`` for anything else rather than guessing, together with the
+first inner query the oracle could not decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,12 +71,6 @@ class Fragment:
             self._images = [eval_vec(expr, prefixes) for _, expr in self.registry]
         return self._images
 
-    def point_index(self, p: Hyperpoint) -> int:
-        for i, q in enumerate(self.points):
-            if q.text == p.text:
-                return i
-        raise KeyError(f"point {p!r} not in fragment")
-
 
 def build_fragment(
     u: Universe,
@@ -97,7 +94,7 @@ def build_fragment(
     def add(p: Hyperpoint) -> None:
         if p.text in seen_texts:
             return
-        key = p.prefix(PREFIX_LEN)
+        key = tuple(p.values(PREFIX_LEN - 1))
         for idx in buckets.get(key, ()):
             if u.eq(frag.points[idx], p):
                 seen_texts[p.text] = idx
@@ -144,7 +141,7 @@ class CheckSet:
 def build_check_set(
     frag: Fragment,
     target: Hyperpoint,
-    fallback: Callable[[int], tuple[str, FnExpr] | None] | None = None,
+    fallback: dict[int, tuple[str, FnExpr]] | None = None,
 ) -> CheckSet:
     """First-in-registry-order witness for each point that reaches the
     target.
@@ -152,18 +149,19 @@ def build_check_set(
     Candidates whose value prefix disagrees with the target are skipped
     without an oracle query; they could only be witnesses modulo the
     filter, and omitting a point from a check set is sound (absence is
-    reported, never treated as knowledge). ``fallback`` may supply one
-    extra candidate per point, tried after the registry scan.
+    reported, never treated as knowledge). ``fallback`` maps a point
+    index to one extra candidate (name, witness), tried after the
+    registry scan.
     """
     u = frag.universe
-    t_prefix = target.prefix(PREFIX_LEN)
+    t_prefix = target.values(PREFIX_LEN - 1)
     # hits[k][i]: registry function k maps point i's prefix onto the target's
     hits = [(image == t_prefix).all(axis=1) for image in frag.prefix_images()]
     check_set = CheckSet(target, [])
     for i, xi in enumerate(frag.points):
         candidates = [entry for entry, hit in zip(frag.registry, hits) if hit[i]]
-        if fallback is not None and (extra := fallback(i)) is not None:
-            candidates.append(extra)
+        if fallback and i in fallback:
+            candidates.append(fallback[i])
         for name, expr in candidates:
             try:
                 if u.eq(u.star_apply(expr, xi), target):
@@ -179,13 +177,12 @@ def build_check_set(
 class WitnessTable:
     """A point encoded as a function on the fragment index set I.
 
-    ``codes[i, j]`` is a dense code of the table value at (point i,
-    sample j); equal codes mean equal values. ``row_exprs[i]`` is the
-    expression computing row i (the witness, or the identity for points
-    outside the check set).
+    The point is ``check_set.target``. ``codes[i, j]`` is a dense code of
+    the table value at (point i, sample j); equal codes mean equal
+    values. ``row_exprs[i]`` is the expression computing row i (the
+    witness, or the identity for points outside the check set).
     """
 
-    target: Hyperpoint
     check_set: CheckSet
     codes: np.ndarray
     row_exprs: list[FnExpr]
@@ -220,57 +217,65 @@ def witness_table(frag: Fragment, check_set: CheckSet) -> WitnessTable:
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
     codes = rank[inverse.ravel()].reshape(grid.shape)
-    return WitnessTable(check_set.target, check_set, codes, row_exprs, values)
+    return WitnessTable(check_set, codes, row_exprs, values)
 
 
-def refines(finer: WitnessTable, coarser: WitnessTable) -> bool:
-    """True when the finer table's equivalence is contained in the
-    coarser one's: equal finer-values force equal coarser-values."""
-    a = finer.codes.ravel().astype(np.int64)
-    b = coarser.codes.ravel().astype(np.int64)
-    k = int(b.max()) + 1
-    combined = a * k + b
-    return np.unique(combined).size == np.unique(a).size
+def image_table(frag: Fragment, g: FnExpr, g_name: str,
+                alpha_tab: WitnessTable) -> WitnessTable:
+    """The table of beta = star(g)(alpha), alpha being ``alpha_tab``'s
+    target. A point that reaches alpha through f, and beta through no
+    registry function, is tried with the composite witness g after f,
+    named ``g_name.f``."""
+    alpha_cs = alpha_tab.check_set
+    beta = frag.universe.star_apply(g, alpha_cs.target)
+    fallback = {i: (f"{g_name}.{name}", Compose(g, expr))
+                for i, name, expr in alpha_cs.members}
+    return witness_table(frag, build_check_set(frag, beta, fallback))
+
+
+def class_violation(
+    codes: np.ndarray, values: np.ndarray
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The first cell, reading row by row, whose value differs from the
+    value at the first cell of its class (the cells of equal code), as
+    (first cell of the class, that cell); None when ``values`` is
+    constant on the classes of ``codes``."""
+    _, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    head = first[inverse.ravel()]
+    flat = values.ravel()
+    differs = np.flatnonzero(flat != flat[head])
+    if not differs.size:
+        return None
+    cell = int(differs[0])
+    n_smp = codes.shape[1]
+    return divmod(int(head[cell]), n_smp), divmod(cell, n_smp)
 
 
 def refinement_violation(
     finer: WitnessTable, coarser: WitnessTable
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """A witnessing pair of I-points when refinement fails, else None."""
-    a = finer.codes.ravel()
-    b = coarser.codes.ravel()
-    first_for: dict[int, int] = {}
-    n_smp = finer.codes.shape[1]
-    for flat, (ca, cb) in enumerate(zip(a, b)):
-        seen = first_for.get(int(ca))
-        if seen is None:
-            first_for[int(ca)] = flat
-        elif b[seen] != cb:
-            return (
-                (seen // n_smp, seen % n_smp),
-                (flat // n_smp, flat % n_smp),
-            )
-    return None
+    """A pair of I-points that the finer table relates and the coarser
+    one does not, or None when the finer table's equivalence is contained
+    in the coarser one's."""
+    return class_violation(finer.codes, coarser.codes)
 
 
 def check_equivalence_filter_law(
-    frag: Fragment, check_sets: dict[int, CheckSet], tables: dict[int, WitnessTable]
+    tables: Sequence[WitnessTable],
 ) -> list[tuple[int, int, tuple]]:
     """Exhaustive inclusion law over the fragment.
 
-    For every pair (a, b) of fragment points with a in b's check set, the
-    table of a must refine the table of b on all of I. Returns the list
-    of violations as (a index, b index, witness pair); empty means the
-    law holds and the tables generate a filter base of equivalences.
+    ``tables[i]`` is the table of fragment point i. For every pair (a, b)
+    of fragment points with a in b's check set, the table of a must
+    refine the table of b on all of I. Returns the list of violations as
+    (a index, b index, witness pair); empty means the law holds and the
+    tables generate a filter base of equivalences.
     """
     violations = []
-    for bi, cs in check_sets.items():
-        reach = cs.indices()
-        for ai in reach:
-            if ai == bi or ai not in tables:
-                continue
-            if not refines(tables[ai], tables[bi]):
-                pair = refinement_violation(tables[ai], tables[bi])
+    for bi, b_tab in enumerate(tables):
+        for ai in b_tab.check_set.indices():
+            pair = None if ai == bi else refinement_violation(tables[ai], b_tab)
+            if pair is not None:
                 violations.append((ai, bi, pair))
     return violations
 
@@ -278,51 +283,50 @@ def check_equivalence_filter_law(
 # ---------------------------------------------------------------------------
 # Filters over the index set
 
-def product_filter_member(
+def product_filter(
     frag: Fragment,
-    rows: Callable[[int], FnExpr],
-    check_sets: dict[int, CheckSet],
-) -> str:
+    rows: Sequence[FnExpr],
+    check_sets: Sequence[CheckSet],
+) -> tuple[str, Undecidable | None]:
     """Decide a subset of I under the iterated-filter policy.
 
-    ``rows(i)`` is the 0/1 indicator (over the base set) of the i-th
+    ``rows[i]`` is the 0/1 indicator (over the base set) of the i-th
     point's row of the subset. The inner decision per point is
     membership in that point's generated ultrafilter; the outer decision
     accepts when the inner-true set contains some check set, rejects
-    when its complement does, and reports UNDECIDED otherwise.
+    when the inner-false set does, and is UNDECIDED otherwise. Returns
+    the verdict and the first inner query the oracle could not decide.
     """
-    return _product_filter(frag, rows, check_sets)[0]
-
-
-def _product_filter(
-    frag: Fragment,
-    rows: Callable[[int], FnExpr],
-    check_sets: dict[int, CheckSet],
-) -> tuple[str, Undecidable | None]:
-    """:func:`product_filter_member`'s verdict, and the first inner query
-    the oracle could not decide."""
     u = frag.universe
     inner_true: set[int] = set()
-    inner_undecided: set[int] = set()
+    inner_false: set[int] = set()
     first_undecided: Undecidable | None = None
-    for i, xi in enumerate(frag.points):
-        ind = normalize(rows(i))
+    for i, (xi, row) in enumerate(zip(frag.points, rows)):
         try:
-            if u.member(xi, StarSet(ind, tag=f"row[{i}]")):
+            if u.member(xi, StarSet(normalize(row), tag=f"row[{i}]")):
                 inner_true.add(i)
+            else:
+                inner_false.add(i)
         except Undecidable as exc:
-            inner_undecided.add(i)
             first_undecided = first_undecided or exc.with_traceback(None)
-    universe_indices = set(range(len(frag.points)))
-    for cs in check_sets.values():
-        reach = cs.indices()
-        if reach and reach <= inner_true:
-            return ACCEPT, first_undecided
-    for cs in check_sets.values():
-        reach = cs.indices()
-        if reach and reach <= (universe_indices - inner_true - inner_undecided):
-            return REJECT, first_undecided
+    for side, verdict in ((inner_true, ACCEPT), (inner_false, REJECT)):
+        # an empty check set holds no evidence
+        if any(cs.members and cs.indices() <= side for cs in check_sets):
+            return verdict, first_undecided
     return UNDECIDED, first_undecided
+
+
+def _agreement_rows(g: FnExpr, alpha_tab: WitnessTable,
+                    beta_tab: WitnessTable) -> list[FnExpr]:
+    """Per point, the indicator ifeq(g(alpha row), beta row, 1, 0): the
+    I-set on which g carries alpha's table onto beta's."""
+    return [IfEq(Compose(g, a_row), b_row, Const(1), Const(0))
+            for a_row, b_row in zip(alpha_tab.row_exprs, beta_tab.row_exprs)]
+
+
+def _first_undecided(*check_sets: CheckSet) -> Undecidable | None:
+    """The first query the oracle left open while building the check sets."""
+    return next((exc for cs in check_sets for exc in cs.undecided.values()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -341,61 +345,32 @@ class TrackingReport:
     #: the check sets included
     undecided: Undecidable | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.forward_fail == 0 and self.product_verdict == ACCEPT
-
-
-def composite_fallback(g: FnExpr, g_name: str, check_set: CheckSet):
-    """Fallback witness g after f for points that reach the source."""
-    by_index = {i: (name, expr) for i, name, expr in check_set.members}
-
-    def fallback(i: int):
-        entry = by_index.get(i)
-        if entry is None:
-            return None
-        name, expr = entry
-        return (f"{g_name}.{name}", Compose(g, expr))
-
-    return fallback
-
 
 def check_star_tracking(
-    frag: Fragment,
-    alpha: Hyperpoint,
-    g: FnExpr,
-    g_name: str,
-    alpha_cs: CheckSet,
-    alpha_tab: WitnessTable,
+    frag: Fragment, g: FnExpr, g_name: str, alpha_tab: WitnessTable
 ) -> TrackingReport:
     """Verify that applying a function commutes with the I-encoding.
 
-    Sets beta = star(g)(alpha) and checks, for every point xi reaching
-    alpha, that {x : g(alpha-table(xi, x)) = beta-table(xi, x)} lies in
-    the ultrafilter xi generates; then decides the full product-filter
-    set. Every verdict is recorded, undecided included. ``alpha_cs`` and
-    ``alpha_tab`` are alpha's check set and its witness table.
+    With alpha the target of ``alpha_tab`` and beta = star(g)(alpha),
+    checks for every point xi reaching alpha that its agreement row, {x
+    : g(alpha-table(xi, x)) = beta-table(xi, x)}, lies in the ultrafilter
+    xi generates; then decides the full product-filter set of those
+    rows. Every verdict is recorded, undecided included.
     """
     u = frag.universe
-    ai = frag.point_index(alpha)
-    beta = u.star_apply(g, alpha)
-    beta_cs = build_check_set(frag, beta, fallback=composite_fallback(g, g_name, alpha_cs))
-    beta_tab = witness_table(frag, beta_cs)
-    report = TrackingReport()
-    for cs in (alpha_cs, beta_cs):
-        report.undecided = report.undecided or next(iter(cs.undecided.values()), None)
+    alpha_cs = alpha_tab.check_set
+    beta_tab = image_table(frag, g, g_name, alpha_tab)
+    report = TrackingReport(undecided=_first_undecided(alpha_cs, beta_tab.check_set))
 
-    beta_witness = {i: expr for i, _, expr in beta_cs.members}
-    for i, _name, f_expr in alpha_cs.members:
-        xi = frag.points[i]
-        b_expr = beta_witness.get(i)
-        if b_expr is None:
+    rows = _agreement_rows(g, alpha_tab, beta_tab)
+    reaches_beta = beta_tab.check_set.indices()
+    for i, _, _ in alpha_cs.members:
+        if i not in reaches_beta:
             report.forward_fail += 1
             report.details.append(f"point {i} reaches the source but not the image")
             continue
-        agree = IfEq(Compose(g, f_expr), b_expr, Const(1), Const(0))
         try:
-            if u.member(xi, StarSet(normalize(agree), tag="tracking")):
+            if u.member(frag.points[i], StarSet(normalize(rows[i]), tag="tracking")):
                 report.forward_pass += 1
             else:
                 report.forward_fail += 1
@@ -404,118 +379,85 @@ def check_star_tracking(
             report.forward_undecided += 1
             report.undecided = report.undecided or exc.with_traceback(None)
 
-    def rows(i: int) -> FnExpr:
-        a_row = alpha_tab.row_exprs[i]
-        b_row = beta_tab.row_exprs[i]
-        return IfEq(Compose(g, a_row), b_row, Const(1), Const(0))
-
-    report.product_verdict, undecided = _product_filter(frag, rows, {ai: alpha_cs})
+    report.product_verdict, undecided = product_filter(frag, rows, [alpha_cs])
     report.undecided = report.undecided or undecided
     return report
 
 
 def check_tracking_negative(
-    frag: Fragment,
-    alpha: Hyperpoint,
-    g: FnExpr,
-    g_name: str,
-    beta_prime: Hyperpoint,
-    alpha_cs: CheckSet,
-    alpha_tab: WitnessTable,
-) -> str:
+    frag: Fragment, g: FnExpr, beta_prime: Hyperpoint, alpha_tab: WitnessTable
+) -> tuple[str, Undecidable | None]:
     """Decide the tracking set against a wrong image.
 
-    For beta_prime not equal to star(g)(alpha) the product-filter verdict
-    must be REJECT (or UNDECIDED, reported); ACCEPT would refute the
-    converse direction of the tracking claim. ``alpha_cs`` and
-    ``alpha_tab`` are as in :func:`check_star_tracking`.
+    For beta_prime not equal to star(g)(alpha), alpha being the target of
+    ``alpha_tab``, the product-filter verdict must be REJECT; ACCEPT
+    would refute the converse direction of the tracking claim. Returns
+    the verdict and the first query the oracle could not decide, building
+    the check sets included: with one, an UNDECIDED verdict is the
+    oracle's, without one it is the policy's.
     """
-    ai = frag.point_index(alpha)
-    bp_cs = build_check_set(frag, beta_prime)
-    bp_tab = witness_table(frag, bp_cs)
-
-    def rows(i: int) -> FnExpr:
-        return IfEq(
-            Compose(g, alpha_tab.row_exprs[i]), bp_tab.row_exprs[i], Const(1), Const(0)
-        )
-
-    return product_filter_member(frag, rows, {ai: alpha_cs})
+    bp_tab = witness_table(frag, build_check_set(frag, beta_prime))
+    verdict, undecided = product_filter(
+        frag, _agreement_rows(g, alpha_tab, bp_tab), [alpha_tab.check_set])
+    return verdict, _first_undecided(alpha_tab.check_set, bp_tab.check_set) or undecided
 
 
 # ---------------------------------------------------------------------------
 # Range of the encoding
 
 def surjectivity_probe(
-    frag: Fragment,
-    alpha: Hyperpoint,
-    table: Sequence[Sequence[int]],
-    alpha_cs: CheckSet,
-    alpha_tab: WitnessTable,
+    frag: Fragment, table: Sequence[Sequence[int]], alpha_tab: WitnessTable
 ) -> Hyperpoint:
     """Recover the point whose witness table is the given I-function.
 
     ``table[i][j]`` must be constant on the equivalence classes of
-    alpha's witness table, and every class must meet the alpha row
-    (otherwise no sample-backed function can represent it); then the
-    function g(x) = table[alpha row][x] satisfies: the table of
-    star(g)(alpha) reproduces ``table`` on all of I. ``alpha_cs`` and
-    ``alpha_tab`` are as in :func:`check_star_tracking`.
+    ``alpha_tab``, the table of alpha, and every class must meet the
+    alpha row (otherwise no sample-backed function can represent it);
+    then the function g(x) = table[alpha row][x] satisfies: the table of
+    star(g)(alpha) reproduces ``table`` on all of I.
     """
-    u = frag.universe
-    ai = frag.point_index(alpha)
+    alpha_cs = alpha_tab.check_set
+    ai = frag.points.index(alpha_cs.target)  # points are equal by text
     n_pts, n_smp = alpha_tab.codes.shape
     if len(table) != n_pts or any(len(row) != n_smp for row in table):
         raise NotRepresentable("table shape does not match the fragment index set")
 
-    class_value: dict[int, int] = {}
-    class_on_alpha_row: set[int] = set()
-    for i in range(n_pts):
-        for j in range(n_smp):
-            code = int(alpha_tab.codes[i, j])
-            v = table[i][j]
-            if code in class_value:
-                if class_value[code] != v:
-                    raise NotRepresentable(
-                        f"table not constant on the class of ({i}, {j})"
-                    )
-            else:
-                class_value[code] = v
-            if i == ai:
-                class_on_alpha_row.add(code)
-    missing = set(class_value) - class_on_alpha_row
-    if missing:
+    # object dtype: exact Python ints, whatever their size
+    grid = np.array(table, dtype=object).reshape(n_pts, n_smp)
+    violation = class_violation(alpha_tab.codes, grid)
+    if violation is not None:
+        i, j = violation[1]
+        raise NotRepresentable(f"table not constant on the class of ({i}, {j})")
+    missing = np.setdiff1d(alpha_tab.codes, alpha_tab.codes[ai])
+    if missing.size:
         raise NotRepresentable(
-            f"{len(missing)} equivalence classes have no representative "
+            f"{missing.size} equivalence classes have no representative "
             "on the source row; the probe cannot tabulate them"
         )
 
-    row = {x: table[ai][j] for j, x in enumerate(frag.sample)}
+    row = dict(zip(frag.sample, table[ai]))
     if all(v == row[frag.sample[0]] for v in row.values()):
         g: FnExpr = Const(row[frag.sample[0]])
     elif all(v == x for x, v in row.items()):
         g = VAR
     else:
         g = Table(VAR, tuple(sorted(row.items())), None)
-    beta = u.star_apply(g, alpha)
-    beta_cs = build_check_set(
-        frag, beta, fallback=composite_fallback(g, "probe", alpha_cs)
-    )
-    beta_tab = witness_table(frag, beta_cs)
+    beta_tab = image_table(frag, g, "probe", alpha_tab)
+    beta_cs = beta_tab.check_set
+    recovered = np.array(beta_tab.values, dtype=object).reshape(n_pts, n_smp)
     undecided: Undecidable | None = None
-    for i in range(n_pts):
-        for j in range(n_smp):
-            if beta_tab.values[i][j] != table[i][j]:
-                unplaced = beta_cs.undecided.get(i) or alpha_cs.undecided.get(i)
-                if unplaced is not None:
-                    # the row of a point the oracle could not place, in
-                    # beta's check set or in alpha's that gives its
-                    # fallback witness, is no evidence against the table
-                    undecided = undecided or unplaced
-                    continue
-                raise NotRepresentable(
-                    f"recovered table differs at ({i}, {j}): "
-                    f"{beta_tab.values[i][j]} vs {table[i][j]}"
-                )
+    for i, j in np.argwhere(recovered != grid).tolist():
+        unplaced = beta_cs.undecided.get(i) or alpha_cs.undecided.get(i)
+        if unplaced is not None:
+            # the row of a point the oracle could not place, in beta's
+            # check set or in alpha's that gives its fallback witness, is
+            # no evidence against the table
+            undecided = undecided or unplaced
+            continue
+        raise NotRepresentable(
+            f"recovered table differs at ({i}, {j}): "
+            f"{beta_tab.values[i][j]} vs {table[i][j]}"
+        )
     if undecided is not None:
         raise undecided
-    return beta
+    return beta_cs.target

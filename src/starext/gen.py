@@ -77,11 +77,11 @@ def rand_expr(rng: random.Random, depth: int = 3, mul_budget: int = 2) -> FnExpr
     )
 
 
-def rand_indicator(rng: random.Random, depth: int = 2) -> FnExpr:
+def rand_indicator(rng: random.Random) -> FnExpr:
     """Random 0/1-valued expression (an indicator by construction)."""
     return IfEq(
-        rand_expr(rng, depth),
-        rand_expr(rng, depth),
+        rand_expr(rng, 2),
+        rand_expr(rng, 2),
         Const(rng.choice([0, 1])),
         Const(rng.choice([0, 1])),
     )

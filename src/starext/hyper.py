@@ -71,9 +71,6 @@ class Hyperpoint:
         """Sequence values on 0..upto inclusive, as Python ints."""
         return eval_vec(self.seq, np.arange(upto + 1)).tolist()
 
-    def prefix(self, k: int = 64) -> tuple[int, ...]:
-        return tuple(self.values(k - 1)[:k])
-
 
 @dataclass(frozen=True)
 class StarSet:
@@ -84,11 +81,6 @@ class StarSet:
 
     def __repr__(self) -> str:
         return f"{{x : {pretty(self.indicator)}(x)=1}}"
-
-
-def star_apply(f: FnExpr, xi: Hyperpoint) -> Hyperpoint:
-    """Apply the extension of f to a point: composition on representatives."""
-    return Hyperpoint(Compose(f, xi.seq))
 
 
 def diagonal_composite(f: FnExpr, g: FnExpr) -> FnExpr:
@@ -188,14 +180,13 @@ class Universe:
         normal-form memo."""
         return IndexPredicate.from_expr(expr, self._normal_memo)
 
-    def star_set(self, indicator: FnExpr | str, tag: str = "",
-                 check_sample: int = 64) -> StarSet:
-        """Wrap an indicator, rejecting ones that are not 0/1-valued on a
-        sample of inputs."""
+    def star_set(self, indicator: FnExpr | str, tag: str = "") -> StarSet:
+        """Wrap an indicator, rejecting ones that are not 0/1-valued on
+        0..63."""
         if isinstance(indicator, str):
             indicator = parse_fn(indicator)
         indicator = normalize(indicator)
-        values = eval_vec(indicator, np.arange(check_sample))
+        values = eval_vec(indicator, np.arange(64))
         bad = np.flatnonzero(values > 1)
         if bad.size:
             raise MalformedIndicator(

@@ -45,7 +45,6 @@ from .axioms import (
     redundant_toy,
 )
 from .fragments import (
-    ACCEPT,
     REJECT,
     UNDECIDED,
     build_check_set,
@@ -629,6 +628,15 @@ def run_transfer(ctx: SuiteContext) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # the fragment construction
 
+def _label(p: Hyperpoint) -> str:
+    """A point's name, or its text when it has none."""
+    return p.name or p.text
+
+
+def _pair_label(frag, ai: int, bi: int) -> str:
+    return f"a={_label(frag.points[ai])} b={_label(frag.points[bi])}"
+
+
 def run_keisler(ctx: SuiteContext) -> SuiteReport:
     # one filter state for the whole fragment: the construction's own
     # queries are mutually referential, and they are tame (agreement
@@ -652,15 +660,15 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
     if frag is None:
         return report
 
-    check_sets = {i: build_check_set(frag, p) for i, p in enumerate(frag.points)}
-    tables = {i: witness_table(frag, cs) for i, cs in check_sets.items()}
+    tables = [witness_table(frag, build_check_set(frag, p)) for p in frag.points]
 
     # directedness on the fragment: reach sets pairwise intersect; an
     # empty meet that a point the oracle could not place might fill is
     # undecided, not empty
-    empty_meets = 0
+    empty_meets: list[tuple[int, int]] = []
     unplaced: Undecidable | None = None
-    for a, b in combinations(check_sets.values(), 2):
+    for (ai, a_tab), (bi, b_tab) in combinations(enumerate(tables), 2):
+        a, b = a_tab.check_set, b_tab.check_set
         if a.indices() & b.indices():
             continue
         maybe = (a.indices() | a.undecided.keys()) & (b.indices() | b.undecided.keys())
@@ -668,29 +676,34 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
             i = min(maybe)
             unplaced = unplaced or a.undecided.get(i) or b.undecided[i]
         else:
-            empty_meets += 1
+            empty_meets.append((ai, bi))
     if unplaced is not None and not empty_meets:
         report.add("reach-intersection", 0, UNDECIDABLE, str(unplaced))
     else:
-        report.add("reach-intersection", 0, PASS if empty_meets == 0 else FAIL,
-                   f"empty intersections: {empty_meets}")
+        witness = f"empty intersections: {len(empty_meets)}"
+        if empty_meets:
+            witness += "; first: " + _pair_label(frag, *empty_meets[0])
+        report.add("reach-intersection", 0, PASS if not empty_meets else FAIL, witness)
 
-    violations = check_equivalence_filter_law(frag, check_sets, tables)
-    report.law("equivalence-filter-law", 0, not violations,
-               f"{len(violations)} refinement failures")
+    violations = check_equivalence_filter_law(tables)
+    witness = f"{len(violations)} refinement failures"
+    if violations:
+        ai, bi, (cell_a, cell_b) = violations[0]
+        witness += (f"; first: {_pair_label(frag, ai, bi)}, cells {cell_a} and {cell_b}"
+                    " equal in a's table, not in b's")
+    report.law("equivalence-filter-law", 0, not violations, witness)
 
     total_inner = 0
     undecided_inner = 0
     first_undecided: Undecidable | None = None
     idx = 0
-    for i, alpha in enumerate(frag.points):
+    for alpha, alpha_tab in zip(frag.points, tables):
         for name, g in registry:
-            rep = check_star_tracking(frag, alpha, g, name, alpha_cs=check_sets[i],
-                                      alpha_tab=tables[i])
+            rep = check_star_tracking(frag, g, name, alpha_tab)
             total_inner += rep.forward_pass + rep.forward_fail + rep.forward_undecided
             undecided_inner += rep.forward_undecided
             first_undecided = first_undecided or rep.undecided
-            label = f"alpha={alpha.name or alpha.text} g={name}"
+            label = f"alpha={_label(alpha)} g={name}"
             # an open product verdict is undecidable when the oracle left
             # it open, and a failure of the policy otherwise
             open_ = rep.forward_undecided or rep.product_verdict == UNDECIDED
@@ -706,18 +719,22 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
 
     rng = ctx.rng("keisler.negative")
     neg_idx = 0
-    for i, alpha in enumerate(frag.points):
+    for alpha, alpha_tab in zip(frag.points, tables):
         j = rng.randrange(len(frag.points))
         name, g = registry[rng.randrange(len(registry))]
         beta_prime = frag.points[j]
-        label = f"alpha={alpha.name} g={name} beta'={beta_prime.name}"
+        label = f"alpha={_label(alpha)} g={name} beta'={_label(beta_prime)}"
         with report.instance("tracking-negative", neg_idx, f"{label}: "):
             if u.eq(u.star_apply(g, alpha), beta_prime):
                 continue  # accidentally correct image; skip
-            verdict = check_tracking_negative(frag, alpha, g, name, beta_prime,
-                                              alpha_cs=check_sets[i], alpha_tab=tables[i])
-            report.add("tracking-negative", neg_idx,
-                       PASS if verdict != ACCEPT else FAIL, f"{label} -> {verdict}")
+            verdict, undecided = check_tracking_negative(frag, g, beta_prime, alpha_tab)
+            # as for tracking: an open verdict is undecidable when the
+            # oracle left a query open, and a failure of the policy otherwise
+            if verdict == UNDECIDED and undecided is not None:
+                report.add("tracking-negative", neg_idx, UNDECIDABLE, f"{label}: {undecided}")
+            else:
+                report.add("tracking-negative", neg_idx,
+                           PASS if verdict == REJECT else FAIL, f"{label} -> {verdict}")
         neg_idx += 1
 
     if not total_inner and first_undecided is not None:
@@ -729,28 +746,23 @@ def run_keisler(ctx: SuiteContext) -> SuiteReport:
                    f"{undecided_inner}/{total_inner} = {rate:.1%}")
 
     # range of the encoding: tables respecting the equivalences are hit
-    with report.instance("probe-self", 0):
-        try:
-            beta = surjectivity_probe(frag, frag.points[0], tables[0].values,
-                                      alpha_cs=check_sets[0], alpha_tab=tables[0])
-            report.law("probe-self", 0, u.eq(beta, frag.points[0]))
-        except NotRepresentable as exc:
-            report.add("probe-self", 0, FAIL, str(exc))
-    with report.instance("probe-constant", 0):
-        try:
-            const_tab = [[9] * len(frag.sample) for _ in frag.points]
-            beta = surjectivity_probe(frag, frag.points[0], const_tab,
-                                      alpha_cs=check_sets[0], alpha_tab=tables[0])
-            report.law("probe-constant", 0, u.eq(beta, u.standard(9)))
-        except NotRepresentable as exc:
-            report.add("probe-constant", 0, FAIL, str(exc))
+    # (the expected point is made after the probe, which interns it first)
+    const_tab = [[9] * len(frag.sample) for _ in frag.points]
+    for check, table, expected in (
+            ("probe-self", tables[0].values, lambda: frag.points[0]),
+            ("probe-constant", const_tab, lambda: u.standard(9))):
+        with report.instance(check, 0):
+            try:
+                beta = surjectivity_probe(frag, table, tables[0])
+                report.law(check, 0, u.eq(beta, expected()))
+            except NotRepresentable as exc:
+                report.add(check, 0, FAIL, str(exc))
     # a table breaking the constancy precondition must be refused
     with report.instance("probe-rejects-invalid", 0):
         bad = [list(range(len(frag.sample))) for _ in frag.points]
         bad[0][0] = 1 if bad[0][0] == 0 else 0
         try:
-            surjectivity_probe(frag, frag.points[0], bad,
-                               alpha_cs=check_sets[0], alpha_tab=tables[0])
+            surjectivity_probe(frag, bad, tables[0])
             report.add("probe-rejects-invalid", 0, FAIL, "invalid table accepted")
         except NotRepresentable:
             report.add("probe-rejects-invalid", 0, PASS)

@@ -107,21 +107,48 @@ def test_duplicate_definition_rejected():
         parse_definitions("def a = x\ndef a = x + 1")
 
 
-_node = st.deferred(
-    lambda: st.one_of(
-        st.integers(0, 9).map(Const),
-        st.just(VAR),
-        st.tuples(_node, _node).map(lambda t: Add(*t)),
-        st.tuples(_node, _node).map(lambda t: Sub(*t)),
-        st.tuples(_node, _node).map(lambda t: Mul(*t)),
-        st.tuples(_node, st.integers(1, 9)).map(lambda t: DivC(*t)),
-        st.tuples(_node, st.integers(1, 9)).map(lambda t: ModC(*t)),
-        st.tuples(_node, _node, _node, _node).map(lambda t: IfEq(*t)),
-        st.tuples(_node, _node).map(lambda t: PairE(*t)),
-        _node.map(P1),
-        _node.map(P2),
-    )
-)
+#: trees have at most this many nodes
+_MAX_NODES = 90
+
+#: tree sizes: a size class k in 0..6, then a size in [2**k, 2**(k+1)),
+#: capped at _MAX_NODES; small trees are as common as large ones
+_tree_size = st.integers(0, 6).flatmap(
+    lambda k: st.integers(2**k, min(2 ** (k + 1) - 1, _MAX_NODES)))
+
+
+def _trees(leaf, branches):
+    """Trees of ``leaf`` nodes and ``branches``, (arity, build(draw,
+    *children)) pairs. The recursion is bounded by a size drawn first and
+    split among the children, so no draw overruns and is thrown away."""
+    @st.composite
+    def tree(draw, size):
+        fits = [branch for branch in branches if branch[0] < size]
+        if not fits:
+            return draw(leaf)
+        arity, build = draw(st.sampled_from(fits))
+        children, left = [], size - 1
+        for k in range(arity - 1, 0, -1):
+            n = draw(st.integers(1, left - k))  # leaves at least 1 node each to the rest
+            children.append(draw(tree(n)))
+            left -= n
+        return build(draw, *children, draw(tree(left)))
+
+    return _tree_size.flatmap(tree)
+
+
+_BRANCHES = [
+    (2, lambda draw, a, b: Add(a, b)),
+    (2, lambda draw, a, b: Sub(a, b)),
+    (2, lambda draw, a, b: Mul(a, b)),
+    (1, lambda draw, a: DivC(a, draw(st.integers(1, 9)))),
+    (1, lambda draw, a: ModC(a, draw(st.integers(1, 9)))),
+    (4, lambda draw, a, b, t, o: IfEq(a, b, t, o)),
+    (2, lambda draw, a, b: PairE(a, b)),
+    (1, lambda draw, a: P1(a)),
+    (1, lambda draw, a: P2(a)),
+]
+
+_node = _trees(st.integers(0, 9).map(Const) | st.just(VAR), _BRANCHES)
 
 
 @settings(max_examples=150, deadline=None)
@@ -286,24 +313,12 @@ _big = st.one_of(st.integers(0, 9), st.integers(2**63 - 3, 2**63 + 3), st.intege
 _table_entries = st.dictionaries(_big, _big, max_size=3).map(lambda d: tuple(sorted(d.items())))
 
 #: every node class of the language, free names included
-_any_node = st.deferred(
-    lambda: st.one_of(
-        _big.map(Const),
-        st.just(VAR),
-        st.sampled_from(["v", "w"]).map(Name),
-        st.tuples(_any_node, _any_node).map(lambda t: Add(*t)),
-        st.tuples(_any_node, _any_node).map(lambda t: Sub(*t)),
-        st.tuples(_any_node, _any_node).map(lambda t: Mul(*t)),
-        st.tuples(_any_node, st.integers(1, 9)).map(lambda t: DivC(*t)),
-        st.tuples(_any_node, st.integers(1, 9)).map(lambda t: ModC(*t)),
-        st.tuples(_any_node, _any_node, _any_node, _any_node).map(lambda t: IfEq(*t)),
-        st.tuples(_any_node, _any_node).map(lambda t: PairE(*t)),
-        _any_node.map(P1),
-        _any_node.map(P2),
-        st.tuples(_any_node, _any_node).map(lambda t: Compose(*t)),
-        st.tuples(_any_node, _table_entries, st.none() | _big).map(lambda t: Table(*t)),
-    )
-)
+_any_node = _trees(
+    _big.map(Const) | st.just(VAR) | st.sampled_from(["v", "w"]).map(Name),
+    _BRANCHES + [
+        (2, lambda draw, f, g: Compose(f, g)),
+        (1, lambda draw, a: Table(a, draw(_table_entries), draw(st.none() | _big))),
+    ])
 
 
 @settings(max_examples=200, deadline=None)

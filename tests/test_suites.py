@@ -79,3 +79,59 @@ def test_undecidable_query_is_reported(monkeypatch, suite, owner, trigger, check
     assert all("forced by the test" in line.witness for line in lines)
     # an undecidable query is never reported as a failure
     assert report.failures == 0
+
+
+def keisler_report(text: str, name: str = "quick.scn"):
+    scenario = parse_scenario(text, name)
+    return suites.run_keisler(
+        SuiteContext(scenario, Universe(OracleState(scenario.oracle_config()))))
+
+
+@pytest.mark.parametrize("verdict, reason, line_verdict", [
+    ("accept", None, "fail"),
+    ("accept", "forced by the test", "fail"),
+    ("reject", None, "pass"),
+    ("reject", "forced by the test", "pass"),
+    # an open verdict is the oracle's when it left a query open, and a
+    # failure of the policy otherwise
+    ("undecided", "forced by the test", UNDECIDABLE),
+    ("undecided", None, "fail"),
+])
+def test_tracking_negative_line_earns_its_verdict(monkeypatch, verdict, reason, line_verdict):
+    undecided = None if reason is None else Undecidable("q", 2000, reason)
+    monkeypatch.setattr(suites, "check_tracking_negative", lambda *args: (verdict, undecided))
+    report = keisler_report(bundled_scenario_path("quick").read_text())
+    lines = [line for line in report.lines if line.check == "tracking-negative"]
+    assert lines and all(line.verdict == line_verdict for line in lines)
+    for line in lines:
+        label = line.witness.split(":" if line_verdict == UNDECIDABLE else " -> ")[0]
+        assert label.startswith("alpha=") and " beta'=" in label
+        tail = f": {undecided}" if line_verdict == UNDECIDABLE else f" -> {verdict}"
+        assert line.witness == label + tail
+
+
+def test_deep_fragment_lines_name_their_points():
+    # quick's fragment closed once under its functions: derived points
+    # have no names and are labelled by their text
+    report = keisler_report(bundled_scenario_path("quick").read_text().replace(
+        "depth = 0", "depth = 1"))
+    by_check = {}
+    for line in report.lines:
+        by_check.setdefault(line.check, []).append(line)
+        assert "=None" not in line.witness
+    # every query was decided, so open verdicts are the policy's failures
+    negative = by_check["tracking-negative"]
+    assert [line.verdict for line in negative[1:4]] == ["fail"] * 3
+    assert all(line.witness.endswith("-> undecided") for line in negative[1:4])
+    assert "alpha=p2(x) g=tag2" in negative[3].witness
+    # fail lines keep their count first and name their first witness
+    [reach] = by_check["reach-intersection"]
+    assert reach.verdict == "fail"
+    assert reach.witness == "empty intersections: 16; first: a=p2(x) b=pair(1, pair(1, x))"
+    [law] = by_check["equivalence-filter-law"]
+    assert law.verdict == "fail"
+    assert law.witness == ("27 refinement failures; first: a=tagged1 b=omega, cells (0, 0) "
+                           "and (3, 1) equal in a's table, not in b's")
+    # the probe names the first cell, row by row, where its table is missed
+    [probe] = by_check["probe-constant"]
+    assert probe.witness == "recovered table differs at (3, 0): 0 vs 9"
