@@ -66,9 +66,11 @@ Evaluation: :func:`interpret` is the reference, one expression at one
 natural in exact Python ints. :func:`eval_vec` is the one evaluator for
 vectors (truth vectors of :class:`IndexPredicate`, sequence values,
 whole-range sweeps) and equals :func:`interpret` entry by entry. An
-interval pass picks its dtype: int64 when every node value and the
-intermediates ``s*(s+1)`` of pair and ``8z+1`` of unpair stay below
-2**62 on 0..max(xs), exact object-dtype Python ints otherwise. Given
+interval pass on 0..max(xs) picks a dtype per node: exact object-dtype
+Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
+``8z+1`` of unpair, a divisor, a ``Table`` key) or children may reach
+2**62, int64 everywhere else. A composed tree with such a node, or
+inputs past the bound, are evaluated whole in Python ints. Given
 truth vectors by canonical text, it reads the condition of a Boolean
 connective of known predicates from them instead of evaluating it.
 A caller that needs more than one value, a quantifier's sweep
@@ -330,32 +332,38 @@ INT64_SAFE = 1 << 62
 
 
 def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = None,
-                shape: tuple[int, ...] = ()) -> tuple[bool, set[int], dict[int, np.ndarray]]:
+                shape: tuple[int, ...] = ()
+                ) -> tuple[dict[int, bool] | None, set[int], dict[int, np.ndarray]]:
     """Interval pass over ``e`` on inputs 0..x_max.
 
-    Returns ``(fits, shared, decided)``. ``fits`` is True when every node
-    value and the intermediates ``s*(s+1)`` of pair and ``8z+1`` of unpair
-    stay below :data:`INT64_SAFE`; bounds saturate there, so the walk
-    always finishes. ``shared`` holds the ids of the nodes reached twice
-    with the same input bound, the nodes whose values :func:`eval_vec`
-    keeps for reuse. ``decided`` maps the id of each ``ifeq(p, 0, t, o)``
-    whose ``p`` has its text cached and a truth vector of ``shape`` in
-    ``known`` to that vector; ``p`` is not walked. It is empty when ``e``
-    holds a composition, since ``known`` describes the top-level input
-    only.
+    Returns ``(wide, shared, decided)``. ``wide`` maps the id of every
+    node that :func:`eval_vec` evaluates in exact Python ints to whether
+    its result stays exact. A node is there when its own value, one of
+    its intermediates (the ``s*(s+1)`` of pair, the ``8z+1`` of unpair, a
+    divisor, a ``Table`` key) or the value of a child it reads may reach
+    :data:`INT64_SAFE`. Its result stays exact when its own value may
+    reach the bound; at the root also when an intermediate may, so that
+    the result of :func:`eval_vec` is exact whenever its root needed
+    exact ints of its own. Bounds saturate at :data:`INT64_SAFE`, so the
+    walk always finishes, and a saturated bound stands for any larger
+    value: only a rule that holds for every larger value brings it back
+    below (``mod`` does, by its divisor; ``div`` keeps it saturated).
+    ``wide`` is None when ``e`` holds a composition and some node reaches
+    the bound: a node under a composition reads more than one input, so
+    such a tree is evaluated whole in Python ints.
+
+    ``shared`` holds the ids of the nodes reached twice with the same
+    input bound, the nodes whose values :func:`eval_vec` keeps for reuse.
+    ``decided`` maps the id of each ``ifeq(p, 0, t, o)`` whose ``p`` has
+    its text cached and a truth vector of ``shape`` in ``known`` to that
+    vector; ``p`` is not walked. It is empty when ``e`` holds a
+    composition, since ``known`` describes the top-level input only.
     """
     memo: dict[tuple[int, int], int] = {}
     shared: set[int] = set()
     decided: dict[int, np.ndarray] = {}
-    fits = True
+    wide: dict[int, bool] = {}
     composed = False
-
-    def cap(v: int) -> int:
-        nonlocal fits
-        if v >= INT64_SAFE:
-            fits = False
-            return INT64_SAFE
-        return v
 
     def bound(node: FnExpr, vb: int) -> int:
         nonlocal composed
@@ -364,6 +372,9 @@ def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = 
             shared.add(key[0])
             return memo[key]
         cls = type(node)
+        # the largest intermediate, and the largest value of a child that
+        # ``out`` does not bound
+        inter = child = 0
         if cls is Const:
             out = node.value
         elif cls is Var:
@@ -371,48 +382,61 @@ def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = 
         elif cls is IfEq:
             truth = _known_truth(node.a, node.b, known, shape) if known else None
             if truth is None:
-                bound(node.a, vb)
-                bound(node.b, vb)
+                child = max(bound(node.a, vb), bound(node.b, vb))
             else:
                 decided[key[0]] = truth
             out = max(bound(node.then, vb), bound(node.other, vb))
         elif cls is Sub:
-            bound(node.right, vb)
+            child = bound(node.right, vb)
             out = bound(node.left, vb)
         elif cls is Add:
             out = bound(node.left, vb) + bound(node.right, vb)
         elif cls is ModC:
-            out = min(bound(node.arg, vb), cap(node.divisor) - 1)
+            child, inter = bound(node.arg, vb), node.divisor
+            out = min(child, inter - 1)
         elif cls is PairE:
             r = bound(node.right, vb)
             s = bound(node.left, vb) + r
-            out = cap(s * (s + 1)) // 2 + r
+            inter = s * (s + 1)
+            out = inter // 2 + r
         elif cls is P1 or cls is P2:
             out = bound(node.arg, vb)
-            cap(8 * out + 1)
+            inter = 8 * out + 1
         elif cls is Mul:
-            out = bound(node.left, vb) * bound(node.right, vb)
+            left, right = bound(node.left, vb), bound(node.right, vb)
+            child = max(left, right)
+            out = left * right
         elif cls is DivC:
-            out = bound(node.arg, vb) // cap(node.divisor)
+            child, inter = bound(node.arg, vb), node.divisor
+            out = child // inter if child < INT64_SAFE else child
         elif cls is Compose:
             composed = True
             out = bound(node.outer, bound(node.inner, vb))
         elif cls is Table:
-            av = bound(node.arg, vb)
-            for k, _ in node.entries:
-                cap(k)
-            outs = [v for _, v in node.entries]
-            out = max(outs + [av if node.default is None else node.default])
+            child = bound(node.arg, vb)
+            inter = node.entries[-1][0] if node.entries else 0
+            out = max([v for _, v in node.entries]
+                      + [child if node.default is None else node.default])
         else:
             raise TypeError(f"not an FnExpr: {node!r}")
-        memo[key] = out = cap(out)
+        if out >= INT64_SAFE:
+            out = INT64_SAFE
+            wide[key[0]] = True
+        elif inter >= INT64_SAFE:
+            wide[key[0]] = node is e
+        elif child >= INT64_SAFE:
+            wide[key[0]] = False
+        memo[key] = out
         return out
 
     bound(e, x_max)
     del bound  # it refers to itself: unbound, it and the memo are freed on return
-    if decided and composed:
-        return _bound_pass(e, x_max)
-    return fits, shared, decided
+    if composed:
+        if decided:
+            return _bound_pass(e, x_max)
+        if wide:
+            return None, shared, decided
+    return wide, shared, decided
 
 
 def _known_truth(a: FnExpr, b: FnExpr, known: Mapping[str, np.ndarray],
@@ -431,10 +455,11 @@ def _known_truth(a: FnExpr, b: FnExpr, known: Mapping[str, np.ndarray],
 _isqrt_obj = np.frompyfunc(isqrt, 1, 1)
 
 
-def _unpair_vec(z, exact: bool):
+def _unpair_vec(z):
+    """:func:`unpair` of a scalar, an int64 array or an object array."""
     if not isinstance(z, np.ndarray):
         return unpair(z)
-    if exact:
+    if z.dtype == object:
         w = (_isqrt_obj(8 * z + 1) - 1) // 2
     else:
         # for z < 2**59 the float root is off by at most one; one integer
@@ -450,9 +475,17 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
     """Evaluate ``e`` at every entry of ``xs``; equal to :func:`interpret`
     entry by entry.
 
-    An interval pass over the tree picks the dtype: int64 when every
-    bound stays below :data:`INT64_SAFE` on 0..max(xs), exact object-dtype
-    Python ints otherwise. Shared subtrees are evaluated once.
+    Values are int64 arrays, and exact object-dtype Python ints only where
+    a node needs them. An interval pass over the tree on 0..max(xs) (see
+    :func:`_bound_pass`) lists the nodes whose value, intermediates or
+    children may reach :data:`INT64_SAFE`. Such a node lifts its operands
+    to Python ints, so that no sum, product, comparison or lookup depends
+    on NumPy's promotion of int64 against Python ints, and casts its
+    result back to int64 when its own bound fits. A tree that holds a
+    composition and any such node, or inputs that reach the bound, are
+    evaluated whole in Python ints. The result is object dtype exactly in
+    those two cases and when the root's own value or an intermediate of
+    it may reach the bound. Shared subtrees are evaluated once.
 
     ``known`` maps canonical texts to boolean truth vectors over the same
     ``xs`` (an entry of another shape is ignored). At ``ifeq(p, 0, t, o)``,
@@ -464,10 +497,12 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
-    fits, shared, decided = _bound_pass(e, x_max, known, xs.shape)
+    wide, shared, decided = _bound_pass(e, x_max, known, xs.shape)
     # the inputs must fit too, also when no node reads them
-    exact = not fits or x_max >= INT64_SAFE
-    dtype = object if exact else np.int64
+    if wide is None or x_max >= INT64_SAFE:
+        wide, dtype = {}, object
+    else:
+        dtype = np.int64
     xs = xs.astype(dtype)
     # only values of shared nodes are kept, so the intermediates of the
     # rest are freed as soon as they are used
@@ -476,71 +511,86 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
     # by a composition stays alive until the end
     bindings: list[object] = []
 
-    def unp(node: FnExpr, var):
+    def unp(node: FnExpr, var, ev):
         key = ("unpair", id(node), id(var))
         if key in memo:
             return memo[key]
-        out = _unpair_vec(go(node, var), exact)
+        out = _unpair_vec(ev(node, var))
         if key[1] in shared:
             memo[key] = out
         return out
+
+    def lifted(node: FnExpr, var):
+        # the value of ``node`` in Python ints
+        v = go(node, var)
+        return v.astype(object) if type(v) is np.ndarray and v.dtype != object else v
 
     def go(node: FnExpr, var):
         key = (id(node), id(var))
         if key in memo:
             return memo[key]
         cls = type(node)
+        # a node in ``wide`` reads its children through ``lifted``
+        lift = key[0] in wide
+        ev = lifted if lift else go
         if cls is Const:
             out = node.value
         elif cls is Var:
             out = var
         elif cls is IfEq:
             truth = decided.get(key[0]) if decided else None
-            cond = go(node.a, var) == go(node.b, var) if truth is None else ~truth
+            cond = ev(node.a, var) == ev(node.b, var) if truth is None else ~truth
+            # the branches fit in int64 unless the node's own bound does not
             t, o = go(node.then, var), go(node.other, var)
             if isinstance(cond, np.ndarray):
-                out = np.where(cond, np.asarray(t, dtype), np.asarray(o, dtype))
+                dt = object if lift and wide[key[0]] else dtype
+                out = np.where(cond, np.asarray(t, dt), np.asarray(o, dt))
             else:
                 out = t if cond else o
         elif cls is Sub:
-            d = go(node.left, var) - go(node.right, var)
+            d = ev(node.left, var) - ev(node.right, var)
             out = np.maximum(d, 0) if isinstance(d, np.ndarray) else max(d, 0)
         elif cls is Add:
-            out = go(node.left, var) + go(node.right, var)
+            out = ev(node.left, var) + ev(node.right, var)
         elif cls is ModC:
-            out = go(node.arg, var) % node.divisor
+            out = ev(node.arg, var) % node.divisor
         elif cls is PairE:
-            r = go(node.right, var)
-            s = go(node.left, var) + r
+            r = ev(node.right, var)
+            s = ev(node.left, var) + r
             out = s * (s + 1) // 2 + r
         elif cls is P2:
-            out = unp(node.arg, var)[1]
+            out = unp(node.arg, var, ev)[1]
         elif cls is Mul:
-            out = go(node.left, var) * go(node.right, var)
+            out = ev(node.left, var) * ev(node.right, var)
         elif cls is DivC:
-            out = go(node.arg, var) // node.divisor
+            out = ev(node.arg, var) // node.divisor
         elif cls is P1:
-            out = unp(node.arg, var)[0]
+            out = unp(node.arg, var, ev)[0]
         elif cls is Compose:
             inner = go(node.inner, var)
             bindings.append(inner)
             out = go(node.outer, inner)
         elif cls is Table:
-            out = _lookup_vec(go(node.arg, var), node.entries, node.default, dtype)
+            out = _lookup_vec(ev(node.arg, var), node.entries, node.default)
         else:
             raise TypeError(f"not an FnExpr: {node!r}")
+        if lift and type(out) is np.ndarray:
+            # back to int64 when the node's own bound fits
+            out = out.astype(object if wide[key[0]] else np.int64, copy=False)
         if key[0] in shared:
             memo[key] = out
         return out
 
     out = go(e, xs)
-    del go, unp  # they refer to each other: unbound, they and the memo die on return
+    del go, unp, lifted  # they refer to each other: unbound, they and the memo die on return
     if isinstance(out, np.ndarray):
         return out
+    if wide.get(id(e)):
+        dtype = object  # the root's result stays exact
     return np.full(xs.shape, out, dtype=dtype)
 
 
-def _lookup_vec(v, entries, default, dtype):
+def _lookup_vec(v, entries, default):
     table = dict(entries)
 
     def get(k):
@@ -548,10 +598,10 @@ def _lookup_vec(v, entries, default, dtype):
 
     if not isinstance(v, np.ndarray):
         return get(v)
-    if dtype is object or not entries:
-        return np.array([get(k) for k in v.tolist()], dtype=dtype).reshape(v.shape)
-    keys = np.array([k for k, _ in entries], dtype=dtype)
-    outs = np.array([w for _, w in entries], dtype=dtype)
+    if v.dtype == object or not entries:
+        return np.array([get(k) for k in v.tolist()], dtype=v.dtype).reshape(v.shape)
+    keys = np.array([k for k, _ in entries], dtype=v.dtype)
+    outs = np.array([w for _, w in entries], dtype=v.dtype)
     pos = np.minimum(np.searchsorted(keys, v), len(keys) - 1)
     return np.where(keys[pos] == v, outs[pos], v if default is None else default)
 

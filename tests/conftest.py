@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from starext.cli import main
 from starext.hyper import Universe
@@ -21,6 +22,36 @@ def make_universe(horizon: int = 2000, tiebreak: str = "least") -> Universe:
 @pytest.fixture
 def u() -> Universe:
     return make_universe()
+
+
+#: trees have at most this many nodes
+_MAX_NODES = 90
+
+#: tree sizes: a size class k in 0..6, then a size in [2**k, 2**(k+1)),
+#: capped at _MAX_NODES; small trees are as common as large ones
+_tree_size = st.integers(0, 6).flatmap(
+    lambda k: st.integers(2**k, min(2 ** (k + 1) - 1, _MAX_NODES)))
+
+
+def trees(leaf, branches, sizes=_tree_size):
+    """Trees of ``leaf`` nodes and ``branches``, (arity, build(draw,
+    *children)) pairs. The recursion is bounded by a size drawn first,
+    from ``sizes``, and split among the children, so no draw overruns
+    and is thrown away."""
+    @st.composite
+    def tree(draw, size):
+        fits = [branch for branch in branches if branch[0] < size]
+        if not fits:
+            return draw(leaf)
+        arity, build = draw(st.sampled_from(fits))
+        children, left = [], size - 1
+        for k in range(arity - 1, 0, -1):
+            n = draw(st.integers(1, left - k))  # leaves at least 1 node each to the rest
+            children.append(draw(tree(n)))
+            left -= n
+        return build(draw, *children, draw(tree(left)))
+
+    return sizes.flatmap(tree)
 
 
 @dataclass

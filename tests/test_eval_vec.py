@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from starext.funlang import (
     INT64_SAFE,
+    _bound_pass,
     VAR,
     Add,
     Compose,
@@ -38,7 +39,7 @@ from starext.funlang import (
 from starext.gen import rand_expr, rand_indicator, rand_point_expr
 from starext.hyper import StarSet
 
-from .conftest import make_universe
+from .conftest import make_universe, trees
 
 
 def assert_matches_interpret(e, xs):
@@ -182,6 +183,93 @@ def test_unpair_near_the_int64_limit():
         got = eval_vec(e, np.array(zs))
         assert got.dtype == np.int64
         assert got.tolist() == [interpret(e, z) for z in zs]
+
+
+# -- exact ints only where a node needs them ------------------------------------
+
+#: subtrees whose values pass 2**62 on inputs up to 10**4; the first is a
+#: comparison side of a mask-h10k query (seed 1)
+_HUGE = [
+    Mul(VAR, Mul(PairE(Const(4), VAR), PairE(Const(4), VAR))),
+    _pair_chain(3),
+    Mul(Mul(VAR, VAR), Mul(Mul(VAR, VAR), Mul(VAR, VAR))),
+    Const(2**62),
+    Const(2**70),
+]
+
+#: subtrees whose bound is 0
+_ZERO = [Const(0), ModC(VAR, 1), Sub(Const(0), VAR)]
+
+#: small keys the arguments hit, and keys at and past 2**62
+_KEYS = st.sampled_from([0, 1, 2, 3, 7, 2**62 - 1, 2**62, 2**62 + 1, 2**70])
+
+_DIVISORS = st.integers(1, 9) | st.integers(2**62 - 2, 2**62 + 2) | st.just(2**70)
+
+#: the leaves, and the branches as (arity, build(draw, *children)) pairs
+_wide_leaf = st.sampled_from(_HUGE) | st.just(VAR) | st.integers(0, 9).map(Const)
+
+_WIDE_BRANCHES = [
+    (2, lambda draw, a, b: Add(a, b)),
+    (2, lambda draw, a, b: Sub(a, b)),
+    (2, lambda draw, a, b: Mul(a, b)),
+    (1, lambda draw, a: Mul(a, draw(st.sampled_from(_ZERO)))),
+    (1, lambda draw, a: DivC(a, draw(_DIVISORS))),
+    (1, lambda draw, a: ModC(a, draw(_DIVISORS))),
+    (4, lambda draw, a, b, t, o: IfEq(a, b, t, o)),
+    (2, lambda draw, a, b: PairE(a, b)),
+    (1, lambda draw, a: P1(a)),
+    (1, lambda draw, a: P2(a)),
+    (1, lambda draw, a: _table(a, draw(st.dictionaries(_KEYS, _KEYS, max_size=4)),
+                               draw(st.none() | _KEYS))),
+]
+
+#: nodes that bring a huge value ``t`` back below 2**62
+_DOWN = [
+    lambda t, s: ModC(t, 7),
+    lambda t, s: DivC(t, 2**70),
+    lambda t, s: IfEq(s, t, Const(0), Const(1)),
+    lambda t, s: IfEq(t, t, s, Const(1)),
+    lambda t, s: Sub(s, t),
+    lambda t, s: Mul(t, Sub(s, s)),
+    lambda t, s: P1(P2(PairE(s, PairE(s, t)))),
+    lambda t, s: _table(t, {0: 5, 2**62: 1, 2**70: 2}, 3),
+]
+
+_wide_trees = st.builds(
+    lambda down, t, s: down(t, s),
+    st.sampled_from(_DOWN),
+    trees(_wide_leaf, _WIDE_BRANCHES, st.integers(1, 12)),
+    _wide_leaf,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_trees, st.lists(st.integers(0, 10**4), min_size=1, max_size=8))
+def test_eval_vec_matches_interpret_past_int64(e, xs):
+    """Trees whose values pass 2**62 and come back down: exact ints where
+    a node needs them, int64 elsewhere, and the values of interpret."""
+    got = assert_matches_interpret(e, np.array(xs))
+    wide, _, _ = _bound_pass(e, max(xs))
+    assert (got.dtype == object) == bool(wide.get(id(e)))
+
+
+#: trees with exact nodes, their inputs and the dtype of their result
+_PINNED = {
+    # the product passes 2**62 at H = 10**4, the comparison brings it down
+    "wide-ifeq": (parse_fn("ifeq(2, x * (pair(4, x) * pair(4, x)), 0, 1)"),
+                  np.arange(10**4 + 1), np.int64),
+    # a saturated bound divided stays saturated: the values are ~2**100
+    "div-saturated": (DivC(Mul(VAR, Const(2**101)), 2), np.arange(6), object),
+    "mul-by-zero-bound": (Mul(VAR, Const(2**70)), np.array([0]), np.int64),
+    "sub-huge-right": (Sub(VAR, Const(2**70)), np.arange(6), np.int64),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_PINNED))
+def test_pinned_wide_rows(row):
+    e, xs, dtype = _PINNED[row]
+    got = assert_matches_interpret(e, xs)
+    assert got.dtype == dtype
 
 
 # -- truth vectors ---------------------------------------------------------------

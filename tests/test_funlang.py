@@ -52,7 +52,7 @@ from starext.gen import rand_expr, rand_indicator, rand_nary, rand_point_expr
 from starext.hyper import Hyperpoint, StarSet, set_complement, set_intersection, set_union
 from starext.transfer import And, Not, Or, eval_hyper, parse_formula, truth_predicate
 
-from .conftest import make_universe
+from .conftest import make_universe, trees
 
 
 # -- parsing ---------------------------------------------------------------
@@ -107,35 +107,6 @@ def test_duplicate_definition_rejected():
         parse_definitions("def a = x\ndef a = x + 1")
 
 
-#: trees have at most this many nodes
-_MAX_NODES = 90
-
-#: tree sizes: a size class k in 0..6, then a size in [2**k, 2**(k+1)),
-#: capped at _MAX_NODES; small trees are as common as large ones
-_tree_size = st.integers(0, 6).flatmap(
-    lambda k: st.integers(2**k, min(2 ** (k + 1) - 1, _MAX_NODES)))
-
-
-def _trees(leaf, branches):
-    """Trees of ``leaf`` nodes and ``branches``, (arity, build(draw,
-    *children)) pairs. The recursion is bounded by a size drawn first and
-    split among the children, so no draw overruns and is thrown away."""
-    @st.composite
-    def tree(draw, size):
-        fits = [branch for branch in branches if branch[0] < size]
-        if not fits:
-            return draw(leaf)
-        arity, build = draw(st.sampled_from(fits))
-        children, left = [], size - 1
-        for k in range(arity - 1, 0, -1):
-            n = draw(st.integers(1, left - k))  # leaves at least 1 node each to the rest
-            children.append(draw(tree(n)))
-            left -= n
-        return build(draw, *children, draw(tree(left)))
-
-    return _tree_size.flatmap(tree)
-
-
 _BRANCHES = [
     (2, lambda draw, a, b: Add(a, b)),
     (2, lambda draw, a, b: Sub(a, b)),
@@ -148,7 +119,7 @@ _BRANCHES = [
     (1, lambda draw, a: P2(a)),
 ]
 
-_node = _trees(st.integers(0, 9).map(Const) | st.just(VAR), _BRANCHES)
+_node = trees(st.integers(0, 9).map(Const) | st.just(VAR), _BRANCHES)
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,10 +281,17 @@ def _outcome(fn, *args):
 #: constants on both sides of 2**63
 _big = st.one_of(st.integers(0, 9), st.integers(2**63 - 3, 2**63 + 3), st.integers(0, 2**70))
 
-_table_entries = st.dictionaries(_big, _big, max_size=3).map(lambda d: tuple(sorted(d.items())))
+#: a Table's keys: 0..9 in full, so that every argument value in that
+#: range, common among the drawn trees, hits an entry, most of them past
+#: the first; then up to three keys from ``_big``
+_table_entries = st.builds(
+    lambda outs, more: tuple(sorted({**more, **dict(enumerate(outs))}.items())),
+    st.lists(_big, min_size=10, max_size=10),
+    st.dictionaries(_big, _big, max_size=3),
+)
 
 #: every node class of the language, free names included
-_any_node = _trees(
+_any_node = trees(
     _big.map(Const) | st.just(VAR) | st.sampled_from(["v", "w"]).map(Name),
     _BRANCHES + [
         (2, lambda draw, f, g: Compose(f, g)),
@@ -396,7 +374,7 @@ class _Foreign(FnExpr):
 def _go_alone(e):
     """``eval_vec``'s walk without the interval pass that precedes it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(funlang, "_bound_pass", lambda *args: (True, set(), {}))
+        mp.setattr(funlang, "_bound_pass", lambda *args: ({}, set(), {}))
         return eval_vec(e, np.arange(5))
 
 

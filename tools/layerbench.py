@@ -16,6 +16,9 @@ Each line is the best of five repetitions, in µs per call, measured with
 - ``eval_vec`` of that query's normal form (19 nodes) at H = 256;
 - that query's truth vector (``IndexPredicate.mask``) at H = 10⁴, the
   horizon of the bundled ``standard`` scenario;
+- the truth vector at H = 10⁴ of ``ifeq(2, x * (pair(4, x) * pair(4, x)),
+  0, 1)``, a ``mask-h10k`` query whose product passes 2**62, so that its
+  product and comparison are evaluated in exact Python ints;
 - an oracle decision on a mask already in the mask cache;
 - one Łoś group: ``eval_hyper`` of phi, !phi, psi, phi & psi and
   phi | psi in a new universe, without a registry;
@@ -60,6 +63,7 @@ INDICATOR_TEXT = "ifeq(x mod 5, 0, 1, ifeq(x mod 7, 2, 1, 0))"
 FORMULA_TEXT = "exists y < 5 . y + y = v mod 5"
 INDICATOR = normalize(parse_fn(INDICATOR_TEXT))
 SEQ = normalize(parse_fn("x * 2 + 1"))
+WIDE_QUERY = normalize(parse_fn("ifeq(2, x * (pair(4, x) * pair(4, x)), 0, 1)"))
 PHI = parse_formula("v mod 3 = 0 | v < 40")
 PSI = parse_formula("v mod 4 = 1")
 
@@ -97,6 +101,11 @@ def _eval_vec():
 
 def _mask():
     pred = IndexPredicate.from_expr(QUERY)
+    return None, lambda: pred.mask(MASK_H)
+
+
+def _wide_mask():
+    pred = IndexPredicate.from_expr(WIDE_QUERY)
     return None, lambda: pred.mask(MASK_H)
 
 
@@ -147,6 +156,7 @@ BENCHES = [
     ("normalize + pretty, member query", _canonicalise, 5_000),
     (f"eval_vec, {_node_count(QUERY)}-node mask, H={H}", _eval_vec, 2_000),
     (f"IndexPredicate.mask, H={MASK_H}", _mask, 200),
+    (f"IndexPredicate.mask, H={MASK_H}, wide ifeq", _wide_mask, 200),
     ("oracle decision, cached mask", _decision, 4_000),
     ("Łoś group, five eval_hyper", _los_group, 200),
     ("build_fragment, quick", _fragment, 200),
