@@ -45,10 +45,6 @@ class CheckOutcome:
     status: str
     witness: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
-
 
 # ---------------------------------------------------------------------------
 # Contract

@@ -204,7 +204,7 @@ def witness_table(frag: Fragment, check_set: CheckSet) -> WitnessTable:
         row_expr = witness_by_index.get(i, VAR)
         key = pretty(row_expr)
         if key not in row_cache:
-            row = eval_vec(row_expr, sample)
+            row = eval_vec(normalize(row_expr), sample)
             row_cache[key] = (row, row.tolist())
         row, row_vals = row_cache[key]
         row_exprs.append(row_expr)
@@ -303,7 +303,7 @@ def product_filter(
     first_undecided: Undecidable | None = None
     for i, (xi, row) in enumerate(zip(frag.points, rows)):
         try:
-            if u.member(xi, StarSet(normalize(row), tag=f"row[{i}]")):
+            if u.member(xi, StarSet(normalize(row))):
                 inner_true.add(i)
             else:
                 inner_false.add(i)
@@ -370,7 +370,7 @@ def check_star_tracking(
             report.details.append(f"point {i} reaches the source but not the image")
             continue
         try:
-            if u.member(frag.points[i], StarSet(normalize(rows[i]), tag="tracking")):
+            if u.member(frag.points[i], StarSet(normalize(rows[i]))):
                 report.forward_pass += 1
             else:
                 report.forward_fail += 1

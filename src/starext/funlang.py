@@ -63,18 +63,21 @@ are final (see :class:`FnExpr`). The parser and :func:`substitute`,
 which are not hot, keep their ``match``.
 
 Evaluation: :func:`interpret` is the reference, one expression at one
-natural in exact Python ints. :func:`eval_vec` is the one evaluator for
-vectors (truth vectors of :class:`IndexPredicate`, sequence values,
-whole-range sweeps) and equals :func:`interpret` entry by entry. An
+natural in exact Python ints; it accepts any tree. :func:`eval_vec` is
+the one evaluator for vectors (truth vectors of :class:`IndexPredicate`,
+sequence values, whole-range sweeps) and equals :func:`interpret` entry
+by entry. It takes a normal form: ``*`` composes representatives, and
+:func:`normalize` inlines every composition, so every node reads the
+input vector itself. :func:`eval_vec`, its interval pass and
+:func:`is_closed` raise :class:`TypeError` on a composition. The
 interval pass on 0..max(xs) picks a dtype per node: exact object-dtype
 Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
 ``8z+1`` of unpair, a divisor, a ``Table`` key) or children may reach
-2**62, int64 everywhere else. A composed tree with such a node, or
-inputs past the bound, are evaluated whole in Python ints. Given
-truth vectors by canonical text, it reads the condition of a Boolean
-connective of known predicates from them instead of evaluating it.
-A caller that needs more than one value, a quantifier's sweep
-included, makes one :func:`eval_vec` call for them.
+2**62, int64 everywhere else. Inputs past the bound are evaluated whole
+in Python ints. Given truth vectors by canonical text, it reads the
+condition of a Boolean connective of known predicates from them instead
+of evaluating it. A caller that needs more than one value, a
+quantifier's sweep included, makes one :func:`eval_vec` call for them.
 """
 
 from __future__ import annotations
@@ -333,8 +336,8 @@ INT64_SAFE = 1 << 62
 
 def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = None,
                 shape: tuple[int, ...] = ()
-                ) -> tuple[dict[int, bool] | None, set[int], dict[int, np.ndarray]]:
-    """Interval pass over ``e`` on inputs 0..x_max.
+                ) -> tuple[dict[int, bool], set[int], dict[int, np.ndarray]]:
+    """Interval pass over the normal form ``e`` on inputs 0..x_max.
 
     Returns ``(wide, shared, decided)``. ``wide`` maps the id of every
     node that :func:`eval_vec` evaluates in exact Python ints to whether
@@ -348,28 +351,24 @@ def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = 
     walk always finishes, and a saturated bound stands for any larger
     value: only a rule that holds for every larger value brings it back
     below (``mod`` does, by its divisor; ``div`` keeps it saturated).
-    ``wide`` is None when ``e`` holds a composition and some node reaches
-    the bound: a node under a composition reads more than one input, so
-    such a tree is evaluated whole in Python ints.
 
-    ``shared`` holds the ids of the nodes reached twice with the same
-    input bound, the nodes whose values :func:`eval_vec` keeps for reuse.
-    ``decided`` maps the id of each ``ifeq(p, 0, t, o)`` whose ``p`` has
-    its text cached and a truth vector of ``shape`` in ``known`` to that
-    vector; ``p`` is not walked. It is empty when ``e`` holds a
-    composition, since ``known`` describes the top-level input only.
+    ``shared`` holds the ids of the nodes reached twice, the nodes whose
+    values :func:`eval_vec` keeps for reuse. ``decided`` maps the id of
+    each ``ifeq(p, 0, t, o)`` whose ``p`` has its text cached and a truth
+    vector of ``shape`` in ``known`` to that vector; ``p`` is not walked.
+
+    A composition, or any other node outside the evaluable grammar,
+    raises :class:`TypeError`.
     """
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[int, int] = {}
     shared: set[int] = set()
     decided: dict[int, np.ndarray] = {}
     wide: dict[int, bool] = {}
-    composed = False
 
-    def bound(node: FnExpr, vb: int) -> int:
-        nonlocal composed
-        key = (id(node), vb)
+    def bound(node: FnExpr) -> int:
+        key = id(node)
         if key in memo:
-            shared.add(key[0])
+            shared.add(key)
             return memo[key]
         cls = type(node)
         # the largest intermediate, and the largest value of a child that
@@ -378,71 +377,65 @@ def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = 
         if cls is Const:
             out = node.value
         elif cls is Var:
-            out = vb
+            out = x_max
         elif cls is IfEq:
             truth = _known_truth(node.a, node.b, known, shape) if known else None
             if truth is None:
-                child = max(bound(node.a, vb), bound(node.b, vb))
+                child = max(bound(node.a), bound(node.b))
             else:
-                decided[key[0]] = truth
-            out = max(bound(node.then, vb), bound(node.other, vb))
+                decided[key] = truth
+            out = max(bound(node.then), bound(node.other))
         elif cls is Sub:
-            child = bound(node.right, vb)
-            out = bound(node.left, vb)
+            child = bound(node.right)
+            out = bound(node.left)
         elif cls is Add:
-            out = bound(node.left, vb) + bound(node.right, vb)
+            out = bound(node.left) + bound(node.right)
         elif cls is ModC:
-            child, inter = bound(node.arg, vb), node.divisor
+            child, inter = bound(node.arg), node.divisor
             out = min(child, inter - 1)
         elif cls is PairE:
-            r = bound(node.right, vb)
-            s = bound(node.left, vb) + r
+            r = bound(node.right)
+            s = bound(node.left) + r
             inter = s * (s + 1)
             out = inter // 2 + r
         elif cls is P1 or cls is P2:
-            out = bound(node.arg, vb)
+            out = bound(node.arg)
             inter = 8 * out + 1
         elif cls is Mul:
-            left, right = bound(node.left, vb), bound(node.right, vb)
+            left, right = bound(node.left), bound(node.right)
             child = max(left, right)
             out = left * right
         elif cls is DivC:
-            child, inter = bound(node.arg, vb), node.divisor
+            child, inter = bound(node.arg), node.divisor
             out = child // inter if child < INT64_SAFE else child
-        elif cls is Compose:
-            composed = True
-            out = bound(node.outer, bound(node.inner, vb))
         elif cls is Table:
-            child = bound(node.arg, vb)
+            child = bound(node.arg)
             inter = node.entries[-1][0] if node.entries else 0
             out = max([v for _, v in node.entries]
                       + [child if node.default is None else node.default])
         else:
-            raise TypeError(f"not an FnExpr: {node!r}")
+            raise TypeError(f"not an FnExpr in normal form: {node!r}")
         if out >= INT64_SAFE:
             out = INT64_SAFE
-            wide[key[0]] = True
+            wide[key] = True
         elif inter >= INT64_SAFE:
-            wide[key[0]] = node is e
+            wide[key] = node is e
         elif child >= INT64_SAFE:
-            wide[key[0]] = False
+            wide[key] = False
         memo[key] = out
         return out
 
-    bound(e, x_max)
+    bound(e)
     del bound  # it refers to itself: unbound, it and the memo are freed on return
-    if composed:
-        if decided:
-            return _bound_pass(e, x_max)
-        if wide:
-            return None, shared, decided
     return wide, shared, decided
 
 
 def _known_truth(a: FnExpr, b: FnExpr, known: Mapping[str, np.ndarray],
                  shape: tuple[int, ...]) -> np.ndarray | None:
     """The truth vector of ``a`` from ``known``, when ``ifeq(a, b, ...)``
-    tests ``a`` for falsity and ``a`` is compound with its text cached."""
+    tests ``a`` for falsity and ``a`` is compound with its text cached.
+    Every node of a normal form reads the input itself, so a vector over
+    that input is ``a``'s own."""
     if type(b) is not Const or b.value != 0:
         return None
     pp = a._pp
@@ -472,8 +465,9 @@ def _unpair_vec(z):
 
 
 def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-    """Evaluate ``e`` at every entry of ``xs``; equal to :func:`interpret`
-    entry by entry.
+    """Evaluate the normal form ``e`` at every entry of ``xs``; equal to
+    :func:`interpret` entry by entry. A composition raises
+    :class:`TypeError`: evaluate :func:`normalize`'s result instead.
 
     Values are int64 arrays, and exact object-dtype Python ints only where
     a node needs them. An interval pass over the tree on 0..max(xs) (see
@@ -481,107 +475,100 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
     children may reach :data:`INT64_SAFE`. Such a node lifts its operands
     to Python ints, so that no sum, product, comparison or lookup depends
     on NumPy's promotion of int64 against Python ints, and casts its
-    result back to int64 when its own bound fits. A tree that holds a
-    composition and any such node, or inputs that reach the bound, are
-    evaluated whole in Python ints. The result is object dtype exactly in
-    those two cases and when the root's own value or an intermediate of
-    it may reach the bound. Shared subtrees are evaluated once.
+    result back to int64 when its own bound fits. Inputs that reach the
+    bound are evaluated whole in Python ints. The result is object dtype
+    exactly then and when the root's own value or an intermediate of it
+    may reach the bound. Shared subtrees are evaluated once.
 
     ``known`` maps canonical texts to boolean truth vectors over the same
     ``xs`` (an entry of another shape is ignored). At ``ifeq(p, 0, t, o)``,
     the shape of :func:`not_`, :func:`and_` and :func:`or_`, whose ``p``
     is a compound node with its text cached by :func:`pretty` and listed
     in ``known``, the condition is the negated vector and ``p`` is not
-    evaluated. This holds only in an expression without compositions,
-    where every node reads the input ``xs`` itself; normal forms are such.
+    evaluated.
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
     wide, shared, decided = _bound_pass(e, x_max, known, xs.shape)
     # the inputs must fit too, also when no node reads them
-    if wide is None or x_max >= INT64_SAFE:
+    if x_max >= INT64_SAFE:
         wide, dtype = {}, object
     else:
         dtype = np.int64
     xs = xs.astype(dtype)
     # only values of shared nodes are kept, so the intermediates of the
     # rest are freed as soon as they are used
-    memo: dict[tuple, object] = {}
-    # memo keys hold the id of the variable's value, so every value bound
-    # by a composition stays alive until the end
-    bindings: list[object] = []
+    memo: dict[int, object] = {}
+    # both projections of a shared node, unpaired once
+    halves: dict[int, tuple] = {}
 
-    def unp(node: FnExpr, var, ev):
-        key = ("unpair", id(node), id(var))
-        if key in memo:
-            return memo[key]
-        out = _unpair_vec(ev(node, var))
-        if key[1] in shared:
-            memo[key] = out
+    def unp(node: FnExpr, ev):
+        key = id(node)
+        if key in halves:
+            return halves[key]
+        out = _unpair_vec(ev(node))
+        if key in shared:
+            halves[key] = out
         return out
 
-    def lifted(node: FnExpr, var):
+    def lifted(node: FnExpr):
         # the value of ``node`` in Python ints
-        v = go(node, var)
+        v = go(node)
         return v.astype(object) if type(v) is np.ndarray and v.dtype != object else v
 
-    def go(node: FnExpr, var):
-        key = (id(node), id(var))
+    def go(node: FnExpr):
+        key = id(node)
         if key in memo:
             return memo[key]
         cls = type(node)
         # a node in ``wide`` reads its children through ``lifted``
-        lift = key[0] in wide
+        lift = key in wide
         ev = lifted if lift else go
         if cls is Const:
             out = node.value
         elif cls is Var:
-            out = var
+            out = xs
         elif cls is IfEq:
-            truth = decided.get(key[0]) if decided else None
-            cond = ev(node.a, var) == ev(node.b, var) if truth is None else ~truth
+            truth = decided.get(key) if decided else None
+            cond = ev(node.a) == ev(node.b) if truth is None else ~truth
             # the branches fit in int64 unless the node's own bound does not
-            t, o = go(node.then, var), go(node.other, var)
+            t, o = go(node.then), go(node.other)
             if isinstance(cond, np.ndarray):
-                dt = object if lift and wide[key[0]] else dtype
+                dt = object if lift and wide[key] else dtype
                 out = np.where(cond, np.asarray(t, dt), np.asarray(o, dt))
             else:
                 out = t if cond else o
         elif cls is Sub:
-            d = ev(node.left, var) - ev(node.right, var)
+            d = ev(node.left) - ev(node.right)
             out = np.maximum(d, 0) if isinstance(d, np.ndarray) else max(d, 0)
         elif cls is Add:
-            out = ev(node.left, var) + ev(node.right, var)
+            out = ev(node.left) + ev(node.right)
         elif cls is ModC:
-            out = ev(node.arg, var) % node.divisor
+            out = ev(node.arg) % node.divisor
         elif cls is PairE:
-            r = ev(node.right, var)
-            s = ev(node.left, var) + r
+            r = ev(node.right)
+            s = ev(node.left) + r
             out = s * (s + 1) // 2 + r
         elif cls is P2:
-            out = unp(node.arg, var, ev)[1]
+            out = unp(node.arg, ev)[1]
         elif cls is Mul:
-            out = ev(node.left, var) * ev(node.right, var)
+            out = ev(node.left) * ev(node.right)
         elif cls is DivC:
-            out = ev(node.arg, var) // node.divisor
+            out = ev(node.arg) // node.divisor
         elif cls is P1:
-            out = unp(node.arg, var, ev)[0]
-        elif cls is Compose:
-            inner = go(node.inner, var)
-            bindings.append(inner)
-            out = go(node.outer, inner)
+            out = unp(node.arg, ev)[0]
         elif cls is Table:
-            out = _lookup_vec(ev(node.arg, var), node.entries, node.default)
+            out = _lookup_vec(ev(node.arg), node.entries, node.default)
         else:
-            raise TypeError(f"not an FnExpr: {node!r}")
+            raise TypeError(f"not an FnExpr in normal form: {node!r}")
         if lift and type(out) is np.ndarray:
             # back to int64 when the node's own bound fits
-            out = out.astype(object if wide[key[0]] else np.int64, copy=False)
-        if key[0] in shared:
+            out = out.astype(object if wide[key] else np.int64, copy=False)
+        if key in shared:
             memo[key] = out
         return out
 
-    out = go(e, xs)
+    out = go(e)
     del go, unp, lifted  # they refer to each other: unbound, they and the memo die on return
     if isinstance(out, np.ndarray):
         return out
@@ -607,7 +594,8 @@ def _lookup_vec(v, entries, default):
 
 
 def is_closed(e: FnExpr) -> bool:
-    """True when the expression contains no input variable."""
+    """True when the normal form ``e`` contains no input variable; a
+    composition raises :class:`TypeError`."""
     cls = type(e)
     if cls is Var:
         return False
@@ -623,10 +611,8 @@ def is_closed(e: FnExpr) -> bool:
         closed = is_closed(e.left) and is_closed(e.right)
     elif cls is ModC or cls is P2 or cls is DivC or cls is P1 or cls is Table:
         closed = is_closed(e.arg)
-    elif cls is Compose:
-        closed = is_closed(e.inner) or is_closed(e.outer)
     else:
-        raise TypeError(f"not an FnExpr: {e!r}")
+        raise TypeError(f"not an FnExpr in normal form: {e!r}")
     e._closed = closed
     return closed
 
@@ -1116,14 +1102,6 @@ class IndexPredicate:
     def agreement(cls, a: FnExpr, b: FnExpr) -> "IndexPredicate":
         """The set {n : a(n) = b(n)}."""
         return cls.from_expr(IfEq(normalize(a), normalize(b), Const(1), Const(0)))
-
-    @classmethod
-    def full(cls) -> "IndexPredicate":
-        return cls.from_expr(Const(1))
-
-    @classmethod
-    def empty(cls) -> "IndexPredicate":
-        return cls.from_expr(Const(0))
 
     # -- evaluation ----------------------------------------------------------
 

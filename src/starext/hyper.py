@@ -77,7 +77,6 @@ class StarSet:
     """Extension of a subset of N, carried by a 0/1 indicator."""
 
     indicator: FnExpr
-    tag: str = ""
 
     def __repr__(self) -> str:
         return f"{{x : {pretty(self.indicator)}(x)=1}}"
@@ -97,15 +96,15 @@ def finite_indicator(elems: Iterable[int]) -> FnExpr:
 
 
 def set_union(a: StarSet, b: StarSet) -> StarSet:
-    return StarSet(normalize(or_(a.indicator, b.indicator)), tag=f"({a.tag} | {b.tag})")
+    return StarSet(normalize(or_(a.indicator, b.indicator)))
 
 
 def set_intersection(a: StarSet, b: StarSet) -> StarSet:
-    return StarSet(normalize(and_(a.indicator, b.indicator)), tag=f"({a.tag} & {b.tag})")
+    return StarSet(normalize(and_(a.indicator, b.indicator)))
 
 
 def set_complement(a: StarSet) -> StarSet:
-    return StarSet(normalize(not_(a.indicator)), tag=f"~{a.tag}")
+    return StarSet(normalize(not_(a.indicator)))
 
 
 class Universe:
@@ -180,7 +179,7 @@ class Universe:
         normal-form memo."""
         return IndexPredicate.from_expr(expr, self._normal_memo)
 
-    def star_set(self, indicator: FnExpr | str, tag: str = "") -> StarSet:
+    def star_set(self, indicator: FnExpr | str) -> StarSet:
         """Wrap an indicator, rejecting ones that are not 0/1-valued on
         0..63."""
         if isinstance(indicator, str):
@@ -192,14 +191,11 @@ class Universe:
             raise MalformedIndicator(
                 f"indicator {pretty(indicator)!r} takes value {values[bad[0]]} at {bad[0]}"
             )
-        return StarSet(indicator, tag=tag)
+        return StarSet(indicator)
 
     def equalizer(self, f: FnExpr, g: FnExpr) -> StarSet:
         """The set extension on which the extensions of f and g agree."""
-        return StarSet(
-            normalize(diagonal_composite(f, g)),
-            tag=f"eq({pretty(f)}, {pretty(g)})",
-        )
+        return StarSet(normalize(diagonal_composite(f, g)))
 
     def decide_finite(self, xi: Hyperpoint, elems: Sequence[int]) -> int | None:
         """Resolve membership of a point in a finite set.
@@ -211,7 +207,7 @@ class Universe:
         """
         elems = sorted(set(elems))
         ind = finite_indicator(elems)
-        if not self.member(xi, StarSet(normalize(ind), tag=f"finite{tuple(elems)}")):
+        if not self.member(xi, StarSet(normalize(ind))):
             return None
         accepted = []
         for a in elems:

@@ -160,7 +160,8 @@ class OracleState:
         self.config = config or OracleConfig()
         self.horizon = self.config.horizon
         self.log = log if log is not None else DecisionLog()
-        self._entries: list[LogEntry] = []
+        # the largest witness this state has logged, -1 before the first
+        self._top_witness = -1
         self._replay_log = replay_log
         self._decisions: dict[str, bool] = {}
         self._mask_cache = mask_cache if mask_cache is not None else {}
@@ -184,10 +185,6 @@ class OracleState:
         )
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def entries(self) -> list[LogEntry]:
-        return list(self._entries)
 
     def decided(self, pred: IndexPredicate) -> bool | None:
         return self._decisions.get(pred.text)
@@ -254,8 +251,8 @@ class OracleState:
         """Verify the committed family still reaches past every witness."""
         if not self._commit.any():
             raise ConsistencyViolation("committed intersection empty in window")
-        if self._entries:
-            top = max(e.witness for e in self._entries)
+        top = self._top_witness
+        if top >= 0:
             if not self._commit[min(top + 1, self.horizon):].any():
                 raise ConsistencyViolation(
                     f"committed intersection empty beyond witness {top}"
@@ -281,7 +278,7 @@ class OracleState:
                     f"decision {entry.seq}: recomputed {entry!r}, logged {expected!r}"
                 )
         self.log.append(entry)
-        self._entries.append(entry)
+        self._top_witness = max(self._top_witness, witness)
         self._decisions[pred.text] = accept
         return accept
 

@@ -16,7 +16,6 @@ the caller can sweep-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import Undecidable
 import numpy as np
@@ -40,17 +39,6 @@ class BasicClosed:
         return BasicClosed(self.pairs + ((f, target),))
 
 
-class CoverVerdict(Enum):
-    YES = "yes"
-    NO = "no"
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    verdict: CoverVerdict
-    witness: int | None = None  # an uncovered base element, when NO
-
-
 def closed_member(u: Universe, xi: Hyperpoint, closed: BasicClosed) -> bool:
     """Disjunction over the listed pairs of one star-equality each."""
     pending: Undecidable | None = None
@@ -65,13 +53,13 @@ def closed_member(u: Universe, xi: Hyperpoint, closed: BasicClosed) -> bool:
     return False
 
 
-def covers_standard(u: Universe, closed: BasicClosed) -> CoverResult:
+def covers_standard(u: Universe, closed: BasicClosed) -> int | None:
     """Density check for a set with standard targets.
 
     Verifies that the union of the listed preimages contains every base
-    element up to the oracle horizon. A YES means the set is the whole
-    extension, so every point is a member; a NO carries the least
-    uncovered element.
+    element up to the oracle horizon, and returns the least element that
+    it misses. None means the set is the whole extension, so every point
+    is a member.
     """
     bound = u.oracle.horizon
     for _, target in closed.pairs:
@@ -84,9 +72,7 @@ def covers_standard(u: Universe, closed: BasicClosed) -> CoverResult:
     for f, target in closed.pairs:
         covered |= eval_vec(f, xs) == target.seq.value
     uncovered = np.flatnonzero(~covered)
-    if uncovered.size:
-        return CoverResult(CoverVerdict.NO, witness=int(uncovered[0]))
-    return CoverResult(CoverVerdict.YES)
+    return int(uncovered[0]) if uncovered.size else None
 
 
 def star_preimage(f: FnExpr, closed: BasicClosed) -> BasicClosed:

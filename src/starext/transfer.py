@@ -70,6 +70,7 @@ from .funlang import (
     and_,
     eval_vec,
     interpret,
+    normalize,
     not_,
     or_,
     pair,
@@ -409,7 +410,7 @@ def _compile(phi: Formula, env: Mapping[str, FnExpr], registry: Registry,
             if horizon is None:
                 return None
             bound_expr = substitute(bound, env)
-            k = int(eval_vec(bound_expr, np.arange(horizon + 1)).max())
+            k = int(eval_vec(normalize(bound_expr), np.arange(horizon + 1)).max())
             if k > budget:
                 return None
             inner_budget = max(1, budget // max(k, 1))
@@ -448,6 +449,7 @@ def _truth_vec(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
     """
     direct = compile_formula(phi, env, registry)
     if direct is not None:
+        direct = normalize(direct)
         return lambda ms: eval_vec(direct, ms) != 0
     match phi:
         case Not(b):
@@ -460,7 +462,7 @@ def _truth_vec(phi: Formula, env: Mapping[str, FnExpr], registry: Registry):
         case Implies(l, r):
             return _truth_vec(Or(Not(l), r), env, registry)
         case Bounded(kind, var, bound, body):
-            bound_expr = substitute(bound, env)
+            bound_expr = normalize(substitute(bound, env))
             inner_env = {n: substitute(e, P1(VAR)) for n, e in env.items()}
             inner_env[var] = P2(VAR)
             body_vec = _truth_vec(body, inner_env, registry)

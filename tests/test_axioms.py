@@ -5,6 +5,7 @@ import pytest
 from starext.axioms import (
     EXHAUSTED,
     FAIL,
+    PASS,
     ToyExtension,
     UltrapowerExtension,
     broken_comp_toy,
@@ -45,13 +46,13 @@ def test_composition_passes_on_model(u):
     for _ in range(25):
         f, g = rand_expr(rng, 3), rand_expr(rng, 3)
         xi = u.point(rand_point_expr(rng))
-        assert check_composition(ext, f, g, xi).ok
+        assert check_composition(ext, f, g, xi).status == PASS
 
 
 def test_composition_identity_case(u):
     ext = hyper_ext(u)
     xi = u.point("x * x")
-    assert check_composition(ext, VAR, VAR, xi).ok
+    assert check_composition(ext, VAR, VAR, xi).status == PASS
 
 
 def test_diagonal_passes_on_model(u):
@@ -60,7 +61,7 @@ def test_diagonal_passes_on_model(u):
     for _ in range(25):
         f, g = rand_expr(rng, 2), rand_expr(rng, 2)
         xi = u.point(rand_point_expr(rng))
-        assert check_diagonal(ext, f, g, xi).ok
+        assert check_diagonal(ext, f, g, xi).status == PASS
 
 
 def test_diagonal_equal_functions_always_one(u):
@@ -107,13 +108,13 @@ def test_irredundancy_identity_witness(u):
     ext = hyper_ext(u)
     xi = u.point("pair(x, x + 1)")
     out = check_irredundant(ext, xi)
-    assert out.ok and "identity" in out.witness
+    assert out.status == PASS and "identity" in out.witness
 
 
 def test_irredundancy_standard_point_constant_witness(u):
     ext = UltrapowerExtension(u, [("c5", Const(5))])
     out = check_irredundant(ext, u.standard(5), extra_points=[u.point(VAR)])
-    assert out.ok
+    assert out.status == PASS
 
 
 # -- Puritz order -----------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_puritz_directedness_via_pairing(u):
     for _ in range(20):
         xi = u.point(rand_point_expr(rng))
         eta = u.point(rand_point_expr(rng))
-        assert check_directedness(ext, xi, eta).ok
+        assert check_directedness(ext, xi, eta).status == PASS
 
 
 # -- toy extensions ------------------------------------------------------------------
@@ -161,11 +162,11 @@ def all_pairs_points(toy):
 def test_honest_toy_passes_everything():
     toy = honest_toy()
     for f, g, p in all_pairs_points(toy):
-        assert check_composition(toy, f, g, p).ok
-        assert check_diagonal(toy, f, g, p).ok
+        assert check_composition(toy, f, g, p).status == PASS
+        assert check_diagonal(toy, f, g, p).status == PASS
     pts = list(toy.all_points())
     for p in pts:
-        assert check_irredundant(toy, p, extra_points=pts).ok
+        assert check_irredundant(toy, p, extra_points=pts).status == PASS
 
 
 def test_broken_comp_caught_with_witness():
@@ -179,9 +180,9 @@ def test_broken_comp_caught_with_witness():
     assert "succ" in fails[0].witness and "dbl" in fails[0].witness
     # the other two laws are untouched
     for f, g, p in all_pairs_points(toy):
-        assert check_diagonal(toy, f, g, p).ok
+        assert check_diagonal(toy, f, g, p).status == PASS
     pts = list(toy.all_points())
-    assert all(check_irredundant(toy, p, extra_points=pts).ok for p in pts)
+    assert all(check_irredundant(toy, p, extra_points=pts).status == PASS for p in pts)
 
 
 def test_broken_diag_caught_with_witness():
@@ -192,7 +193,7 @@ def test_broken_diag_caught_with_witness():
     ]
     assert fails
     for f, g, p in all_pairs_points(toy):
-        assert check_composition(toy, f, g, p).ok
+        assert check_composition(toy, f, g, p).status == PASS
 
 
 def test_redundant_toy_exhausts_search():
@@ -204,10 +205,10 @@ def test_redundant_toy_exhausts_search():
     assert out.witness == str(rho)
     # everything else is reachable and the other laws hold
     for p in pts[:-1]:
-        assert check_irredundant(toy, p, extra_points=pts).ok
+        assert check_irredundant(toy, p, extra_points=pts).status == PASS
     for f, g, p in all_pairs_points(toy):
-        assert check_composition(toy, f, g, p).ok
-        assert check_diagonal(toy, f, g, p).ok
+        assert check_composition(toy, f, g, p).status == PASS
+        assert check_diagonal(toy, f, g, p).status == PASS
 
 
 def test_toys_do_not_support_pairing():

@@ -42,9 +42,12 @@ from starext.hyper import StarSet
 from .conftest import make_universe, trees
 
 
-def assert_matches_interpret(e, xs):
+def assert_matches_interpret(e, xs, source=None):
+    """``eval_vec(e, xs)`` against :func:`interpret` of ``source``, by
+    default ``e`` itself; a composed ``source`` is given as its normal
+    form ``e``."""
     got = eval_vec(e, xs)
-    ref = [interpret(e, int(x)) for x in xs]
+    ref = [interpret(e if source is None else source, int(x)) for x in xs]
     assert got.tolist() == ref
     # the interval pass never lets a value reach int64's danger zone
     if got.dtype == np.int64:
@@ -88,7 +91,7 @@ exprs = st.recursive(_leaves, _extend, max_leaves=10)
 @settings(max_examples=300)
 @given(exprs)
 def test_eval_vec_matches_interpret_on_trees(e):
-    assert_matches_interpret(e, np.arange(65))
+    assert_matches_interpret(normalize(e), np.arange(65), e)
 
 
 @settings(max_examples=300)
@@ -98,7 +101,7 @@ def test_eval_vec_matches_interpret_on_rand_expr(seed, depth, compose):
     e = rand_expr(rng, depth)
     if compose:
         e = Compose(e, rand_point_expr(rng))
-    assert_matches_interpret(e, np.arange(301))
+    assert_matches_interpret(normalize(e), np.arange(301), e)
 
 
 @pytest.mark.parametrize("inner", [
@@ -111,7 +114,7 @@ def test_compositions_sharing_one_outer_function(inner):
     e = Const(0)
     for k in range(1, 40):
         e = Add(e, Compose(f, inner(k)))
-    assert_matches_interpret(e, np.arange(50))
+    assert_matches_interpret(normalize(e), np.arange(50), e)
 
 
 def _pair_chain(depth):
@@ -384,8 +387,9 @@ def test_known_truth_vectors_are_read_at_the_top_level_only():
     wrong = {pretty(p): np.ones(50, dtype=bool)}
     assert eval_vec(not_(p), xs, wrong).tolist() == [0] * 50
     assert eval_vec(not_(p), xs).tolist() == [int(x % 3 != 0) for x in range(50)]
-    # under a composition the input is another one, so nothing is read
-    shifted = Compose(not_(p), Add(VAR, Const(1)))
+    # under a composition the input is another one: the normal form
+    # rebuilds p on it, a node with no text cached, so nothing is read
+    shifted = normalize(Compose(not_(p), Add(VAR, Const(1))))
     assert eval_vec(shifted, xs, wrong).tolist() == [int((x + 1) % 3 != 0) for x in range(50)]
     # nor for a text never cached on the node, or a vector of another length
     assert eval_vec(not_(parse_fn("ifeq(x mod 3, 0, 1, 0)")), xs, wrong).tolist() == \

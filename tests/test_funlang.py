@@ -262,8 +262,6 @@ def _ref_is_closed(e):
         case IfEq(a, b, t, o):
             return (_ref_is_closed(a) and _ref_is_closed(b) and _ref_is_closed(t)
                     and _ref_is_closed(o))
-        case Compose(f, g):
-            return _ref_is_closed(g) or _ref_is_closed(f)
         case Table(a, _, _):
             return _ref_is_closed(a)
         case _:
@@ -303,7 +301,8 @@ _any_node = trees(
 @given(st.one_of(_node, _any_node), st.one_of(st.integers(0, 300), st.integers(2**63 - 3, 2**70)))
 def test_dispatch_matches_match_walks(e, x):
     # names are unbound here, so interpret and is_closed may meet one and
-    # raise; both walks must then raise alike
+    # raise; is_closed takes normal forms, so it raises at a composition
+    # too; both walks must then raise alike
     assert _outcome(interpret, e, x) == _outcome(_ref_interpret, e, x)
     assert _outcome(is_closed, e) == _outcome(_ref_is_closed, e)
     assert pretty(e) == _ref_text(e)[0]
@@ -390,6 +389,25 @@ def test_walks_reject_foreign_node_classes(walk):
     for e in (_Foreign(VAR), Add(Const(1), _Foreign(VAR))):
         with pytest.raises(TypeError, match="not an FnExpr"):
             walk(e)
+
+
+@pytest.mark.parametrize("walk", [
+    is_closed,
+    lambda e: _bound_pass(e, 10),
+    lambda e: eval_vec(e, np.arange(5)),
+], ids=["is_closed", "_bound_pass", "eval_vec"])
+def test_evaluation_walks_reject_compositions(walk):
+    """Evaluation takes normal forms: a composition it reaches raises
+    instead of giving a value, while interpret, normalize and pretty
+    accept any tree."""
+    closed = Compose(Add(VAR, Const(1)), Const(2))
+    for e in (closed, Add(Const(1), closed), IfEq(Const(0), Const(1), closed, VAR)):
+        with pytest.raises(TypeError, match="normal form"):
+            walk(e)
+        n = normalize(e)
+        assert interpret(e, 3) == interpret(n, 3)
+        assert pretty(e) == pretty(n)
+        walk(n)
 
 
 # -- pairing -----------------------------------------------------------------
@@ -479,7 +497,7 @@ def test_substitute_replaces_variable():
 def test_is_closed():
     assert is_closed(parse_fn("pair(3, 4) mod 7"))
     assert not is_closed(parse_fn("x mod 7"))
-    assert is_closed(Compose(Const(5), VAR))
+    assert is_closed(normalize(Compose(Const(5), VAR)))
 
 
 # -- normalize against the two-pass algorithm --------------------------------
@@ -607,9 +625,9 @@ _WALKS = {
     "rand_nary": lambda e: rand_nary(random.Random(pretty(e)), 3),
     "pretty": pretty,
     "substitute": lambda e: substitute(e, PairE(VAR, Const(1))),
-    "eval_vec": lambda e: (eval_vec(e, np.arange(300)),
-                           eval_vec(e, np.array([2**63, 5], dtype=object))),
-    "_bound_pass": lambda e: _bound_pass(e, 300),
+    "eval_vec": lambda e: (eval_vec(normalize(e), np.arange(300)),
+                           eval_vec(normalize(e), np.array([2**63, 5], dtype=object))),
+    "_bound_pass": lambda e: _bound_pass(normalize(e), 300),
     "sat_mask": _sat_mask,
     "los_queries": _los_queries,
 }
@@ -644,9 +662,8 @@ def _fresh(e, memo=None):
 
 
 def _warm(e):
-    normalize(e)
+    is_closed(normalize(e))
     pretty(e)
-    is_closed(e)
     return e
 
 
@@ -684,8 +701,7 @@ def test_caches_match_fresh_computation(seed, shape, warm):
     assert n == normalize(_fresh(e))
     assert pretty(e) == pretty(_fresh(e))
     assert pretty(n) == pretty(_fresh(n)) == pretty(normalize(_fresh(e)))
-    assert is_closed(e) == is_closed(_fresh(e))
-    assert is_closed(n) == is_closed(_fresh(n))
+    assert is_closed(n) == is_closed(_fresh(n)) == is_closed(normalize(_fresh(e)))
     for node in (e, n, f, p):
         copy = _fresh(node)
         assert node == copy
@@ -733,5 +749,5 @@ def test_agreement_predicate_text_is_canonical():
 
 
 def test_constant_predicates():
-    assert IndexPredicate.full().constant_value() is True
-    assert IndexPredicate.empty().constant_value() is False
+    assert IndexPredicate.from_expr(Const(1)).constant_value() is True
+    assert IndexPredicate.from_expr(Const(0)).constant_value() is False

@@ -115,7 +115,7 @@ def test_diagonal_composite_tracks_equality(u):
 # -- set extensions --------------------------------------------------------------------
 
 def test_member_standard_points(u):
-    evens = u.star_set("ifeq(x mod 2, 0, 1, 0)", tag="evens")
+    evens = u.star_set("ifeq(x mod 2, 0, 1, 0)")
     assert u.member(u.standard(4), evens)
     assert not u.member(u.standard(3), evens)
 
@@ -131,8 +131,8 @@ def test_membership_commutes_with_boolean_ops():
     rng = random.Random(12)
     for _ in range(40):
         u = make_universe(horizon=1000)
-        a = StarSet(rand_indicator(rng), tag="a")
-        b = StarSet(rand_indicator(rng), tag="b")
+        a = StarSet(rand_indicator(rng))
+        b = StarSet(rand_indicator(rng))
         xi = u.point(rand_point_expr(rng))
         ia, ib = u.member(xi, a), u.member(xi, b)
         assert u.member(xi, set_union(a, b)) == (ia or ib)
@@ -176,8 +176,8 @@ def test_member_memo_matches_stateless_path(seed, horizon):
 
 def test_boolean_queries_reuse_the_parts_normal_forms():
     u = make_universe(horizon=256)
-    a = StarSet(normalize(parse_fn("ifeq(x mod 3, 1, 1, 0)")), tag="a")
-    b = StarSet(normalize(parse_fn("ifeq(x mod 5, 2, 1, 0)")), tag="b")
+    a = StarSet(normalize(parse_fn("ifeq(x mod 3, 1, 1, 0)")))
+    b = StarSet(normalize(parse_fn("ifeq(x mod 5, 2, 1, 0)")))
     xi = u.point("x * x + 7")
     in_a = u._member_predicate(xi, a).expr
     in_b = u._member_predicate(xi, b).expr
@@ -192,7 +192,7 @@ def test_boolean_queries_reuse_the_parts_normal_forms():
 
 def test_standard_part_recovers_base_set(u):
     ind = parse_fn("ifeq(x mod 3, 1, 1, 0)")
-    a = u.star_set(ind, tag="mod3=1")
+    a = u.star_set(ind)
     for x in range(0, 300, 7):
         assert u.member(u.standard(x), a) == (x % 3 == 1)
 
@@ -283,7 +283,7 @@ def test_injective_function_preserves_distinctness(u):
 
 def image_of(f, domain) -> StarSet:
     """The extension of f(A) for a finite domain A, as a finite set."""
-    return StarSet(normalize(finite_indicator(interpret(f, a) for a in domain)), tag="image")
+    return StarSet(normalize(finite_indicator(interpret(f, a) for a in domain)))
 
 
 def test_range_membership_for_bounded_points(u):

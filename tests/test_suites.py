@@ -2,12 +2,13 @@
 
 import pytest
 
-from starext import suites
+from starext import funlang, suites
 from starext.errors import Undecidable
+from starext.funlang import P1, PairE
 from starext.hyper import Universe
 from starext.oracle import OracleState
 from starext.scenario import bundled_scenario_path, parse_scenario
-from starext.suites import UNDECIDABLE, SuiteContext
+from starext.suites import FAIL, PASS, UNDECIDABLE, SuiteContext
 
 #: quick, plus a fragment point with omega's value prefix but its own
 #: text, so that building the fragment asks the oracle whether the two
@@ -135,3 +136,46 @@ def test_deep_fragment_lines_name_their_points():
     # the probe names the first cell, row by row, where its table is missed
     [probe] = by_check["probe-constant"]
     assert probe.witness == "recovered table differs at (3, 0): 0 vs 9"
+
+
+#: the composition law only, over a projection and a pairing, so that
+#: (first after tag1) meets a p1(pair(a, b)) redex in many instances
+_COMP_ONLY = """[config]
+horizon = 2000
+seed = 7
+scale = quick
+
+[functions]
+def first = p1(x)
+def tag1 = pair(1, x)
+
+[suites]
+axioms
+"""
+
+
+def _comp_verdicts() -> list[str]:
+    scenario = parse_scenario(_COMP_ONLY, "comp.scn")
+    report = suites.run_axioms(
+        SuiteContext(scenario, Universe(OracleState(scenario.oracle_config()))))
+    lines = [line for line in report.lines if line.check == "comp"]
+    assert all(line.verdict == PASS or line.witness.startswith("differs at index ")
+               for line in lines)
+    return [line.verdict for line in lines]
+
+
+def test_comp_law_catches_a_normalisation_fault(monkeypatch):
+    """The composition law sets g applied to the values of f at xi against
+    the normal form of (g after f)(xi), so a fault of :func:`normalize`
+    shows: here ``p1(pair(a, b))`` is rewritten to b instead of a."""
+    assert set(_comp_verdicts()) == {PASS}
+    real = funlang._normal
+
+    def mutant(node, repl, memo):
+        if type(node) is P1:
+            sa = funlang._normal(node.arg, repl, memo)
+            return sa.right if type(sa) is PairE else P1(sa)
+        return real(node, repl, memo)
+
+    monkeypatch.setattr(funlang, "_normal", mutant)
+    assert FAIL in _comp_verdicts()

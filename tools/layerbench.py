@@ -14,6 +14,9 @@ Each line is the best of five repetitions, in µs per call, measured with
 - ``normalize`` + ``pretty`` of a fresh membership query, an indicator
   composed with a point's sequence;
 - ``eval_vec`` of that query's normal form (19 nodes) at H = 256;
+- one instance of the axioms suite's composition law at H = 256, with
+  fixed f, g and a point's sequence xi: g applied to the values of f at
+  xi against the values of the normal form of (g after f)(xi);
 - that query's truth vector (``IndexPredicate.mask``) at H = 10⁴, the
   horizon of the bundled ``standard`` scenario;
 - the truth vector at H = 10⁴ of ``ifeq(2, x * (pair(4, x) * pair(4, x)),
@@ -64,6 +67,10 @@ FORMULA_TEXT = "exists y < 5 . y + y = v mod 5"
 INDICATOR = normalize(parse_fn(INDICATOR_TEXT))
 SEQ = normalize(parse_fn("x * 2 + 1"))
 WIDE_QUERY = normalize(parse_fn("ifeq(2, x * (pair(4, x) * pair(4, x)), 0, 1)"))
+#: f, g and xi of the composition-law row
+COMP_F = parse_fn("pair(x mod 7, x div 3)")
+COMP_G = parse_fn("p1(x) * 3 + p2(x)")
+COMP_XI = normalize(parse_fn("x * x + 1"))
 PHI = parse_formula("v mod 3 = 0 | v < 40")
 PSI = parse_formula("v mod 4 = 1")
 
@@ -97,6 +104,18 @@ QUERY = normalize(Compose(INDICATOR, SEQ))
 def _eval_vec():
     xs = np.arange(H + 1)
     return None, lambda: eval_vec(QUERY, xs)
+
+
+def _comp_law():
+    # the statements of the comp check in ``suites.run_axioms``
+    xs = np.arange(H + 1)
+
+    def run():
+        lhs = eval_vec(normalize(COMP_G), eval_vec(normalize(Compose(COMP_F, COMP_XI)), xs))
+        rhs = eval_vec(normalize(Compose(Compose(COMP_G, COMP_F), COMP_XI)), xs)
+        return np.flatnonzero(lhs != rhs)
+
+    return None, run
 
 
 def _mask():
@@ -155,6 +174,7 @@ BENCHES = [
     ("parse_fn + parse_formula", _parse, 2_000),
     ("normalize + pretty, member query", _canonicalise, 5_000),
     (f"eval_vec, {_node_count(QUERY)}-node mask, H={H}", _eval_vec, 2_000),
+    (f"axioms comp instance, H={H}", _comp_law, 2_000),
     (f"IndexPredicate.mask, H={MASK_H}", _mask, 200),
     (f"IndexPredicate.mask, H={MASK_H}, wide ifeq", _wide_mask, 200),
     ("oracle decision, cached mask", _decision, 4_000),
