@@ -1,10 +1,17 @@
 """Batch driver: run scenario suites, write a report and a decision log.
 
 Exit codes: 0 all checks passed (undecidable tolerated unless --strict),
-1 suite failures, 2 parse or configuration errors, 3 broken filter
-consistency or replay divergence (a decision that differs from the
-replayed log, or a recomputed log shorter or longer than it), 4 an
-internal error while the suites run, reported as one line on stderr.
+1 suite failures, 2 parse or configuration errors (an --out directory
+that cannot be written included), 3 broken filter consistency or replay
+divergence (a decision that differs from the replayed log, or a
+recomputed log shorter or longer than it), 4 an internal error while the
+suites run, reported as one line on stderr.
+
+The decision log is written to a temporary file in the output directory
+while the suites run, one line per decision. A run that ends with exit
+0 or 1 writes the report, then renames that file onto decisions.log. A
+run that ends otherwise removes it and the output directories it made,
+and leaves an existing report and log as they were.
 
 The report and the log depend only on the scenario and the flags, never
 on wall-clock or filesystem specifics, so a rerun (or a rerun under
@@ -14,6 +21,8 @@ on wall-clock or filesystem specifics, so a rerun (or a rerun under
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -102,30 +111,50 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
 
-    oracle = OracleState(config, replay_log=replay_log)
-    universe = Universe(oracle)
-    ctx = SuiteContext(scenario, universe)
-
-    try:
-        reports = run_suites(ctx, suites)
-        oracle.check_consistency()
-        oracle.check_replay_complete()
-    except ReplayMismatch as exc:
-        print(f"replay mismatch: {exc}", file=sys.stderr)
-        return 3
-    except ConsistencyViolation as exc:
-        print(f"consistency violation: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:
-        # a fault of the verifier itself, never a verdict on the scenario
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_text = render_report(scenario, config.horizon, args.strict, reports)
-    (out_dir / REPORT_NAME).write_text(report_text)
-    oracle.log.write(out_dir / LOG_NAME)
+    made: list[Path] = []  # the directories this run made, outermost first
+    staged = out_dir / f".{LOG_NAME}.{os.getpid()}"
+    kept = False
+    try:
+        try:
+            for d in (*reversed(out_dir.parents), out_dir):
+                if not d.is_dir():
+                    d.mkdir()
+                    made.append(d)
+            sink = open(staged, "w")
+        except OSError as exc:
+            print(f"error: --out {args.out}: {exc}", file=sys.stderr)
+            return 2
+        with sink:
+            oracle = OracleState(config, replay_log=replay_log, log=DecisionLog(sink))
+            ctx = SuiteContext(scenario, Universe(oracle))
+            try:
+                reports = run_suites(ctx, suites)
+                oracle.check_consistency()
+                oracle.check_replay_complete()
+            except ReplayMismatch as exc:
+                print(f"replay mismatch: {exc}", file=sys.stderr)
+                return 3
+            except ConsistencyViolation as exc:
+                print(f"consistency violation: {exc}", file=sys.stderr)
+                return 3
+            except Exception as exc:
+                # a fault of the verifier itself, never a verdict on the scenario
+                print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return 4
+        report_text = render_report(scenario, config.horizon, args.strict, reports)
+        (out_dir / REPORT_NAME).write_text(report_text)
+        staged.replace(out_dir / LOG_NAME)
+        kept = True
+    finally:
+        if not kept:
+            # a run without a verdict leaves no log and no directory of
+            # its own; a directory something else wrote into stays
+            with contextlib.suppress(OSError):
+                staged.unlink()
+            for d in reversed(made):
+                with contextlib.suppress(OSError):
+                    d.rmdir()
 
     fails = sum(r.failures for r in reports)
     undec = sum(r.undecided for r in reports)

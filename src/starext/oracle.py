@@ -24,6 +24,15 @@ the recorded decision without a new entry. A replay compares each
 decision with the logged one, and its end checks that none is missing
 or extra (:meth:`OracleState.check_replay_complete`).
 
+The log is written as decisions are made: :class:`DecisionLog` formats
+each entry's line once, writes it to its text sink and keeps only a
+count, so memory does not grow with the number of decisions. The CLI's
+sink is a temporary file that replaces ``decisions.log`` when the run
+ends with a verdict; a library caller's default sink is an
+:class:`io.StringIO`. Reading a log (:meth:`DecisionLog.read`) parses
+and validates every line up front and returns the entries a replay
+compares against.
+
 C is stored over indices 0..H and is False below ``WINDOW_START`` from
 the start, so ``C & S`` and ``C & ~S`` are windowed already. A decision
 on a cached truth vector is a fixed handful of whole-array operations:
@@ -37,11 +46,12 @@ is thread-safe under concurrent mutation.
 
 from __future__ import annotations
 
+import io
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -97,46 +107,46 @@ class LogEntry(NamedTuple):
     witness: int
 
 
-@dataclass
 class DecisionLog:
-    """Append-only record of decisions, serializable bit-exactly."""
+    """Append-only record of decisions, written line by line to a text sink.
 
-    entries: list[LogEntry] = field(default_factory=list)
+    Each entry is formatted once and written at once; the log keeps only
+    their count. The default sink is an :class:`io.StringIO`.
+    """
+
+    def __init__(self, sink: TextIO | None = None):
+        self._sink = sink if sink is not None else io.StringIO()
+        self._count = 0
 
     def append(self, entry: LogEntry) -> None:
-        self.entries.append(entry)
+        self._sink.write(f"{entry.seq}\t{entry.text}\t{entry.decision}\t{entry.witness}\n")
+        self._count += 1
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
+        return self._count
 
     def to_text(self) -> str:
-        return "".join(
-            f"{e.seq}\t{e.text}\t{e.decision}\t{e.witness}\n" for e in self.entries
-        )
+        """The text written so far, when the sink is an :class:`io.StringIO`."""
+        return self._sink.getvalue()
 
-    def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
-
-    @classmethod
-    def from_text(cls, text: str) -> "DecisionLog":
-        """Parse a log; a :class:`ValueError` names the first line that is
-        not an entry whose seq is its position among the entries."""
-        log = cls()
+    @staticmethod
+    def from_text(text: str) -> list[LogEntry]:
+        """Parse a log into its entries; a :class:`ValueError` names the
+        first line that is not an entry whose seq is its position among
+        the entries."""
+        entries: list[LogEntry] = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             m = _LOG_LINE.fullmatch(line)
-            if m is None or m[1] != str(len(log)):
+            if m is None or m[1] != str(len(entries)):
                 raise ValueError(f"bad log line {lineno}: {line!r}")
-            log.append(LogEntry(len(log), m[2], m[3], int(m[4])))
-        return log
+            entries.append(LogEntry(len(entries), m[2], m[3], int(m[4])))
+        return entries
 
-    @classmethod
-    def read(cls, path: str | Path) -> "DecisionLog":
-        return cls.from_text(Path(path).read_text())
+    @staticmethod
+    def read(path: str | Path) -> list[LogEntry]:
+        return DecisionLog.from_text(Path(path).read_text())
 
 
 class OracleState:
@@ -149,12 +159,13 @@ class OracleState:
     replayable file. ``mask_cache`` may likewise be shared, since a
     predicate's truth vector does not depend on any filter state.
 
-    ``replay_log``, when given, is checked entry by entry as decisions
-    are recomputed; any divergence raises :class:`ReplayMismatch`.
+    ``replay_log``, when given, holds the entries of a recorded log
+    (:meth:`DecisionLog.read`); it is checked entry by entry as decisions
+    are recomputed, and any divergence raises :class:`ReplayMismatch`.
     """
 
     def __init__(self, config: OracleConfig | None = None,
-                 replay_log: DecisionLog | None = None,
+                 replay_log: Sequence[LogEntry] | None = None,
                  log: DecisionLog | None = None,
                  mask_cache: dict[str, np.ndarray] | None = None):
         self.config = config or OracleConfig()
@@ -272,7 +283,7 @@ class OracleState:
                 )
         entry = LogEntry(len(self.log), pred.text, "accept" if accept else "reject", witness)
         if self._replay_log is not None and entry.seq < len(self._replay_log):
-            expected = self._replay_log.entries[entry.seq]
+            expected = self._replay_log[entry.seq]
             if expected != entry:
                 raise ReplayMismatch(
                     f"decision {entry.seq}: recomputed {entry!r}, logged {expected!r}"
@@ -283,9 +294,9 @@ class OracleState:
         return accept
 
 
-def replay(log: DecisionLog, queries: Iterable[IndexPredicate],
+def replay(log: Sequence[LogEntry], queries: Iterable[IndexPredicate],
            config: OracleConfig | None = None) -> OracleState:
-    """Re-run a query sequence against a recorded log.
+    """Re-run a query sequence against a recorded log's entries.
 
     The queries must recompute the whole log: every decision equal to
     the logged one, and no fewer or more decisions than it has.

@@ -20,6 +20,8 @@ SRC = Path(starext.__file__).resolve().parent
 ALLOWED = {
     "Universe.star_set": "the checked way to build a set from outside: "
                          "it parses indicator text and rejects values other than 0/1",
+    "DecisionLog.to_text": "the one read of a log kept in memory, the default for "
+                           "library callers; the CLI's log goes to a file instead",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,11 @@ def union(p: IndexPredicate, q: IndexPredicate) -> IndexPredicate:
 
 def fresh(horizon: int = 2000, tiebreak: str = "least") -> OracleState:
     return OracleState(OracleConfig(horizon=horizon, tiebreak=tiebreak))
+
+
+def entries(state: OracleState) -> list[LogEntry]:
+    """The entries of the state's log, parsed from its in-memory text."""
+    return DecisionLog.from_text(state.log.to_text())
 
 
 # -- basic membership ---------------------------------------------------------
@@ -141,11 +147,11 @@ def test_freeness_every_accepted_set_reaches_past_witnesses():
             state.query(IndexPredicate.from_expr(rand_indicator(rng)))
         except Undecidable:
             break
-    entries = state.log.entries  # the state has a log of its own
-    if not entries:
+    logged = entries(state)  # the state has a log of its own
+    if not logged:
         pytest.skip("no decisions made")
-    top = max(e.witness for e in entries)
-    for e in entries:
+    top = max(e.witness for e in logged)
+    for e in logged:
         if e.decision == "accept":
             pred = IndexPredicate(e.text, expr=parse_fn(e.text))
             mask = pred.mask(2000)
@@ -192,15 +198,19 @@ def test_replay_identical_decisions():
 
     text = first.log.to_text()
     reloaded = DecisionLog.from_text(text)
-    assert reloaded.entries == first.log.entries
+    assert len(reloaded) == len(first.log)
+    rewritten = DecisionLog()
+    for e in reloaded:
+        rewritten.append(e)
+    assert rewritten.to_text() == text
 
     second = replay(reloaded, [p for p, d in zip(preds, decisions) if d is not None],
                     OracleConfig(horizon=800))
-    assert second.log.entries == first.log.entries
+    assert second.log.to_text() == text
 
 
 def test_replay_empty_log():
-    state = replay(DecisionLog(), [])
+    state = replay([], [])
     assert len(state.log) == 0
 
 
@@ -208,17 +218,17 @@ def test_replay_single_entry():
     first = fresh()
     evens = mod_class(2, 0)
     d = first.query(evens)
-    second = replay(first.log, [mod_class(2, 0)], first.config)
-    assert second.log.entries == first.log.entries
+    second = replay(entries(first), [mod_class(2, 0)], first.config)
+    assert second.log.to_text() == first.log.to_text()
     assert second.decided(evens) == d
 
 
 def test_replay_mismatch_detected():
     first = fresh()
     first.query(mod_class(2, 0))
-    entry = first.log.entries[0]
+    entry = entries(first)[0]
     flipped = "reject" if entry.decision == "accept" else "accept"
-    bad = DecisionLog([LogEntry(entry.seq, entry.text, flipped, entry.witness)])
+    bad = [LogEntry(entry.seq, entry.text, flipped, entry.witness)]
     with pytest.raises(ReplayMismatch):
         replay(bad, [mod_class(2, 0)], first.config)
 
@@ -231,7 +241,7 @@ def test_replay_of_other_length_detected(stop):
     for p in preds[:2]:
         first.query(p)
     with pytest.raises(ReplayMismatch, match="recomputed"):
-        replay(first.log, preds[:stop], first.config)
+        replay(entries(first), preds[:stop], first.config)
 
 
 @pytest.mark.parametrize("line", [
@@ -250,11 +260,35 @@ def test_log_bad_line_is_named(line):
 
 
 def test_log_file_round_trip(tmp_path):
-    state = fresh(horizon=700)
-    run_all(state, random_queries(5, 20))
+    """A log written to a file holds the text of one kept in memory."""
     path = tmp_path / "d.log"
-    state.log.write(path)
-    assert DecisionLog.read(path).entries == state.log.entries
+    with open(path, "w") as sink:
+        state = OracleState(OracleConfig(horizon=700), log=DecisionLog(sink))
+        run_all(state, random_queries(5, 20))
+    ref = fresh(horizon=700)
+    run_all(ref, random_queries(5, 20))
+    assert len(state.log) == len(ref.log) > 0
+    assert path.read_text() == ref.log.to_text()
+    assert DecisionLog.read(path) == entries(ref)
+
+
+def test_file_log_keeps_no_entries(tmp_path):
+    """Appending to a file-backed log grows traced memory by less than
+    64 KB over 20,000 entries: the lines go to the file, not to a list."""
+    fixed = [LogEntry(i, f"ifeq(x mod {i % 89 + 2}, 0, 1, 0)", "accept", i % 250 + 1)
+             for i in range(20_000)]
+    with open(tmp_path / "d.log", "w") as sink:
+        log = DecisionLog(sink)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for entry in fixed:
+                log.append(entry)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert len(log) == len(fixed)
+    assert grown < 64 * 1024, grown
 
 
 def test_seeded_tiebreak_is_deterministic():
@@ -262,7 +296,7 @@ def test_seeded_tiebreak_is_deterministic():
     a = OracleState(OracleConfig(horizon=700, tiebreak="seeded:5"))
     b = OracleState(OracleConfig(horizon=700, tiebreak="seeded:5"))
     assert run_all(a, preds) == run_all(b, preds)
-    assert a.log.entries == b.log.entries
+    assert a.log.to_text() == b.log.to_text()
 
 
 def test_bad_config_rejected():

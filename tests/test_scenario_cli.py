@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from starext.cli import main
-from starext.errors import ParseError
+from starext.cli import LOG_NAME, REPORT_NAME, main
+from starext.errors import ConsistencyViolation, ParseError
 from starext.funlang import interpret
+from starext.oracle import OracleState
 from starext.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from starext.suites import SUITE_RUNNERS
 
@@ -219,7 +220,8 @@ def test_cli_replay_mismatch_exit_three(tmp_path):
         "quick", "--replay", str(corrupted), "--out", str(tmp_path / "x")
     )
     assert code == 3
-    assert "replay mismatch" in out
+    assert "replay mismatch: decision 3:" in out
+    assert not (tmp_path / "x").exists()  # nor a partial log in it
 
 
 def test_cli_seed_override_changes_log(tmp_path):
@@ -259,6 +261,7 @@ def test_cli_replay_log_of_other_length_exit_three(tmp_path, edit):
     assert code == 3
     assert "replay mismatch" in out
     assert len(out.strip().splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_horizon_zero_is_not_ignored(tmp_path):
@@ -300,6 +303,42 @@ def test_cli_internal_error_exit_four(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_consistency_violation_exit_three(tmp_path, monkeypatch, capsys):
+    def violated(state):
+        raise ConsistencyViolation("committed intersection empty in window")
+
+    monkeypatch.setattr(OracleState, "check_consistency", violated)
+    code = main(["quick", "--suite", "finite", "--out", str(tmp_path / "o" / "deeper")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "consistency violation: committed intersection empty in window\n")
+    assert not (tmp_path / "o").exists()  # every directory the run made is gone
+
+
+def _outputs(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_cli_replay_into_the_logs_own_directory(tmp_path):
+    """The replayed log is read before the run, and replaced only at its end."""
+    out = tmp_path / "out"
+    assert main(["quick", "--suite", "finite", "--out", str(out)]) == 0
+    first = _outputs(out)
+    assert sorted(first) == [LOG_NAME, REPORT_NAME]
+    replay = ["quick", "--suite", "finite", "--replay", str(out / LOG_NAME), "--out", str(out)]
+    assert main(replay) == 0
+    assert _outputs(out) == first
+    # another seed decides otherwise, so this replay diverges
+    assert main(replay + ["--seed", "99"]) == 3
+    assert _outputs(out) == first
+
+
+def test_cli_out_below_a_file_exit_two(tmp_path, capsys):
+    (tmp_path / "f").write_text("")
+    assert main(["quick", "--suite", "finite", "--out", str(tmp_path / "f" / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / 'f' / 'o'}: ")
 
 
 def test_oracle_config_honours_falsy_overrides():

@@ -25,7 +25,9 @@ Each line is the best of five repetitions, in µs per call, measured with
 - an oracle decision on a mask already in the mask cache;
 - one Łoś group: ``eval_hyper`` of phi, !phi, psi, phi & psi and
   phi | psi in a new universe, without a registry;
-- ``build_fragment`` on the fragment of the bundled ``quick`` scenario.
+- ``build_fragment`` on the fragment of the bundled ``quick`` scenario;
+- a decision log: 30,000 fixed entries appended to a ``DecisionLog``
+  whose sink is a temporary file, which is then closed.
 
 The inputs are fixed, so two checkouts can be compared line by line on
 one machine. The numbers depend on the machine and its load; compare
@@ -35,6 +37,7 @@ runs made back to back.
 from __future__ import annotations
 
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -55,7 +58,7 @@ from starext.funlang import (  # noqa: E402
 )
 from starext.fragments import build_fragment  # noqa: E402
 from starext.hyper import Universe  # noqa: E402
-from starext.oracle import OracleConfig, OracleState  # noqa: E402
+from starext.oracle import DecisionLog, LogEntry, OracleConfig, OracleState  # noqa: E402
 from starext.scenario import bundled_scenario_path, load_scenario  # noqa: E402
 from starext.transfer import And, Not, Or, eval_hyper, parse_formula  # noqa: E402
 
@@ -73,6 +76,8 @@ COMP_G = parse_fn("p1(x) * 3 + p2(x)")
 COMP_XI = normalize(parse_fn("x * x + 1"))
 PHI = parse_formula("v mod 3 = 0 | v < 40")
 PSI = parse_formula("v mod 4 = 1")
+#: entries of the decision-log row; a full-scale seed logs about 29,000
+LOG_ENTRIES = 30_000
 
 
 def _node_count(e) -> int:
@@ -167,6 +172,20 @@ def _fragment():
     return None, lambda: build_fragment(u, registry, base, sample, depth=spec.depth)
 
 
+def _decision_log():
+    fixed = [LogEntry(i, f"ifeq(p1(x * 2 + 1) mod {i % 89 + 2}, 0, ifeq(x div 3, {i % 7}, 1, 0), 0)",
+                      "accept" if i % 3 else "reject", i % 250 + 1)
+             for i in range(LOG_ENTRIES)]
+
+    def run():
+        with tempfile.TemporaryFile("w") as sink:
+            log = DecisionLog(sink)
+            for entry in fixed:
+                log.append(entry)
+
+    return None, run
+
+
 #: (label, factory returning (setup per repetition or None, statement), calls)
 BENCHES = [
     ("node construction (IfEq)", _construction, 200_000),
@@ -180,6 +199,7 @@ BENCHES = [
     ("oracle decision, cached mask", _decision, 4_000),
     ("Łoś group, five eval_hyper", _los_group, 200),
     ("build_fragment, quick", _fragment, 200),
+    (f"decision log, {LOG_ENTRIES:,} entries to a file", _decision_log, 5),
 ]
 
 
