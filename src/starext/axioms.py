@@ -143,7 +143,8 @@ class ToyExtension(Extension):
     over the standard part, star tables over the whole carrier. Star
     tables of composites and of diagonal indicators are derived from the
     component tables unless an override is installed; overrides are how
-    the negative controls break exactly one law.
+    the negative controls break exactly one law. Install them before the
+    first ``star`` call: each handle's table is built once, on first use.
     """
 
     def __init__(self, name: str, standard_size: int, carrier_size: int,
@@ -162,6 +163,7 @@ class ToyExtension(Extension):
             self.tables[fname] = star
         self.composite_overrides: dict[tuple[str, str], tuple[int, ...]] = {}
         self.diagonal_overrides: dict[tuple[str, str], tuple[int, ...]] = {}
+        self._star_tables: dict = {}
 
     # handles are composition-free names or ("comp", g, f) / ("diag", f, g)
 
@@ -196,7 +198,10 @@ class ToyExtension(Extension):
         return self.tables[handle]
 
     def star(self, handle, point: int) -> int:
-        return self._table(handle)[point]
+        table = self._star_tables.get(handle)
+        if table is None:
+            table = self._star_tables[handle] = self._table(handle)
+        return table[point]
 
     def compose(self, g, f):
         if not isinstance(g, str) or not isinstance(f, str):

@@ -73,10 +73,12 @@ input vector itself. :func:`eval_vec`, its interval pass and
 interval pass on 0..max(xs) picks a dtype per node: exact object-dtype
 Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
 ``8z+1`` of unpair, a divisor, a ``Table`` key) or children may reach
-2**62, int64 everywhere else. Inputs past the bound are evaluated whole
-in Python ints. Given truth vectors by canonical text, it reads the
-condition of a Boolean connective of known predicates from them instead
-of evaluating it. A caller that needs more than one value, a
+2**62, int64 everywhere else. An ``ifeq`` compares a wide pair, sum or
+product with a side that fits int64 without building it, by unpairing,
+subtracting or dividing that side's value in int64. Inputs past the
+bound are evaluated whole in Python ints. Given truth vectors by
+canonical text, it reads the condition of a Boolean connective of known
+predicates from them instead of evaluating it. A caller that needs more than one value, a
 quantifier's sweep included, makes one :func:`eval_vec` call for them.
 """
 
@@ -464,6 +466,60 @@ def _unpair_vec(z):
     return w - y, y
 
 
+# The comparison of an ``ifeq`` in ``_bound_pass``'s ``wide`` map. A side
+# whose value fits int64 ("narrow", not ``True`` in ``wide``) is evaluated
+# by ``go``; a wide side is compared without being built where pairing,
+# a sum or a product allows, and lifted to Python ints where not.
+
+def _wide_eq(a: FnExpr, b: FnExpr, wide: dict[int, bool], go, lifted):
+    """Truth of ``a == b`` at every input."""
+    if not wide.get(id(a)):
+        v = go(a)
+        return go(b) == v if not wide.get(id(b)) else _eq_value(b, v, wide, go, lifted)
+    if not wide.get(id(b)):
+        return _eq_value(a, go(b), wide, go, lifted)
+    if type(a) is PairE and type(b) is PairE:
+        # pairing is a bijection: equal pairs have equal components
+        return (_wide_eq(a.left, b.left, wide, go, lifted)
+                & _wide_eq(a.right, b.right, wide, go, lifted))
+    return lifted(a) == lifted(b)
+
+
+def _eq_value(node: FnExpr, v, wide: dict[int, bool], go, lifted):
+    """Truth of ``node == v``, where ``v`` is a narrow value: an int64
+    array or an int, below :data:`INT64_SAFE`. Every value passed down is
+    at most ``v``, so it stays narrow."""
+    if not wide.get(id(node)):
+        return go(node) == v
+    cls = type(node)
+    if cls is PairE:
+        # pair(l, r) = v iff unpair(v) = (l, r); unpair is exact in int64
+        # while 8v + 1 is below the bound
+        top = int(v.max(initial=0)) if isinstance(v, np.ndarray) else v
+        if 8 * top + 1 < INT64_SAFE:
+            l, r = _unpair_vec(v)
+            return (_eq_value(node.left, l, wide, go, lifted)
+                    & _eq_value(node.right, r, wide, go, lifted))
+    elif cls is Add or cls is Mul:
+        known, rest = node.left, node.right
+        if wide.get(id(known)):
+            known, rest = rest, known
+        if not wide.get(id(known)):
+            u = go(known)
+            if cls is Add:
+                # u + rest = v iff u <= v and rest = v - u
+                d = v - u
+                fits = d >= 0
+                return fits & _eq_value(rest, d * fits, wide, go, lifted)
+            # u * rest = v iff u = 0 = v, or u > 0 divides v and rest = v / u
+            zero = u == 0
+            q, rem = divmod(v, u + zero)
+            return ((zero & (v == 0))
+                    | (np.logical_not(zero) & (rem == 0)
+                       & _eq_value(rest, q, wide, go, lifted)))
+    return lifted(node) == (v.astype(object) if isinstance(v, np.ndarray) else v)
+
+
 def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
     """Evaluate the normal form ``e`` at every entry of ``xs``; equal to
     :func:`interpret` entry by entry. A composition raises
@@ -479,6 +535,11 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
     bound are evaluated whole in Python ints. The result is object dtype
     exactly then and when the root's own value or an intermediate of it
     may reach the bound. Shared subtrees are evaluated once.
+
+    An ``ifeq`` on that list decides its comparison by :func:`_wide_eq`:
+    two wide pairs component by component, and a wide pair, sum or
+    product against a side that fits int64 by unpairing, subtracting or
+    dividing that side's value; any other wide side is lifted.
 
     ``known`` maps canonical texts to boolean truth vectors over the same
     ``xs`` (an entry of another shape is ignored). At ``ifeq(p, 0, t, o)``,
@@ -530,7 +591,12 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
             out = xs
         elif cls is IfEq:
             truth = decided.get(key) if decided else None
-            cond = ev(node.a) == ev(node.b) if truth is None else ~truth
+            if truth is not None:
+                cond = ~truth
+            elif lift:
+                cond = _wide_eq(node.a, node.b, wide, go, lifted)
+            else:
+                cond = go(node.a) == go(node.b)
             # the branches fit in int64 unless the node's own bound does not
             t, o = go(node.then), go(node.other)
             if isinstance(cond, np.ndarray):

@@ -29,9 +29,10 @@ each entry's line once, writes it to its text sink and keeps only a
 count, so memory does not grow with the number of decisions. The CLI's
 sink is a temporary file that replaces ``decisions.log`` when the run
 ends with a verdict; a library caller's default sink is an
-:class:`io.StringIO`. Reading a log (:meth:`DecisionLog.read`) parses
-and validates every line up front and returns the entries a replay
-compares against.
+:class:`io.StringIO`. Reading a log file (:meth:`DecisionLog.read`)
+validates every line up front but keeps only their count; a replay then
+reads the file again, one entry per recomputed decision
+(:class:`ReplayLog`).
 
 C is stored over indices 0..H and is False below ``WINDOW_START`` from
 the start, so ``C & S`` and ``C & ~S`` are windowed already. A decision
@@ -39,6 +40,12 @@ on a cached truth vector is a fixed handful of whole-array operations:
 ``inside = C & S`` and ``outside = C ^ inside``, ``count_nonzero`` for
 the sizes and the tail counts, ``argmax`` for a side's least element
 (0 when the side is empty), and the chosen side becomes C.
+
+The mask cache keeps each truth vector bit-packed (:func:`numpy.packbits`),
+so an entry takes ceil((H+1)/8) bytes and the cache, at most
+``MASK_CACHE_LIMIT`` entries, about 5 MB at H = 10**4. A cache hit
+unpacks its entry, and so does :func:`~starext.funlang.eval_vec` when it
+reads the condition of a connective from the cache (:class:`PackedMasks`).
 
 The state is single-writer: callers must serialize queries. Nothing here
 is thread-safe under concurrent mutation.
@@ -49,9 +56,10 @@ from __future__ import annotations
 import io
 import random
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -70,7 +78,8 @@ WINDOW_START = 1
 TAIL_COUNT = 3
 
 #: truth vectors are recomputable; the shared cache is bounded so long
-#: runs with many distinct predicates stay within a few tens of MB
+#: runs with many distinct predicates keep at most 4096 packed vectors,
+#: about 5 MB at H = 10**4 (4096 * 1251 bytes)
 MASK_CACHE_LIMIT = 4096
 
 
@@ -134,19 +143,92 @@ class DecisionLog:
         """Parse a log into its entries; a :class:`ValueError` names the
         first line that is not an entry whose seq is its position among
         the entries."""
-        entries: list[LogEntry] = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            m = _LOG_LINE.fullmatch(line)
-            if m is None or m[1] != str(len(entries)):
-                raise ValueError(f"bad log line {lineno}: {line!r}")
-            entries.append(LogEntry(len(entries), m[2], m[3], int(m[4])))
-        return entries
+        return list(_parse(text.splitlines()))
 
     @staticmethod
-    def read(path: str | Path) -> list[LogEntry]:
-        return DecisionLog.from_text(Path(path).read_text())
+    def read(path: str | Path) -> "ReplayLog":
+        """The entries of the log file at ``path``, for a replay. Every
+        line is validated now, as by :meth:`from_text`, but only their
+        count is kept; the entries are read from the file again as the
+        replay takes them."""
+        with open(path) as f:
+            count = sum(1 for _ in _parse(_file_lines(f)))
+        return ReplayLog(_read_entries(path), count)
+
+
+def _parse(lines: Iterable[str]) -> Iterator[LogEntry]:
+    """The entries of a log's lines, in order; blank lines are skipped."""
+    seq = 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        m = _LOG_LINE.fullmatch(line)
+        if m is None or m[1] != str(seq):
+            raise ValueError(f"bad log line {lineno}: {line!r}")
+        yield LogEntry(seq, m[2], m[3], int(m[4]))
+        seq += 1
+
+
+def _file_lines(f: TextIO) -> Iterator[str]:
+    """The lines of an open text file as :meth:`str.splitlines` splits its
+    whole text, one at a time."""
+    for chunk in f:
+        yield from chunk.splitlines()
+
+
+def _read_entries(path: str | Path) -> Iterator[LogEntry]:
+    with open(path) as f:
+        yield from _parse(_file_lines(f))
+
+
+class ReplayLog:
+    """The entries of a recorded log, taken one at a time and in order by
+    the states that replay it, and their count (``len``).
+
+    States that append to one log share its replay (see
+    :meth:`OracleState.fresh_sibling`), so each recomputed decision takes
+    the next entry, whichever state made it.
+    """
+
+    __slots__ = ("_entries", "_count")
+
+    def __init__(self, entries: Iterable[LogEntry], count: int):
+        self._entries = iter(entries)
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[LogEntry]:
+        return self
+
+    def __next__(self) -> LogEntry:
+        return next(self._entries)
+
+
+class PackedMasks(Mapping):
+    """The boolean truth vectors over 0..n-1 of a mask cache whose entries
+    are bit-packed, unpacked when read: the ``known`` of
+    :meth:`IndexPredicate.mask <starext.funlang.IndexPredicate.mask>`."""
+
+    __slots__ = ("_packed", "_n")
+
+    def __init__(self, packed: Mapping[str, np.ndarray], n: int):
+        self._packed = packed
+        self._n = n
+
+    def get(self, text, default=None):
+        packed = self._packed.get(text)
+        return default if packed is None else np.unpackbits(packed, count=self._n).view(bool)
+
+    def __getitem__(self, text: str) -> np.ndarray:
+        return np.unpackbits(self._packed[text], count=self._n).view(bool)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
 
 
 class OracleState:
@@ -159,13 +241,17 @@ class OracleState:
     replayable file. ``mask_cache`` may likewise be shared, since a
     predicate's truth vector does not depend on any filter state.
 
-    ``replay_log``, when given, holds the entries of a recorded log
-    (:meth:`DecisionLog.read`); it is checked entry by entry as decisions
-    are recomputed, and any divergence raises :class:`ReplayMismatch`.
+    ``replay_log``, when given, holds the entries of a recorded log: a
+    list, or a log file's :meth:`DecisionLog.read`. Each recomputed
+    decision is compared with its next entry, and any divergence raises
+    :class:`ReplayMismatch`.
+
+    ``mask_cache`` maps predicate texts to their bit-packed truth vectors
+    over 0..horizon, as :meth:`query` stores them.
     """
 
     def __init__(self, config: OracleConfig | None = None,
-                 replay_log: Sequence[LogEntry] | None = None,
+                 replay_log: Sequence[LogEntry] | ReplayLog | None = None,
                  log: DecisionLog | None = None,
                  mask_cache: dict[str, np.ndarray] | None = None):
         self.config = config or OracleConfig()
@@ -173,9 +259,12 @@ class OracleState:
         self.log = log if log is not None else DecisionLog()
         # the largest witness this state has logged, -1 before the first
         self._top_witness = -1
+        if replay_log is not None and type(replay_log) is not ReplayLog:
+            replay_log = ReplayLog(replay_log, len(replay_log))
         self._replay_log = replay_log
         self._decisions: dict[str, bool] = {}
         self._mask_cache = mask_cache if mask_cache is not None else {}
+        self._known = PackedMasks(self._mask_cache, self.horizon + 1)
         # committed intersection C over indices 0..H, False below the window
         self._commit = np.ones(self.horizon + 1, dtype=bool)
         self._commit[:WINDOW_START] = False
@@ -212,14 +301,14 @@ class OracleState:
         if const is not None:
             return self._record(pred, const, int(self._commit.argmax()))
 
-        mask = self._mask_cache.get(pred.text)
+        mask = self._known.get(pred.text)
         if mask is None:
             # the cache's vectors span 0..horizon too, so connectives of
             # decided predicates read their parts' vectors from it
-            mask = pred.mask(self.horizon, self._mask_cache)
+            mask = pred.mask(self.horizon, self._known)
             if len(self._mask_cache) >= MASK_CACHE_LIMIT:
                 self._mask_cache.pop(next(iter(self._mask_cache)))
-            self._mask_cache[pred.text] = mask
+            self._mask_cache[pred.text] = np.packbits(mask)
 
         # C is False below the window, so both sides are windowed already
         # and argmax gives a side's least element (0 when it is empty)
@@ -283,7 +372,7 @@ class OracleState:
                 )
         entry = LogEntry(len(self.log), pred.text, "accept" if accept else "reject", witness)
         if self._replay_log is not None and entry.seq < len(self._replay_log):
-            expected = self._replay_log[entry.seq]
+            expected = next(self._replay_log)
             if expected != entry:
                 raise ReplayMismatch(
                     f"decision {entry.seq}: recomputed {entry!r}, logged {expected!r}"
@@ -294,7 +383,7 @@ class OracleState:
         return accept
 
 
-def replay(log: Sequence[LogEntry], queries: Iterable[IndexPredicate],
+def replay(log: Sequence[LogEntry] | ReplayLog, queries: Iterable[IndexPredicate],
            config: OracleConfig | None = None) -> OracleState:
     """Re-run a query sequence against a recorded log's entries.
 

@@ -22,6 +22,8 @@ ALLOWED = {
                          "it parses indicator text and rejects values other than 0/1",
     "DecisionLog.to_text": "the one read of a log kept in memory, the default for "
                            "library callers; the CLI's log goes to a file instead",
+    "DecisionLog.from_text": "the parse of a log kept in memory, to_text's counterpart "
+                             "for library callers; the CLI reads its replay from a file",
 }
 
 

@@ -36,8 +36,10 @@ from starext.funlang import (
     pretty,
     unpair,
 )
+from starext.errors import Undecidable
 from starext.gen import rand_expr, rand_indicator, rand_point_expr
 from starext.hyper import StarSet
+from starext.oracle import OracleConfig, OracleState
 
 from .conftest import make_universe, trees
 
@@ -275,6 +277,84 @@ def test_pinned_wide_rows(row):
     assert got.dtype == dtype
 
 
+# -- wide comparisons decided without building the wide side ---------------------
+
+#: pair components: narrow ones, and ones past 2**63 at every input >= 1
+_PAST_2_63 = [Mul(VAR, Const(2**63)), Add(VAR, Const(2**63)), _pair_chain(4)]
+_pair_component = (st.sampled_from(_PAST_2_63 + [VAR, Mul(VAR, VAR), Add(VAR, Const(1))])
+                   | st.integers(0, 9).map(Const))
+_pair_trees = trees(_pair_component, [(2, lambda draw, a, b: PairE(a, b))],
+                    st.integers(1, 7))
+
+
+def _near_copy(e, draw):
+    """A copy of the pair tree ``e`` whose leaves are kept or nudged by one."""
+    if type(e) is PairE:
+        return PairE(_near_copy(e.left, draw), _near_copy(e.right, draw))
+    return Add(e, Const(1)) if draw(st.integers(0, 3)) == 0 else e
+
+
+@st.composite
+def _pair_comparisons(draw):
+    """``ifeq(p, q, 1, 0)`` where p and q are pairs, each with a component
+    past 2**63, and q is another pair tree or a near copy of p."""
+    def side():
+        big, other = draw(st.sampled_from(_PAST_2_63)), draw(_pair_trees)
+        return PairE(big, other) if draw(st.booleans()) else PairE(other, big)
+
+    p = side()
+    q = _near_copy(p, draw) if draw(st.booleans()) else side()
+    return IfEq(p, q, Const(1), Const(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_comparisons(), st.lists(st.integers(1, 10**4), min_size=1, max_size=8))
+def test_pairs_past_2_63_compare_by_components(e, xs):
+    got = assert_matches_interpret(e, np.array(xs))
+    assert got.dtype == np.int64
+
+
+_X6 = Mul(VAR, Mul(VAR, Mul(VAR, Mul(VAR, Mul(VAR, VAR)))))
+
+
+def _row(a, b, hits):
+    return IfEq(a, b, Const(1), Const(0)), hits
+
+
+#: ifeq rows with a wide pair, product or sum on one side, on 0..2000,
+#: where x**6 passes 2**62, and the inputs where the sides are equal
+_WIDE_EQ = {
+    "pair-vs-pair-first-equal": _row(PairE(_X6, VAR), PairE(_X6, Add(VAR, Const(1))), []),
+    "pair-vs-pair": _row(PairE(_X6, VAR), PairE(parse_fn("x*x*x*x*x*x"), ModC(VAR, 7)),
+                         list(range(7))),
+    "pair-vs-narrow": _row(PairE(_X6, VAR), PairE(VAR, VAR), [0, 1]),
+    "pair-vs-narrow-first-equal": _row(PairE(_X6, VAR), PairE(VAR, Const(2)), []),
+    "nested-pair-vs-narrow": _row(PairE(PairE(Const(4), VAR), Mul(PairE(VAR, VAR), _X6)),
+                                  PairE(PairE(Const(4), VAR), Mul(VAR, Const(3))), [0]),
+    # pair(2**30, 0) is too large to unpair in int64
+    "too-large-to-unpair": _row(PairE(Mul(VAR, Const(2**21)), ModC(VAR, 512)),
+                                Const(pair(2**30, 0)), [512]),
+    "product": _row(Mul(VAR, _X6), Const(128), [2]),
+    "zero-factor-against-zero": _row(Mul(ModC(VAR, 2), PairE(_X6, Const(1))), Const(0),
+                                     list(range(0, 2001, 2))),
+    "zero-factor-against-x": _row(VAR, Mul(ModC(VAR, 2), _X6), [0, 1]),
+    "sum": _row(Add(_X6, VAR), Const(66), [2]),
+    # past x = 0 the other side is smaller than the known addend 5x
+    "sum-past-the-other-side": _row(Add(Mul(VAR, Const(5)), PairE(_X6, VAR)), VAR, [0]),
+    "sum-of-wide-parts": _row(Add(_X6, _X6), Mul(VAR, Const(2)), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_WIDE_EQ))
+def test_wide_comparisons_against_narrow_sides(row):
+    e, hits = _WIDE_EQ[row]
+    wide, _, _ = _bound_pass(e, 2000)
+    assert wide.get(id(e.a)) or wide.get(id(e.b))
+    got = assert_matches_interpret(e, np.arange(2001))
+    assert got.dtype == np.int64
+    assert np.flatnonzero(got).tolist() == hits
+
+
 # -- truth vectors ---------------------------------------------------------------
 
 H = 400
@@ -396,3 +476,37 @@ def test_known_truth_vectors_are_read_at_the_top_level_only():
         eval_vec(not_(p), xs).tolist()
     assert eval_vec(not_(p), xs, {pretty(p): np.ones(51, dtype=bool)}).tolist() == \
         eval_vec(not_(p), xs).tolist()
+
+
+def _query(state, expr):
+    pred = IndexPredicate.from_expr(expr)
+    try:
+        state.query(pred)
+    except Undecidable:
+        pass  # the truth vector is cached all the same
+    return pred.text
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_known_truth_vectors_read_through_the_packed_mask_cache(seed):
+    """The oracle's mask cache holds each truth vector in ceil((H+1)/8)
+    bytes, and the connectives it evaluates over cached parts get the
+    values they have without the cache."""
+    rng = random.Random(seed)
+    horizon = 300
+    cache = {}
+    state = OracleState(OracleConfig(horizon=horizon), mask_cache=cache)
+    parts = [normalize(Compose(rand_indicator(rng), rand_point_expr(rng))) for _ in range(4)]
+    for part in rng.sample(parts, rng.randrange(5)):
+        _query(state, part)
+    tree = normalize(_connective_tree(rng, parts, 3))
+    text = _query(state, tree)
+    assert cache and all(v.dtype == np.uint8 and v.shape == (-(-(horizon + 1) // 8),)
+                         for v in cache.values())
+    if text in cache:
+        got = np.unpackbits(cache[text], count=horizon + 1).astype(bool)
+        assert got.tolist() == [interpret(tree, n) != 0 for n in range(horizon + 1)]
+    # a wrong vector in the cache shows that it is read
+    p = normalize(parse_fn("ifeq(x mod 3, 0, 1, 0)"))
+    cache[_query(state, p)] = np.packbits(np.ones(horizon + 1, dtype=bool))
+    assert not np.unpackbits(cache[_query(state, not_(p))]).any()

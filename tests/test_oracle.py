@@ -269,7 +269,7 @@ def test_log_file_round_trip(tmp_path):
     run_all(ref, random_queries(5, 20))
     assert len(state.log) == len(ref.log) > 0
     assert path.read_text() == ref.log.to_text()
-    assert DecisionLog.read(path) == entries(ref)
+    assert list(DecisionLog.read(path)) == entries(ref)
 
 
 def test_file_log_keeps_no_entries(tmp_path):
@@ -289,6 +289,32 @@ def test_file_log_keeps_no_entries(tmp_path):
             tracemalloc.stop()
     assert len(log) == len(fixed)
     assert grown < 64 * 1024, grown
+
+
+def test_file_replay_keeps_no_entries(tmp_path):
+    """Reading a 20,000-entry log file for a replay, and taking every
+    entry, holds less than 64 KB of traced memory at any time: the read
+    keeps a count, and the entries come from the file one at a time."""
+    fixed = [LogEntry(i, f"ifeq(x mod {i % 89 + 2}, 0, 1, 0)", "accept", i % 250 + 1)
+             for i in range(20_000)]
+    path = tmp_path / "d.log"
+    with open(path, "w") as sink:
+        log = DecisionLog(sink)
+        for entry in fixed:
+            log.append(entry)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recorded = DecisionLog.read(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+        same = all(entry == want for entry, want in zip(recorded, fixed))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
+    assert peak < 64 * 1024, peak
+    assert len(recorded) == len(fixed) and same
+    assert next(recorded, None) is None
 
 
 def test_seeded_tiebreak_is_deterministic():

@@ -20,9 +20,14 @@ Each line is the best of five repetitions, in µs per call, measured with
 - that query's truth vector (``IndexPredicate.mask``) at H = 10⁴, the
   horizon of the bundled ``standard`` scenario;
 - the truth vector at H = 10⁴ of ``ifeq(2, x * (pair(4, x) * pair(4, x)),
-  0, 1)``, a ``mask-h10k`` query whose product passes 2**62, so that its
-  product and comparison are evaluated in exact Python ints;
-- an oracle decision on a mask already in the mask cache;
+  0, 1)``, a ``mask-h10k`` query whose product passes 2**62; the
+  comparison divides 2 by x instead of building the product;
+- the truth vector at H = 10⁴ of ``ifeq(pair(pair(4, x), pair(4, x) *
+  pair(4, x)), pair(x, x * x), 1, 0)``, whose left pair passes 2**62; the
+  comparison unpairs the right side in int64 instead of building the pair;
+- an oracle decision on a mask already in the mask cache: 4,096
+  cofinite vectors, cached bit-packed by a first query of each, so each
+  decision unpacks one;
 - one Łoś group: ``eval_hyper`` of phi, !phi, psi, phi & psi and
   phi | psi in a new universe, without a registry;
 - ``build_fragment`` on the fragment of the bundled ``quick`` scenario;
@@ -70,6 +75,8 @@ FORMULA_TEXT = "exists y < 5 . y + y = v mod 5"
 INDICATOR = normalize(parse_fn(INDICATOR_TEXT))
 SEQ = normalize(parse_fn("x * 2 + 1"))
 WIDE_QUERY = normalize(parse_fn("ifeq(2, x * (pair(4, x) * pair(4, x)), 0, 1)"))
+WIDE_PAIR_QUERY = normalize(parse_fn(
+    "ifeq(pair(pair(4, x), pair(4, x) * pair(4, x)), pair(x, x * x), 1, 0)"))
 #: f, g and xi of the composition-law row
 COMP_F = parse_fn("pair(x mod 7, x div 3)")
 COMP_G = parse_fn("p1(x) * 3 + p2(x)")
@@ -128,19 +135,24 @@ def _mask():
     return None, lambda: pred.mask(MASK_H)
 
 
-def _wide_mask():
-    pred = IndexPredicate.from_expr(WIDE_QUERY)
-    return None, lambda: pred.mask(MASK_H)
+def _wide_mask(query):
+    def factory():
+        pred = IndexPredicate.from_expr(query)
+        return None, lambda: pred.mask(MASK_H)
+
+    return factory
 
 
 def _decision():
     # cofinite masks: each decision accepts and keeps the committed set fat
     rng = np.random.default_rng(0)
-    preds, masks = [], {}
-    for i in range(4096):
-        mask = np.arange(H + 1) >= rng.integers(0, 40)
-        preds.append(IndexPredicate(f"p{i}", vec=lambda ns: ns >= 0))
-        masks[f"p{i}"] = mask
+    preds = [IndexPredicate(f"p{i}", vec=lambda ns, k=rng.integers(0, 40): ns >= k)
+             for i in range(4096)]
+    # the cache is filled the way a run fills it, by a first query of each
+    masks = {}
+    first = OracleState(OracleConfig(horizon=H), mask_cache=masks)
+    for pred in preds:
+        first.query(pred)
     state = {}
 
     def setup():
@@ -195,7 +207,8 @@ BENCHES = [
     (f"eval_vec, {_node_count(QUERY)}-node mask, H={H}", _eval_vec, 2_000),
     (f"axioms comp instance, H={H}", _comp_law, 2_000),
     (f"IndexPredicate.mask, H={MASK_H}", _mask, 200),
-    (f"IndexPredicate.mask, H={MASK_H}, wide ifeq", _wide_mask, 200),
+    (f"IndexPredicate.mask, H={MASK_H}, wide ifeq", _wide_mask(WIDE_QUERY), 200),
+    (f"IndexPredicate.mask, H={MASK_H}, wide pair ifeq", _wide_mask(WIDE_PAIR_QUERY), 200),
     ("oracle decision, cached mask", _decision, 4_000),
     ("Łoś group, five eval_hyper", _los_group, 200),
     ("build_fragment, quick", _fragment, 200),
