@@ -34,10 +34,10 @@ walk that substitutes and simplifies together, so a composed term is
 rebuilt once, already simplified, with no substituted copy in between.
 
 Nodes are plain slotted dataclasses, immutable by contract, and each
-remembers what was derived from it: its normal form, its text and
-whether it is closed (see :class:`FnExpr`). Those caches are dataclass
-fields that hold pure functions of the node, read ``None`` until
-computed and never take part in ``==``, ``hash`` or ``repr``. Since
+remembers what was derived from it: its normal form and its text (see
+:class:`FnExpr`). Those caches are dataclass fields that hold pure
+functions of the node, read ``None`` until computed and never take
+part in ``==``, ``hash`` or ``repr``. Since
 ``*`` composes, new terms keep wrapping canonical ones, and every walk
 stops at a node whose answer is known.
 An owner that asks related questions passes :func:`normalize` a
@@ -52,7 +52,7 @@ reference cycle: what a walk builds is freed by reference counting as
 soon as it is dropped, and the cycle collector has nothing to find.
 
 The walks that every query runs (:func:`normalize`'s, :func:`pretty`'s,
-:func:`is_closed`, :func:`interpret` and the two passes of
+:func:`interpret` and the two passes of
 :func:`eval_vec`) dispatch on the exact node class: ``cls = type(node)``
 is tested with ``is``, most frequent class first, and fields are read
 by name. A ``match`` on positional class patterns does an instance test
@@ -68,8 +68,8 @@ the one evaluator for vectors (truth vectors of :class:`IndexPredicate`,
 sequence values, whole-range sweeps) and equals :func:`interpret` entry
 by entry. It takes a normal form: ``*`` composes representatives, and
 :func:`normalize` inlines every composition, so every node reads the
-input vector itself. :func:`eval_vec`, its interval pass and
-:func:`is_closed` raise :class:`TypeError` on a composition. The
+input vector itself. :func:`eval_vec` and its interval pass raise
+:class:`TypeError` on a composition. The
 interval pass on 0..max(xs) picks a dtype per node: exact object-dtype
 Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
 ``8z+1`` of unpair, a divisor, a ``Table`` key) or children may reach
@@ -117,12 +117,11 @@ class FnExpr:
     """Base class of expression nodes. Nodes are hashable, and immutable
     by contract: only the cache protocol below ever assigns a field.
 
-    Three fields cache facts derived from a node: ``_nf`` its normal form
+    Two fields cache facts derived from a node: ``_nf`` its normal form
     (:func:`normalize`, whose walk swaps the node for it; ``True`` when
     that is the node itself, so that no node refers to itself and each is
-    freed with its last reference),
-    ``_pp`` its text and chain flag (:func:`pretty`) and ``_closed``
-    (:func:`is_closed`). Each holds a pure function of the node's
+    freed with its last reference) and ``_pp`` its text and chain flag
+    (:func:`pretty`). Each holds a pure function of the node's
     structure and is ``None`` until computed. They are dataclass fields
     outside ``__init__``, ``==``, ``hash`` and ``repr``, so
     ``__match_args__`` lists only the structural fields and two equal
@@ -144,8 +143,6 @@ class FnExpr:
                                       compare=False, hash=False)
     _pp: tuple[str, bool] | None = field(default=None, init=False, repr=False,
                                          compare=False, hash=False)
-    _closed: bool | None = field(default=None, init=False, repr=False,
-                                 compare=False, hash=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -659,30 +656,6 @@ def _lookup_vec(v, entries, default):
     return np.where(keys[pos] == v, outs[pos], v if default is None else default)
 
 
-def is_closed(e: FnExpr) -> bool:
-    """True when the normal form ``e`` contains no input variable; a
-    composition raises :class:`TypeError`."""
-    cls = type(e)
-    if cls is Var:
-        return False
-    if cls is Const:
-        return True
-    closed = e._closed
-    if closed is not None:
-        return closed
-    if cls is IfEq:
-        closed = (is_closed(e.a) and is_closed(e.b) and is_closed(e.then)
-                  and is_closed(e.other))
-    elif cls is Sub or cls is Add or cls is PairE or cls is Mul:
-        closed = is_closed(e.left) and is_closed(e.right)
-    elif cls is ModC or cls is P2 or cls is DivC or cls is P1 or cls is Table:
-        closed = is_closed(e.arg)
-    else:
-        raise TypeError(f"not an FnExpr in normal form: {e!r}")
-    e._closed = closed
-    return closed
-
-
 # ---------------------------------------------------------------------------
 # Substitution and normalization
 
@@ -743,9 +716,9 @@ class NormalMemo:
     ``table`` maps ``(id(node), id(repl))`` to the normal form of ``node``
     with its variable replaced by ``repl``, and ``roots`` holds every
     expression walked through it. A later walk that meets a node under the
-    same replacement returns the very node built before, whose text,
-    closedness and truth vector may already be known. Ids are only unique
-    while their objects live, so the memo holds every node it keys: each is
+    same replacement returns the very node built before, whose text and
+    truth vector may already be known. Ids are only unique while their
+    objects live, so the memo holds every node it keys: each is
     reached from a root through children and ``_nf`` fields (a field that
     holds a node is never rewritten), or is a value of ``table``. Nothing
     else refers to the memo, so it dies with its owner, and it grows with
@@ -1136,6 +1109,12 @@ class IndexPredicate:
     from an array of indices to their boolean truth values (the
     ``sat[...]`` predicates of :func:`starext.transfer.truth_predicate`).
     Combine predicates by their expressions: ``from_expr(and_(p, q))``.
+
+    An expression predicate holds a normal form and its text:
+    ``text == pretty(expr)``, as :meth:`from_expr` builds it. That text
+    contains the letter ``x`` exactly when the expression reads the
+    index: ``Var`` prints as ``x``, a node's text contains its children's,
+    and no keyword, numeral or ``table#<hex>`` digest contains an ``x``.
     """
 
     __slots__ = ("text", "expr", "vec")
@@ -1172,8 +1151,9 @@ class IndexPredicate:
     # -- evaluation ----------------------------------------------------------
 
     def constant_value(self) -> bool | None:
-        """Truth value when the predicate does not depend on the index."""
-        if self.expr is not None and is_closed(self.expr):
+        """Truth value when the predicate does not depend on the index,
+        that is, when it holds an expression and its text has no ``x``."""
+        if self.expr is not None and "x" not in self.text:
             return interpret(self.expr, 0) != 0
         return None
 

@@ -38,6 +38,9 @@ parsed by :func:`starext.transfer.parse_formula`; their terms are funlang
 expressions with named variables. ``[suites]`` names come from
 :data:`starext.suites.SUITE_RUNNERS`.
 
+A function, point or closed-set name, or a ``[config]`` or ``[fragment]``
+key, given twice is an error at its second line.
+
 The whole file is parsed and every name resolved before any oracle work
 starts; errors carry the offending line number and, inside an expression
 or a formula, the column in the file.
@@ -112,6 +115,12 @@ def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
+#: the sections of ``key = value`` lines, and what their keys name in a
+#: duplicate's error
+_KEYED = {"config": "config key", "points": "point",
+          "fragment": "fragment key", "closed": "closed set"}
+
+
 def _int(value: str, lineno: int) -> int:
     try:
         return int(value)
@@ -123,6 +132,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     sc = Scenario(name=name)
     section = None
     sample_range = (0, 500)
+    seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -137,9 +147,13 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
             continue
         if section is None:
             raise ParseError("content before any section header", lineno, 1)
+        if section in _KEYED:
+            key, value = _parse_kv(line, lineno)
+            if (section, key) in seen:
+                raise ParseError(f"duplicate {_KEYED[section]} {key!r}", lineno, 1)
+            seen.add((section, key))
 
         if section == "config":
-            key, value = _parse_kv(line, lineno)
             if key == "horizon":
                 sc.horizon = _int(value, lineno)
                 sc.horizon_line = lineno
@@ -167,12 +181,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 sc.defs[fname] = expr
 
         elif section == "points":
-            key, _ = _parse_kv(line, lineno)
             head, _, body = raw.partition("=")
             sc.points[key] = parse_fn(body, sc.defs, lineno, len(head) + 2)
 
         elif section == "fragment":
-            key, value = _parse_kv(line, lineno)
             if key == "functions":
                 names = [n.strip() for n in value.split(",") if n.strip()]
                 for n in names:
@@ -203,8 +215,6 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
             sc.formulas.append((line, phi))
 
         elif section == "closed":
-            key, value = _parse_kv(line, lineno)
-            value = value.strip()
             if not (value.startswith("[") and value.endswith("]")):
                 raise ParseError("closed set must be [(fn, point), ...]", lineno, 1)
             inner = value[1:-1].strip()

@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starext.errors import ParseError, Undecidable
@@ -36,7 +36,6 @@ from starext.funlang import (
     and_,
     eval_vec,
     interpret,
-    is_closed,
     normalize,
     not_,
     or_,
@@ -249,7 +248,8 @@ def _ref_text(node):
 
 
 def _ref_is_closed(e):
-    """:func:`is_closed` as a ``match``, reading no cache."""
+    """Whether the normal form ``e`` reads no input, as a ``match``: the
+    reference for :meth:`IndexPredicate.constant_value`'s text rule."""
     match e:
         case Const():
             return True
@@ -288,23 +288,24 @@ _table_entries = st.builds(
     st.dictionaries(_big, _big, max_size=3),
 )
 
+#: the branches of every node class, compositions and tables included
+_ALL_BRANCHES = _BRANCHES + [
+    (2, lambda draw, f, g: Compose(f, g)),
+    (1, lambda draw, a: Table(a, draw(_table_entries), draw(st.none() | _big))),
+]
+
 #: every node class of the language, free names included
 _any_node = trees(
     _big.map(Const) | st.just(VAR) | st.sampled_from(["v", "w"]).map(Name),
-    _BRANCHES + [
-        (2, lambda draw, f, g: Compose(f, g)),
-        (1, lambda draw, a: Table(a, draw(_table_entries), draw(st.none() | _big))),
-    ])
+    _ALL_BRANCHES)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_node, _any_node), st.one_of(st.integers(0, 300), st.integers(2**63 - 3, 2**70)))
 def test_dispatch_matches_match_walks(e, x):
-    # names are unbound here, so interpret and is_closed may meet one and
-    # raise; is_closed takes normal forms, so it raises at a composition
-    # too; both walks must then raise alike
+    # names are unbound here, so interpret may meet one and raise; both
+    # walks must then raise alike
     assert _outcome(interpret, e, x) == _outcome(_ref_interpret, e, x)
-    assert _outcome(is_closed, e) == _outcome(_ref_is_closed, e)
     assert pretty(e) == _ref_text(e)[0]
     assert _text(e, {}) == _ref_text(e)
 
@@ -339,7 +340,7 @@ _NODE_SAMPLES = {
     Table: (lambda: Table(VAR, ((1, 2), (4, 0)), None), ("arg", "entries", "default")),
 }
 
-_CACHES = ("_nf", "_pp", "_closed")
+_CACHES = ("_nf", "_pp")
 
 
 def test_node_samples_cover_every_class():
@@ -351,10 +352,10 @@ def test_node_contract(cls):
     make, structural = _NODE_SAMPLES[cls]
     node = make()
     # a fresh node has computed nothing
-    assert [getattr(node, name) for name in _CACHES] == [None, None, None]
+    assert [getattr(node, name) for name in _CACHES] == [None, None]
     # caches are not structure: whatever two equal nodes hold, they stay equal
     other = make()
-    other._nf, other._pp, other._closed = True, ("cached", False), False
+    other._nf, other._pp = True, ("cached", False)
     assert node == other and other == node
     assert hash(node) == hash(other)
     assert repr(node) == repr(other)
@@ -380,11 +381,10 @@ def _go_alone(e):
 @pytest.mark.parametrize("walk", [
     lambda e: interpret(e, 3),
     pretty,
-    is_closed,
     lambda e: _normal(e, VAR, {}),
     lambda e: _bound_pass(e, 10),
     _go_alone,
-], ids=["interpret", "_text", "is_closed", "_normal", "_bound_pass", "eval_vec"])
+], ids=["interpret", "_text", "_normal", "_bound_pass", "eval_vec"])
 def test_walks_reject_foreign_node_classes(walk):
     for e in (_Foreign(VAR), Add(Const(1), _Foreign(VAR))):
         with pytest.raises(TypeError, match="not an FnExpr"):
@@ -392,10 +392,9 @@ def test_walks_reject_foreign_node_classes(walk):
 
 
 @pytest.mark.parametrize("walk", [
-    is_closed,
     lambda e: _bound_pass(e, 10),
     lambda e: eval_vec(e, np.arange(5)),
-], ids=["is_closed", "_bound_pass", "eval_vec"])
+], ids=["_bound_pass", "eval_vec"])
 def test_evaluation_walks_reject_compositions(walk):
     """Evaluation takes normal forms: a composition it reaches raises
     instead of giving a value, while interpret, normalize and pretty
@@ -492,12 +491,6 @@ def test_normalize_is_idempotent(ast):
 def test_substitute_replaces_variable():
     e = substitute(parse_fn("x * x"), parse_fn("x + 2"))
     assert interpret(e, 3) == 25
-
-
-def test_is_closed():
-    assert is_closed(parse_fn("pair(3, 4) mod 7"))
-    assert not is_closed(parse_fn("x mod 7"))
-    assert is_closed(normalize(Compose(Const(5), VAR)))
 
 
 # -- normalize against the two-pass algorithm --------------------------------
@@ -662,7 +655,7 @@ def _fresh(e, memo=None):
 
 
 def _warm(e):
-    is_closed(normalize(e))
+    normalize(e)
     pretty(e)
     return e
 
@@ -701,7 +694,6 @@ def test_caches_match_fresh_computation(seed, shape, warm):
     assert n == normalize(_fresh(e))
     assert pretty(e) == pretty(_fresh(e))
     assert pretty(n) == pretty(_fresh(n)) == pretty(normalize(_fresh(e)))
-    assert is_closed(n) == is_closed(_fresh(n)) == is_closed(normalize(_fresh(e)))
     for node in (e, n, f, p):
         copy = _fresh(node)
         assert node == copy
@@ -751,3 +743,27 @@ def test_agreement_predicate_text_is_canonical():
 def test_constant_predicates():
     assert IndexPredicate.from_expr(Const(1)).constant_value() is True
     assert IndexPredicate.from_expr(Const(0)).constant_value() is False
+
+
+#: trees of every evaluable node class; ``Name``, which no predicate
+#: holds, is left out, and three leaves in four are constants, so that
+#: closed trees are common
+_predicate_node = trees(
+    st.one_of(_big.map(Const), _big.map(Const), _big.map(Const), st.just(VAR)),
+    _ALL_BRANCHES)
+
+
+@settings(max_examples=300, deadline=None)
+@example(P2(PairE(VAR, Const(3))))  # closed only once normalized
+@example(Compose(Const(2**63), VAR))
+@example(Table(Const(2**63 + 1), ((2**63 + 1, 0),), 5))
+@example(Table(VAR, ((0, 7),), 7))  # constant in value, yet reads x
+@given(_predicate_node)
+def test_constant_value_reads_closedness_off_the_text(e):
+    n = normalize(e)
+    pred = IndexPredicate.from_expr(e)
+    assert pred.text == pretty(n)
+    const = pred.constant_value()
+    assert (const is not None) == _ref_is_closed(n)
+    if const is not None:
+        assert const == (interpret(n, 0) != 0)

@@ -6,10 +6,12 @@ import pytest
 
 from starext.errors import ConsistencyViolation, ReplayMismatch, Undecidable
 from starext.funlang import (
+    Compose,
     Const,
     IfEq,
     IndexPredicate,
     ModC,
+    Table,
     VAR,
     not_,
     or_,
@@ -172,6 +174,48 @@ def test_exhaustion_raises_undecidable():
     )
     with pytest.raises(Undecidable):
         state.query(splitter)
+
+
+def _closed_predicates() -> list[IndexPredicate]:
+    """Predicates that read no index: membership of the standard points 6
+    and 7 in the multiples of 3, an ``ifeq`` of two numerals, and a
+    ``Table`` of a constant."""
+    thirds = IfEq(ModC(VAR, 3), Const(0), Const(1), Const(0))
+    return [
+        IndexPredicate.from_expr(Compose(thirds, Const(6))),
+        IndexPredicate.from_expr(Compose(thirds, Const(7))),
+        IndexPredicate.from_expr(IfEq(Const(3), Const(5), Const(1), Const(0))),
+        IndexPredicate.from_expr(Table(Const(4), ((4, 0), (5, 1)), 2)),
+    ]
+
+
+def _run_closed(state: OracleState) -> np.ndarray:
+    """Narrow C with two open decisions, query the closed predicates,
+    and return C as it was before them."""
+    state.query(mod_class(3, 1))
+    state.query(complement(below(50)))
+    commit = state._commit.copy()
+    for pred in _closed_predicates():
+        state.query(pred)
+    return commit
+
+
+def test_constant_decisions_are_only_a_shortcut(monkeypatch):
+    """Deciding a closed predicate from its value logs what its truth
+    vector, all True or all False, would: the value, witnessed by the
+    least element of C, and C unchanged."""
+    short = fresh()
+    commit = _run_closed(short)
+    assert [p.constant_value() for p in _closed_predicates()] == [True, False, False, False]
+    assert not set(short._mask_cache) & {p.text for p in _closed_predicates()}
+    monkeypatch.setattr(IndexPredicate, "constant_value", lambda self: None)
+    long = fresh()
+    assert (_run_closed(long) == commit).all()
+    assert short.log.to_text() == long.log.to_text()
+    for state in (short, long):
+        assert (state._commit == commit).all()
+        for entry in entries(state)[2:]:
+            assert entry.witness == int(commit.argmax()) > WINDOW_START
 
 
 # -- determinism and replay -----------------------------------------------------

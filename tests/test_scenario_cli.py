@@ -82,6 +82,13 @@ def test_parse_minimal_scenario():
     ("[fragment]\ndepth = x", "6:1: expected an integer"),
     ("[fragment]\nsample = 0..", "6:1: expected an integer"),
     ("[fragment]\nsample = 0..-1", "6:1: sample must not be empty"),
+    ("[points]\nomega = x\nomega = x + 1", "7:1: duplicate point 'omega'"),
+    ("[points]\nstd0 = 1", "6:1: duplicate point 'std0'"),
+    ("[config]\nseed = 1\nseed = 2", "7:1: duplicate config key 'seed'"),
+    ("[config]\nhorizon = 500\n[suites]\naxioms\n[config]\nhorizon = 600",
+     "10:1: duplicate config key 'horizon'"),
+    ("[fragment]\ndepth = 0\ndepth = 1", "7:1: duplicate fragment key 'depth'"),
+    ("[closed]\nE = []\nE = [(f, std0)]", "7:1: duplicate closed set 'E'"),
 ])
 def test_scenario_parse_errors(mutation, fragment):
     base = "[functions]\ndef f = x\n[points]\nstd0 = 0\n"

@@ -28,6 +28,9 @@ Each line is the best of five repetitions, in µs per call, measured with
 - an oracle decision on a mask already in the mask cache: 4,096
   cofinite vectors, cached bit-packed by a first query of each, so each
   decision unpacks one;
+- an oracle decision on a closed predicate, one that reads no index:
+  4,096 memberships of standard points, the indicator composed with
+  ``Const(k)``, each decided from its value without a mask;
 - one Łoś group: ``eval_hyper`` of phi, !phi, psi, phi & psi and
   phi | psi in a new universe, without a registry;
 - ``build_fragment`` on the fragment of the bundled ``quick`` scenario;
@@ -162,6 +165,18 @@ def _decision():
     return setup, lambda: state["query"](state["next"]())
 
 
+def _constant_decision():
+    # distinct texts, so no decision is a repeat of an earlier one
+    preds = [IndexPredicate.from_expr(Compose(INDICATOR, Const(k))) for k in range(4096)]
+    state = {}
+
+    def setup():
+        oracle = OracleState(OracleConfig(horizon=H))
+        state["query"], state["next"] = oracle.query, iter(preds).__next__
+
+    return setup, lambda: state["query"](state["next"]())
+
+
 def _los_group():
     group = [PHI, Not(PHI), PSI, And(PHI, PSI), Or(PHI, PSI)]
 
@@ -210,6 +225,7 @@ BENCHES = [
     (f"IndexPredicate.mask, H={MASK_H}, wide ifeq", _wide_mask(WIDE_QUERY), 200),
     (f"IndexPredicate.mask, H={MASK_H}, wide pair ifeq", _wide_mask(WIDE_PAIR_QUERY), 200),
     ("oracle decision, cached mask", _decision, 4_000),
+    ("oracle decision, closed predicate", _constant_decision, 4_000),
     ("Łoś group, five eval_hyper", _los_group, 200),
     ("build_fragment, quick", _fragment, 200),
     (f"decision log, {LOG_ENTRIES:,} entries to a file", _decision_log, 5),
