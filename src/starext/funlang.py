@@ -64,8 +64,8 @@ which are not hot, keep their ``match``.
 
 Evaluation: :func:`interpret` is the reference, one expression at one
 natural in exact Python ints; it accepts any tree. :func:`eval_vec` is
-the one evaluator for vectors (truth vectors of :class:`IndexPredicate`,
-sequence values, whole-range sweeps) and equals :func:`interpret` entry
+the one evaluator for vectors (sequence values, whole-range sweeps, the
+parts of a truth set) and equals :func:`interpret` entry
 by entry. It takes a normal form: ``*`` composes representatives, and
 :func:`normalize` inlines every composition, so every node reads the
 input vector itself. :func:`eval_vec` and its interval pass raise
@@ -76,10 +76,15 @@ Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
 2**62, int64 everywhere else. An ``ifeq`` compares a wide pair, sum or
 product with a side that fits int64 without building it, by unpairing,
 subtracting or dividing that side's value in int64. Inputs past the
-bound are evaluated whole in Python ints. Given truth vectors by
-canonical text, it reads the condition of a Boolean connective of known
-predicates from them instead of evaluating it. A caller that needs more than one value, a
-quantifier's sweep included, makes one :func:`eval_vec` call for them.
+bound are evaluated whole in Python ints. A caller that needs more than
+one value, a quantifier's sweep included, makes one :func:`eval_vec`
+call for them.
+
+A truth set of an :class:`IndexPredicate` is a Python int whose bit n is
+set exactly when the predicate holds at n. :meth:`IndexPredicate.mask`
+combines the Boolean skeleton of a predicate in bits, from the sets of
+parts cached by canonical text or closed, and makes one :func:`eval_vec`
+call for each other part.
 """
 
 from __future__ import annotations
@@ -333,12 +338,10 @@ def interpret(e: FnExpr, x: int) -> int:
 INT64_SAFE = 1 << 62
 
 
-def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = None,
-                shape: tuple[int, ...] = ()
-                ) -> tuple[dict[int, bool], set[int], dict[int, np.ndarray]]:
+def _bound_pass(e: FnExpr, x_max: int) -> tuple[dict[int, bool], set[int]]:
     """Interval pass over the normal form ``e`` on inputs 0..x_max.
 
-    Returns ``(wide, shared, decided)``. ``wide`` maps the id of every
+    Returns ``(wide, shared)``. ``wide`` maps the id of every
     node that :func:`eval_vec` evaluates in exact Python ints to whether
     its result stays exact. A node is there when its own value, one of
     its intermediates (the ``s*(s+1)`` of pair, the ``8z+1`` of unpair, a
@@ -352,16 +355,13 @@ def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = 
     below (``mod`` does, by its divisor; ``div`` keeps it saturated).
 
     ``shared`` holds the ids of the nodes reached twice, the nodes whose
-    values :func:`eval_vec` keeps for reuse. ``decided`` maps the id of
-    each ``ifeq(p, 0, t, o)`` whose ``p`` has its text cached and a truth
-    vector of ``shape`` in ``known`` to that vector; ``p`` is not walked.
+    values :func:`eval_vec` keeps for reuse.
 
     A composition, or any other node outside the evaluable grammar,
     raises :class:`TypeError`.
     """
     memo: dict[int, int] = {}
     shared: set[int] = set()
-    decided: dict[int, np.ndarray] = {}
     wide: dict[int, bool] = {}
 
     def bound(node: FnExpr) -> int:
@@ -378,11 +378,7 @@ def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = 
         elif cls is Var:
             out = x_max
         elif cls is IfEq:
-            truth = _known_truth(node.a, node.b, known, shape) if known else None
-            if truth is None:
-                child = max(bound(node.a), bound(node.b))
-            else:
-                decided[key] = truth
+            child = max(bound(node.a), bound(node.b))
             out = max(bound(node.then), bound(node.other))
         elif cls is Sub:
             child = bound(node.right)
@@ -426,22 +422,7 @@ def _bound_pass(e: FnExpr, x_max: int, known: Mapping[str, np.ndarray] | None = 
 
     bound(e)
     del bound  # it refers to itself: unbound, it and the memo are freed on return
-    return wide, shared, decided
-
-
-def _known_truth(a: FnExpr, b: FnExpr, known: Mapping[str, np.ndarray],
-                 shape: tuple[int, ...]) -> np.ndarray | None:
-    """The truth vector of ``a`` from ``known``, when ``ifeq(a, b, ...)``
-    tests ``a`` for falsity and ``a`` is compound with its text cached.
-    Every node of a normal form reads the input itself, so a vector over
-    that input is ``a``'s own."""
-    if type(b) is not Const or b.value != 0:
-        return None
-    pp = a._pp
-    if pp is None or type(a) is Const or type(a) is Var:
-        return None
-    truth = known.get(pp[0])
-    return truth if truth is not None and truth.shape == shape else None
+    return wide, shared
 
 
 _isqrt_obj = np.frompyfunc(isqrt, 1, 1)
@@ -517,7 +498,7 @@ def _eq_value(node: FnExpr, v, wide: dict[int, bool], go, lifted):
     return lifted(node) == (v.astype(object) if isinstance(v, np.ndarray) else v)
 
 
-def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+def eval_vec(e: FnExpr, xs) -> np.ndarray:
     """Evaluate the normal form ``e`` at every entry of ``xs``; equal to
     :func:`interpret` entry by entry. A composition raises
     :class:`TypeError`: evaluate :func:`normalize`'s result instead.
@@ -537,17 +518,10 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
     two wide pairs component by component, and a wide pair, sum or
     product against a side that fits int64 by unpairing, subtracting or
     dividing that side's value; any other wide side is lifted.
-
-    ``known`` maps canonical texts to boolean truth vectors over the same
-    ``xs`` (an entry of another shape is ignored). At ``ifeq(p, 0, t, o)``,
-    the shape of :func:`not_`, :func:`and_` and :func:`or_`, whose ``p``
-    is a compound node with its text cached by :func:`pretty` and listed
-    in ``known``, the condition is the negated vector and ``p`` is not
-    evaluated.
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
-    wide, shared, decided = _bound_pass(e, x_max, known, xs.shape)
+    wide, shared = _bound_pass(e, x_max)
     # the inputs must fit too, also when no node reads them
     if x_max >= INT64_SAFE:
         wide, dtype = {}, object
@@ -587,10 +561,7 @@ def eval_vec(e: FnExpr, xs, known: Mapping[str, np.ndarray] | None = None) -> np
         elif cls is Var:
             out = xs
         elif cls is IfEq:
-            truth = decided.get(key) if decided else None
-            if truth is not None:
-                cond = ~truth
-            elif lift:
+            if lift:
                 cond = _wide_eq(node.a, node.b, wide, go, lifted)
             else:
                 cond = go(node.a) == go(node.b)
@@ -717,7 +688,7 @@ class NormalMemo:
     with its variable replaced by ``repl``, and ``roots`` holds every
     expression walked through it. A later walk that meets a node under the
     same replacement returns the very node built before, whose text and
-    truth vector may already be known. Ids are only unique while their
+    truth set may already be known. Ids are only unique while their
     objects live, so the memo holds every node it keys: each is
     reached from a root through children and ``_nf`` fields (a field that
     holds a node is never rewritten), or is a value of ``table``. Nothing
@@ -1105,7 +1076,7 @@ class IndexPredicate:
     ``text`` is the canonical identity: two predicates with equal text are
     the same oracle query and share a decision-log entry. Truth at n means
     the underlying value is nonzero. A predicate carries an expression,
-    whose truth vector comes from :func:`eval_vec`, or a vector function
+    whose truth set :meth:`mask` builds, or a vector function
     from an array of indices to their boolean truth values (the
     ``sat[...]`` predicates of :func:`starext.transfer.truth_predicate`).
     Combine predicates by their expressions: ``from_expr(and_(p, q))``.
@@ -1157,14 +1128,58 @@ class IndexPredicate:
             return interpret(self.expr, 0) != 0
         return None
 
-    def mask(self, horizon: int,
-             known: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-        """Boolean truth vector over indices 0..horizon inclusive.
+    def mask(self, horizon: int, cache: Mapping[str, int] | None = None) -> int:
+        """Truth set over indices 0..horizon inclusive, as an int whose
+        bit n is set exactly when the predicate holds at n.
 
-        ``known`` maps canonical texts to truth vectors over the same
-        indices, such as the oracle's mask cache; :func:`eval_vec` reads
-        the conditions of Boolean connectives from it."""
-        ns = np.arange(horizon + 1)
+        ``cache`` maps canonical texts to truth sets over the same
+        indices, such as the oracle's mask cache. The Boolean skeleton of
+        the expression is combined in bits from it (see
+        :func:`_truth_bits`), and each other part is one :func:`eval_vec`
+        call."""
         if self.expr is None:
-            return self.vec(ns)  # type: ignore[misc]
-        return eval_vec(self.expr, ns, known) != 0
+            return _bits_of(self.vec(np.arange(horizon + 1)))  # type: ignore[misc]
+        return _truth_bits(self.expr, horizon, (1 << horizon + 1) - 1,
+                           {} if cache is None else cache)
+
+
+def _truth_bits(node: FnExpr, horizon: int, full: int, cache: Mapping[str, int],
+                evaluate: bool = True) -> int | None:
+    """The truth set over 0..horizon of the normal form ``node``, as bits;
+    ``full`` has the bits 0..horizon set. With ``evaluate`` false, ``None``
+    when the set needs an :func:`eval_vec` call.
+
+    A node with its text cached by :func:`pretty` has the set listed under
+    that text in ``cache``, or every index or none when the text is closed
+    (no ``x`` in it); so has a ``Const``. Every node of a normal form reads
+    the index itself, so the set cached under a node's text is the node's
+    own. At ``ifeq(p, 0, t, o)``, the shape of :func:`not_`, :func:`and_`
+    and :func:`or_`, whose ``p`` has a set found so, with no
+    :func:`eval_vec` call, the set is ``(P & O) | (T & ~P)`` for the sets
+    P, T and O of ``p``, ``t`` and ``o``. Any other node is one
+    :func:`eval_vec` call."""
+    cls = type(node)
+    if cls is Const:
+        return full if node.value else 0
+    pp = node._pp
+    if pp is not None:
+        bits = cache.get(pp[0])
+        if bits is not None:
+            return bits
+        if "x" not in pp[0]:
+            return full if interpret(node, 0) else 0
+    if cls is IfEq and type(node.b) is Const and node.b.value == 0:
+        p = _truth_bits(node.a, horizon, full, cache, False)
+        if p is not None:
+            t = _truth_bits(node.then, horizon, full, cache, evaluate)
+            o = _truth_bits(node.other, horizon, full, cache, evaluate)
+            if t is not None and o is not None:
+                return (p & o) | (t & (full ^ p))
+    if not evaluate:
+        return None
+    return _bits_of(eval_vec(node, np.arange(horizon + 1)) != 0)
+
+
+def _bits_of(truth: np.ndarray) -> int:
+    """The int whose bit n is set exactly when ``truth[n]`` is."""
+    return int.from_bytes(np.packbits(truth, bitorder="little"), "little")

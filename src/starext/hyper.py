@@ -118,7 +118,7 @@ class Universe:
     :class:`~starext.funlang.NormalMemo` (:meth:`predicate`). A query
     about a Boolean combination of sets that were queried at the same
     point then reuses their normal forms, with the texts and closedness
-    cached on them, and the oracle reads their truth vectors from its
+    cached on them, and the oracle reads their truth sets from its
     mask cache. ``formulas`` does the same for
     :func:`starext.transfer.eval_hyper`: it holds the formulas compiled
     in this universe (see :func:`starext.transfer.compile_formula`). Both

@@ -34,18 +34,20 @@ validates every line up front but keeps only their count; a replay then
 reads the file again, one entry per recomputed decision
 (:class:`ReplayLog`).
 
-C is stored over indices 0..H and is False below ``WINDOW_START`` from
-the start, so ``C & S`` and ``C & ~S`` are windowed already. A decision
-on a cached truth vector is a fixed handful of whole-array operations:
-``inside = C & S`` and ``outside = C ^ inside``, ``count_nonzero`` for
-the sizes and the tail counts, ``argmax`` for a side's least element
-(0 when the side is empty), and the chosen side becomes C.
+C, each cached truth set and the result of a mask build are Python ints
+whose bit n is set exactly when n is in the set. C has no bit below
+``WINDOW_START`` from the start, so ``C & S`` and ``C ^ (C & S)`` are
+windowed already. A decision is a fixed handful of int operations, with
+no NumPy call: ``inside = C & S`` and ``outside = C ^ inside``,
+:meth:`int.bit_count` for the sizes and, after a shift, the tail counts,
+the lowest set bit for a side's least element, and the chosen side
+becomes C.
 
-The mask cache keeps each truth vector bit-packed (:func:`numpy.packbits`),
-so an entry takes ceil((H+1)/8) bytes and the cache, at most
-``MASK_CACHE_LIMIT`` entries, about 5 MB at H = 10**4. A cache hit
-unpacks its entry, and so does :func:`~starext.funlang.eval_vec` when it
-reads the condition of a connective from the cache (:class:`PackedMasks`).
+The mask cache holds at most ``MASK_CACHE_LIMIT`` truth sets, about
+5.6 MB at H = 10**4, and evicts the oldest insertion first; a hit does
+not refresh an entry. A connective of cached predicates is combined from
+their sets in bits by :meth:`IndexPredicate.mask
+<starext.funlang.IndexPredicate.mask>`, which reads the cache.
 
 The state is single-writer: callers must serialize queries. Nothing here
 is thread-safe under concurrent mutation.
@@ -56,12 +58,10 @@ from __future__ import annotations
 import io
 import random
 import re
-from collections.abc import Mapping
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
-
-import numpy as np
 
 from .errors import ConsistencyViolation, ReplayMismatch, Undecidable
 from .funlang import IndexPredicate
@@ -77,9 +77,9 @@ WINDOW_START = 1
 #: persisting to the horizon
 TAIL_COUNT = 3
 
-#: truth vectors are recomputable; the shared cache is bounded so long
-#: runs with many distinct predicates keep at most 4096 packed vectors,
-#: about 5 MB at H = 10**4 (4096 * 1251 bytes)
+#: truth sets are recomputable; the shared cache is bounded so long
+#: runs with many distinct predicates keep at most 4096 of them, about
+#: 5.6 MB at H = 10**4 (4096 ints of 10,001 bits, 1,360 bytes each)
 MASK_CACHE_LIMIT = 4096
 
 
@@ -206,31 +206,6 @@ class ReplayLog:
         return next(self._entries)
 
 
-class PackedMasks(Mapping):
-    """The boolean truth vectors over 0..n-1 of a mask cache whose entries
-    are bit-packed, unpacked when read: the ``known`` of
-    :meth:`IndexPredicate.mask <starext.funlang.IndexPredicate.mask>`."""
-
-    __slots__ = ("_packed", "_n")
-
-    def __init__(self, packed: Mapping[str, np.ndarray], n: int):
-        self._packed = packed
-        self._n = n
-
-    def get(self, text, default=None):
-        packed = self._packed.get(text)
-        return default if packed is None else np.unpackbits(packed, count=self._n).view(bool)
-
-    def __getitem__(self, text: str) -> np.ndarray:
-        return np.unpackbits(self._packed[text], count=self._n).view(bool)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._packed)
-
-    def __len__(self) -> int:
-        return len(self._packed)
-
-
 class OracleState:
     """Committed ultrafilter decisions within a horizon.
 
@@ -239,21 +214,23 @@ class OracleState:
     keeps its own committed family. Sharing the log is how a batch run
     records many independent filter states deterministically in a single
     replayable file. ``mask_cache`` may likewise be shared, since a
-    predicate's truth vector does not depend on any filter state.
+    predicate's truth set does not depend on any filter state.
 
     ``replay_log``, when given, holds the entries of a recorded log: a
     list, or a log file's :meth:`DecisionLog.read`. Each recomputed
     decision is compared with its next entry, and any divergence raises
     :class:`ReplayMismatch`.
 
-    ``mask_cache`` maps predicate texts to their bit-packed truth vectors
-    over 0..horizon, as :meth:`query` stores them.
+    ``mask_cache`` is an :class:`~collections.OrderedDict` from predicate
+    texts to their truth sets over 0..horizon, in order of insertion, as
+    :meth:`query` stores them: ints whose bit n is set exactly when n is
+    in the set. States that share it have one horizon.
     """
 
     def __init__(self, config: OracleConfig | None = None,
                  replay_log: Sequence[LogEntry] | ReplayLog | None = None,
                  log: DecisionLog | None = None,
-                 mask_cache: dict[str, np.ndarray] | None = None):
+                 mask_cache: OrderedDict[str, int] | None = None):
         self.config = config or OracleConfig()
         self.horizon = self.config.horizon
         self.log = log if log is not None else DecisionLog()
@@ -263,11 +240,14 @@ class OracleState:
             replay_log = ReplayLog(replay_log, len(replay_log))
         self._replay_log = replay_log
         self._decisions: dict[str, bool] = {}
-        self._mask_cache = mask_cache if mask_cache is not None else {}
-        self._known = PackedMasks(self._mask_cache, self.horizon + 1)
-        # committed intersection C over indices 0..H, False below the window
-        self._commit = np.ones(self.horizon + 1, dtype=bool)
-        self._commit[:WINDOW_START] = False
+        if mask_cache is None:
+            mask_cache = OrderedDict()
+        elif not isinstance(mask_cache, OrderedDict):
+            # eviction takes the oldest insertion, which a dict cannot pop
+            raise TypeError("mask_cache must be an OrderedDict")
+        self._mask_cache = mask_cache
+        # committed intersection C over indices 0..H, empty below the window
+        self._commit = (1 << self.horizon + 1) - (1 << WINDOW_START)
         self._tail_lo = tail_floor(self.horizon) + 1
         if self.config.tiebreak.startswith("seeded:"):
             seed = int(self.config.tiebreak.split(":", 1)[1])
@@ -299,32 +279,30 @@ class OracleState:
 
         const = pred.constant_value()
         if const is not None:
-            return self._record(pred, const, int(self._commit.argmax()))
+            return self._record(pred, const, _least(self._commit))
 
-        mask = self._known.get(pred.text)
+        cache = self._mask_cache
+        mask = cache.get(pred.text)
         if mask is None:
-            # the cache's vectors span 0..horizon too, so connectives of
-            # decided predicates read their parts' vectors from it
-            mask = pred.mask(self.horizon, self._known)
-            if len(self._mask_cache) >= MASK_CACHE_LIMIT:
-                self._mask_cache.pop(next(iter(self._mask_cache)))
-            self._mask_cache[pred.text] = np.packbits(mask)
+            # the cache's sets span 0..horizon too, so connectives of
+            # decided predicates are combined from their parts' sets
+            mask = pred.mask(self.horizon, cache)
+            if len(cache) >= MASK_CACHE_LIMIT:
+                cache.popitem(last=False)
+            cache[pred.text] = mask
 
-        # C is False below the window, so both sides are windowed already
-        # and argmax gives a side's least element (0 when it is empty)
+        # C is empty below the window, so both sides are windowed already
         inside = self._commit & mask
         outside = self._commit ^ inside
-        n_in = np.count_nonzero(inside)
-        n_out = np.count_nonzero(outside)
 
         # C is never empty (see _record), so one side has an element
-        if n_in == 0:
-            return self._record(pred, False, int(outside.argmax()))
-        if n_out == 0:
-            return self._record(pred, True, int(inside.argmax()))
+        if not inside:
+            return self._record(pred, False, _least(outside))
+        if not outside:
+            return self._record(pred, True, _least(inside))
 
-        in_persists = np.count_nonzero(inside[self._tail_lo:]) >= TAIL_COUNT
-        out_persists = np.count_nonzero(outside[self._tail_lo:]) >= TAIL_COUNT
+        in_persists = (inside >> self._tail_lo).bit_count() >= TAIL_COUNT
+        out_persists = (outside >> self._tail_lo).bit_count() >= TAIL_COUNT
         if not in_persists and not out_persists:
             raise Undecidable(pred.text, self.horizon, "no side persists near the horizon")
         if in_persists and not out_persists:
@@ -334,9 +312,9 @@ class OracleState:
         elif self._rng is not None:
             accept = self._rng.random() < 0.5
         else:
-            accept = int(inside.argmax()) <= int(outside.argmax())
+            accept = _least(inside) <= _least(outside)
         side = inside if accept else outside
-        return self._record(pred, accept, int(side.argmax()), side)
+        return self._record(pred, accept, _least(side), side)
 
     def check_replay_complete(self) -> None:
         """Raise :class:`ReplayMismatch` unless the run recomputed as many
@@ -349,11 +327,11 @@ class OracleState:
 
     def check_consistency(self) -> None:
         """Verify the committed family still reaches past every witness."""
-        if not self._commit.any():
+        if not self._commit:
             raise ConsistencyViolation("committed intersection empty in window")
         top = self._top_witness
         if top >= 0:
-            if not self._commit[min(top + 1, self.horizon):].any():
+            if not self._commit >> min(top + 1, self.horizon):
                 raise ConsistencyViolation(
                     f"committed intersection empty beyond witness {top}"
                 )
@@ -361,12 +339,12 @@ class OracleState:
     # -- helpers ---------------------------------------------------------------
 
     def _record(self, pred: IndexPredicate, accept: bool, witness: int,
-                commit: np.ndarray | None = None) -> bool:
+                commit: int | None = None) -> bool:
         """Log the decision; ``commit``, when given, is the new committed
         intersection C."""
         if commit is not None:
             self._commit = commit
-            if not commit.any():
+            if not commit:
                 raise ConsistencyViolation(
                     f"commitment to {pred.text!r} emptied the filter window"
                 )
@@ -381,6 +359,11 @@ class OracleState:
         self._top_witness = max(self._top_witness, witness)
         self._decisions[pred.text] = accept
         return accept
+
+
+def _least(bits: int) -> int:
+    """The least element of a nonempty set of indices held as bits."""
+    return (bits & -bits).bit_length() - 1
 
 
 def replay(log: Sequence[LogEntry] | ReplayLog, queries: Iterable[IndexPredicate],

@@ -23,7 +23,7 @@ so a formula built from parts already asked about, as in the Łoś laws'
 ``!phi``, ``phi & psi`` and ``phi | psi``, is compiled around the very
 nodes of its parts. Canonicalised through the universe's normal-form
 memo, those parts keep their normal forms and texts, and the oracle
-reads their truth vectors from its mask cache.
+reads their truth sets from its mask cache.
 
 Concrete syntax::
 
@@ -543,7 +543,7 @@ def eval_hyper(phi: Formula, env: Mapping[str, Hyperpoint], u: Universe,
     The formula is compiled once per universe and environment, so the
     Łoś laws' ``Not(phi)``, ``And(phi, psi)`` and ``Or(phi, psi)`` reuse
     the nodes compiled for ``phi`` and ``psi``; the oracle then reads
-    their truth vectors from its mask cache instead of evaluating them
+    their truth sets from its mask cache instead of evaluating them
     again."""
     return u.oracle.query(
         truth_predicate(phi, env, registry, horizon=u.oracle.horizon, universe=u)

@@ -2,6 +2,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -17,6 +18,15 @@ settings.load_profile("starext")
 
 def make_universe(horizon: int = 2000, tiebreak: str = "least") -> Universe:
     return Universe(OracleState(OracleConfig(horizon=horizon, tiebreak=tiebreak)))
+
+
+def truth_vector(bits: int, horizon: int) -> np.ndarray:
+    """The boolean vector over 0..horizon of a truth set held as an int
+    (a mask, a mask-cache entry or an oracle's C), which has no bit past
+    the horizon."""
+    assert 0 <= bits and bits >> (horizon + 1) == 0
+    raw = np.frombuffer(bits.to_bytes(horizon // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=horizon + 1, bitorder="little").astype(bool)
 
 
 @pytest.fixture

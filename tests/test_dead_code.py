@@ -24,6 +24,8 @@ ALLOWED = {
                            "library callers; the CLI's log goes to a file instead",
     "DecisionLog.from_text": "the parse of a log kept in memory, to_text's counterpart "
                              "for library callers; the CLI reads its replay from a file",
+    "OracleState.decided": "the benchmark's query probe (perfbench/run.py) reads it to "
+                           "tell a repeated query from a new one",
 }
 
 

@@ -2,6 +2,7 @@
 interpreter, and every truth vector against its pointwise definition."""
 
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -36,12 +37,13 @@ from starext.funlang import (
     pretty,
     unpair,
 )
+from starext import funlang
 from starext.errors import Undecidable
 from starext.gen import rand_expr, rand_indicator, rand_point_expr
 from starext.hyper import StarSet
 from starext.oracle import OracleConfig, OracleState
 
-from .conftest import make_universe, trees
+from .conftest import make_universe, trees, truth_vector
 
 
 def assert_matches_interpret(e, xs, source=None):
@@ -254,7 +256,7 @@ def test_eval_vec_matches_interpret_past_int64(e, xs):
     """Trees whose values pass 2**62 and come back down: exact ints where
     a node needs them, int64 elsewhere, and the values of interpret."""
     got = assert_matches_interpret(e, np.array(xs))
-    wide, _, _ = _bound_pass(e, max(xs))
+    wide, _ = _bound_pass(e, max(xs))
     assert (got.dtype == object) == bool(wide.get(id(e)))
 
 
@@ -348,7 +350,7 @@ _WIDE_EQ = {
 @pytest.mark.parametrize("row", sorted(_WIDE_EQ))
 def test_wide_comparisons_against_narrow_sides(row):
     e, hits = _WIDE_EQ[row]
-    wide, _, _ = _bound_pass(e, 2000)
+    wide, _ = _bound_pass(e, 2000)
     assert wide.get(id(e.a)) or wide.get(id(e.b))
     got = assert_matches_interpret(e, np.arange(2001))
     assert got.dtype == np.int64
@@ -368,8 +370,9 @@ def truth(pred):
 def assert_mask_is_pointwise(pred, reference=None):
     """``reference(n)`` is the truth at n, by default :func:`truth`."""
     reference = reference or truth(pred)
-    mask = pred.mask(H)
-    assert mask.dtype == bool and mask.shape == (H + 1,)
+    bits = pred.mask(H)
+    assert type(bits) is int
+    mask = truth_vector(bits, H)
     assert mask.tolist() == [reference(n) for n in range(H + 1)]
 
 
@@ -419,13 +422,103 @@ def test_values_are_python_ints():
     assert all(type(v) is int for v in small)
 
 
-# -- truth vectors read from known ones -------------------------------------------
+# -- truth sets combined from cached ones -------------------------------------------
 
-#: the int64 path, and the object path forced by inputs past int64
-_KNOWN_INPUTS = {
-    "int64": np.arange(300),
-    "object": np.array([2**63 + 11 * k for k in range(30)] + list(range(30)), dtype=object),
-}
+#: the shapes of and/or/not trees over the indices of their parts
+_connective_shapes = trees(
+    st.integers(0, 3),
+    [(1, lambda draw, p: ("not", p)),
+     (2, lambda draw, p, q: (draw(st.sampled_from(["and", "or"])), p, q))],
+    st.integers(1, 12),
+)
+
+
+def _connectives(shape, parts):
+    """The tree of ``shape`` over ``parts``."""
+    if isinstance(shape, int):
+        return parts[shape]
+    if shape[0] == "not":
+        return not_(_connectives(shape[1], parts))
+    op = and_ if shape[0] == "and" else or_
+    return op(_connectives(shape[1], parts), _connectives(shape[2], parts))
+
+
+def _leaves(shape):
+    if isinstance(shape, int):
+        return {shape}
+    return set().union(*map(_leaves, shape[1:]))
+
+
+def _ref_bits(e, horizon):
+    """The truth set of ``e`` over 0..horizon as an int, from eval_vec."""
+    truth = (eval_vec(e, np.arange(horizon + 1)) != 0).tolist()
+    return int("".join("1" if t else "0" for t in reversed(truth)), 2)
+
+
+def _count_eval_vec(mp):
+    """Patch ``eval_vec`` for the mask builder; the list the calls go to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_vec(*args)
+
+    mp.setattr(funlang, "eval_vec", counted)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), _connective_shapes,
+       st.lists(st.sampled_from(["cached", "evicted", "closed"]), min_size=4, max_size=4),
+       st.sampled_from([64, 256, 10_000]))
+def test_known_truth_vectors_give_the_same_values(seed, shape, kinds, horizon):
+    """and/or/not trees over indicator parts, each cached, evicted (its
+    text printed, its set not in the cache) or closed: the mask combined
+    from the cache has the bits of eval_vec over the whole tree without
+    it, and makes no eval_vec call when every part is cached or closed."""
+    rng = random.Random(seed)
+    parts, cache = [], OrderedDict()
+    for kind in kinds:
+        point = Const(rng.randrange(1000)) if kind == "closed" else rand_point_expr(rng)
+        part = normalize(Compose(rand_indicator(rng), point))
+        if kind == "cached":
+            cache[pretty(part)] = _ref_bits(part, horizon)
+        else:
+            pretty(part)
+        parts.append(part)
+    pred = IndexPredicate.from_expr(_connectives(shape, parts))
+    want = eval_vec(pred.expr, np.arange(horizon + 1)) != 0
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_eval_vec(mp)
+        got = pred.mask(horizon, cache)
+    assert (truth_vector(got, horizon) == want).all()
+    if all(kinds[k] != "evicted" for k in _leaves(shape)):
+        assert calls == []
+
+
+def test_known_truth_vectors_are_read_at_the_top_level_only(monkeypatch):
+    horizon = 49
+    p = normalize(parse_fn("ifeq(x mod 3, 0, 1, 0)"))
+    # a wrong set shows whether it was read
+    wrong = {pretty(p): (1 << horizon + 1) - 1}
+    assert IndexPredicate.from_expr(not_(p)).mask(horizon, wrong) == 0
+    assert truth_vector(IndexPredicate.from_expr(not_(p)).mask(horizon), horizon).tolist() == \
+        [x % 3 != 0 for x in range(50)]
+    # under a composition the input is another one: the normal form
+    # rebuilds p on it, a node with no text cached, so nothing is read
+    shifted = IndexPredicate.from_expr(Compose(not_(p), Add(VAR, Const(1))))
+    assert truth_vector(shifted.mask(horizon, wrong), horizon).tolist() == \
+        [(x + 1) % 3 != 0 for x in range(50)]
+    # nor for a text never cached on the node
+    fresh = IndexPredicate.from_expr(not_(parse_fn("ifeq(x mod 3, 0, 1, 0)")))
+    assert fresh.mask(horizon, wrong) == IndexPredicate.from_expr(not_(p)).mask(horizon)
+    # a closed condition is read off its text, with no eval_vec call
+    yes = normalize(Compose(p, Const(3)))
+    pretty(yes)
+    calls = _count_eval_vec(monkeypatch)
+    both = IndexPredicate.from_expr(and_(yes, p))
+    assert both.mask(horizon, {pretty(p): 0b1001}) == 0b1001
+    assert calls == []
 
 
 def _connective_tree(rng, parts, depth):
@@ -436,46 +529,6 @@ def _connective_tree(rng, parts, depth):
         return not_(_connective_tree(rng, parts, depth - 1))
     op = and_ if pick == 1 else or_
     return op(_connective_tree(rng, parts, depth - 1), _connective_tree(rng, parts, depth - 1))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(_KNOWN_INPUTS)))
-def test_known_truth_vectors_give_the_same_values(seed, path):
-    """and/or/not trees over predicates with known truth vectors, each
-    present, absent or of another length, evaluate as without them."""
-    rng = random.Random(seed)
-    xs = _KNOWN_INPUTS[path]
-    parts = [normalize(Compose(rand_indicator(rng), rand_point_expr(rng))) for _ in range(4)]
-    known = {}
-    for part in parts:
-        text = pretty(part)
-        kind = rng.randrange(3)
-        if kind == 0:
-            known[text] = eval_vec(part, xs) != 0
-        elif kind == 1:
-            known[text] = np.ones(len(xs) + 1, dtype=bool)
-    tree = normalize(_connective_tree(rng, parts, 3))
-    got = eval_vec(tree, xs, known)
-    assert got.tolist() == eval_vec(tree, xs).tolist()
-    assert got.tolist() == [interpret(tree, int(x)) for x in xs]
-
-
-def test_known_truth_vectors_are_read_at_the_top_level_only():
-    xs = np.arange(50)
-    p = normalize(parse_fn("ifeq(x mod 3, 0, 1, 0)"))
-    # a wrong vector shows whether it was read
-    wrong = {pretty(p): np.ones(50, dtype=bool)}
-    assert eval_vec(not_(p), xs, wrong).tolist() == [0] * 50
-    assert eval_vec(not_(p), xs).tolist() == [int(x % 3 != 0) for x in range(50)]
-    # under a composition the input is another one: the normal form
-    # rebuilds p on it, a node with no text cached, so nothing is read
-    shifted = normalize(Compose(not_(p), Add(VAR, Const(1))))
-    assert eval_vec(shifted, xs, wrong).tolist() == [int((x + 1) % 3 != 0) for x in range(50)]
-    # nor for a text never cached on the node, or a vector of another length
-    assert eval_vec(not_(parse_fn("ifeq(x mod 3, 0, 1, 0)")), xs, wrong).tolist() == \
-        eval_vec(not_(p), xs).tolist()
-    assert eval_vec(not_(p), xs, {pretty(p): np.ones(51, dtype=bool)}).tolist() == \
-        eval_vec(not_(p), xs).tolist()
 
 
 def _query(state, expr):
@@ -489,24 +542,23 @@ def _query(state, expr):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_known_truth_vectors_read_through_the_packed_mask_cache(seed):
-    """The oracle's mask cache holds each truth vector in ceil((H+1)/8)
-    bytes, and the connectives it evaluates over cached parts get the
-    values they have without the cache."""
+    """The oracle's mask cache holds each truth set as an int with no bit
+    past the horizon, and the connectives it combines from cached parts
+    get the values they have without the cache."""
     rng = random.Random(seed)
     horizon = 300
-    cache = {}
+    cache = OrderedDict()
     state = OracleState(OracleConfig(horizon=horizon), mask_cache=cache)
     parts = [normalize(Compose(rand_indicator(rng), rand_point_expr(rng))) for _ in range(4)]
     for part in rng.sample(parts, rng.randrange(5)):
         _query(state, part)
     tree = normalize(_connective_tree(rng, parts, 3))
     text = _query(state, tree)
-    assert cache and all(v.dtype == np.uint8 and v.shape == (-(-(horizon + 1) // 8),)
-                         for v in cache.values())
+    assert cache and all(type(v) is int for v in cache.values())
     if text in cache:
-        got = np.unpackbits(cache[text], count=horizon + 1).astype(bool)
+        got = truth_vector(cache[text], horizon)
         assert got.tolist() == [interpret(tree, n) != 0 for n in range(horizon + 1)]
-    # a wrong vector in the cache shows that it is read
+    # a wrong set in the cache shows that it is read
     p = normalize(parse_fn("ifeq(x mod 3, 0, 1, 0)"))
-    cache[_query(state, p)] = np.packbits(np.ones(horizon + 1, dtype=bool))
-    assert not np.unpackbits(cache[_query(state, not_(p))]).any()
+    cache[_query(state, p)] = (1 << horizon + 1) - 1
+    assert cache[_query(state, not_(p))] == 0

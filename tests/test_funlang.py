@@ -51,7 +51,7 @@ from starext.gen import rand_expr, rand_indicator, rand_nary, rand_point_expr
 from starext.hyper import Hyperpoint, StarSet, set_complement, set_intersection, set_union
 from starext.transfer import And, Not, Or, eval_hyper, parse_formula, truth_predicate
 
-from .conftest import make_universe, trees
+from .conftest import make_universe, trees, truth_vector
 
 
 # -- parsing ---------------------------------------------------------------
@@ -374,7 +374,7 @@ class _Foreign(FnExpr):
 def _go_alone(e):
     """``eval_vec``'s walk without the interval pass that precedes it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(funlang, "_bound_pass", lambda *args: ({}, set(), {}))
+        mp.setattr(funlang, "_bound_pass", lambda *args: ({}, set()))
         return eval_vec(e, np.arange(5))
 
 
@@ -724,10 +724,10 @@ def test_predicate_combinators_match_pointwise_sets():
 def test_predicate_masks_match_pointwise():
     rng = random.Random(10)
     p = IndexPredicate.from_expr(IfEq(ModC(VAR, 3), Const(1), Const(1), Const(0)))
-    mask = p.mask(999)
+    mask = truth_vector(p.mask(999), 999)
     for n in range(1000):
         assert mask[n] == (n % 3 == 1)
-    nm = IndexPredicate.from_expr(not_(p.expr)).mask(999)
+    nm = truth_vector(IndexPredicate.from_expr(not_(p.expr)).mask(999), 999)
     assert (nm == ~mask).all()
 
 

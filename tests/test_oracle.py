@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from starext.funlang import (
     parse_fn,
 )
 from starext.gen import rand_indicator
+from starext import oracle
 from starext.oracle import (
     TAIL_COUNT,
     WINDOW_START,
@@ -28,6 +30,8 @@ from starext.oracle import (
     replay,
     tail_floor,
 )
+
+from .conftest import truth_vector
 
 
 def mod_class(k: int, r: int) -> IndexPredicate:
@@ -156,7 +160,7 @@ def test_freeness_every_accepted_set_reaches_past_witnesses():
     for e in logged:
         if e.decision == "accept":
             pred = IndexPredicate(e.text, expr=parse_fn(e.text))
-            mask = pred.mask(2000)
+            mask = truth_vector(pred.mask(2000), 2000)
             assert mask[top + 1:].any() or mask.all()
     state.check_consistency()
 
@@ -194,7 +198,7 @@ def _run_closed(state: OracleState) -> np.ndarray:
     and return C as it was before them."""
     state.query(mod_class(3, 1))
     state.query(complement(below(50)))
-    commit = state._commit.copy()
+    commit = truth_vector(state._commit, state.horizon)
     for pred in _closed_predicates():
         state.query(pred)
     return commit
@@ -213,7 +217,7 @@ def test_constant_decisions_are_only_a_shortcut(monkeypatch):
     assert (_run_closed(long) == commit).all()
     assert short.log.to_text() == long.log.to_text()
     for state in (short, long):
-        assert (state._commit == commit).all()
+        assert (truth_vector(state._commit, state.horizon) == commit).all()
         for entry in entries(state)[2:]:
             assert entry.witness == int(commit.argmax()) > WINDOW_START
 
@@ -390,12 +394,41 @@ def test_sibling_states_share_log_but_not_commitments():
     assert len(base.log) == 2
 
 
-# -- the whole-array decision against windowed copies -------------------------
+def test_mask_cache_evicts_the_oldest_insertion_first(monkeypatch):
+    """A full mask cache drops its oldest insertion for each new one, a
+    hit does not refresh an entry, and the cache never passes its limit."""
+    monkeypatch.setattr(oracle, "MASK_CACHE_LIMIT", 3)
+    cache = OrderedDict()
+    state = OracleState(OracleConfig(horizon=500), mask_cache=cache)
+    a, b, c, d, e = (mod_class(k, 1) for k in range(2, 7))
+
+    def ask(pred):
+        # a sibling has no decisions yet, so each query reaches the cache
+        state.fresh_sibling().query(pred)
+        assert len(cache) <= 3
+
+    for pred in (a, b, c):
+        ask(pred)
+    assert list(cache) == [a.text, b.text, c.text]
+    ask(a)  # a hit
+    assert list(cache) == [a.text, b.text, c.text]
+    ask(d)
+    assert list(cache) == [b.text, c.text, d.text]
+    ask(e)
+    ask(a)  # rebuilt, and inserted anew
+    assert list(cache) == [d.text, e.text, a.text]
+    assert truth_vector(cache[a.text], 500).tolist() == [n % 2 == 1 for n in range(501)]
+    with pytest.raises(TypeError, match="OrderedDict"):
+        OracleState(OracleConfig(horizon=500), mask_cache={})
+
+
+# -- the decision in bits against boolean arrays ------------------------------
 
 class LoopOracle(OracleState):
-    """The decision arithmetic on windowed copies: C starts all True, each
-    step copies it and clears the indices below the window, and a
-    commitment recomputes ``C &= mask`` or ``C &= ~mask``."""
+    """The decision arithmetic on boolean arrays and windowed copies: C
+    starts all True, each step copies it and clears the indices below the
+    window, and a commitment recomputes ``C &= mask`` or ``C &= ~mask``.
+    Its mask cache holds the arrays."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -418,7 +451,7 @@ class LoopOracle(OracleState):
 
         mask = self._mask_cache.get(pred.text)
         if mask is None:
-            mask = pred.mask(self.horizon, self._mask_cache)
+            mask = truth_vector(pred.mask(self.horizon), self.horizon)
             self._mask_cache[pred.text] = mask
 
         inside = self._windowed(self._commit & mask)
@@ -544,7 +577,9 @@ def test_decision_matches_windowed_arithmetic(horizon, tiebreak):
             got, want = decide(new, pred), decide(ref, pred)
             assert got == want
             outcomes.append(got)
-            assert (new._commit[WINDOW_START:] == ref._commit[WINDOW_START:]).all()
+            new_commit = truth_vector(new._commit, horizon)
+            assert (new_commit[WINDOW_START:] == ref._commit[WINDOW_START:]).all()
+            assert not new_commit[:WINDOW_START].any()
         assert new.log.to_text() == ref.log.to_text()
     # accepts, rejects and refusals all occur; C never empties, since
     # each commitment keeps a nonempty side, so the window is never exhausted

@@ -1,4 +1,5 @@
 import random
+from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -45,7 +46,7 @@ from starext.transfer import (
     transfer_check,
     truth_predicate,
 )
-from tests.conftest import make_universe
+from tests.conftest import make_universe, truth_vector
 
 
 def registry_with(**fns) -> Registry:
@@ -148,7 +149,7 @@ def test_expanded_quantifier_matches_pointwise():
     omega = u.point(VAR)
     phi = parse_formula("exists y < (x mod 9) . y * y = x mod 9")
     pred = truth_predicate(phi, {"x": omega}, horizon=512)
-    mask = pred.mask(512)
+    mask = truth_vector(pred.mask(512), 512)
     for m in range(0, 512, 11):
         expected = any(y * y == m % 9 for y in range(m % 9))
         assert bool(mask[m]) == expected
@@ -230,21 +231,20 @@ _LOS_DEFAULT = ("v mod 3 = 0 | v < 40", "v mod 4 = 1", "x + 3")
 def test_los_group_reuses_compiled_parts(monkeypatch, kind):
     """The five queries of one Łoś group, compiled through the universe:
     the texts and decisions of uncached predicates, and the masks of
-    !phi, phi & psi and phi | psi read the vectors of phi and psi. The
-    ``default`` group is asked without a registry, and reuses its parts
-    all the same."""
+    !phi, phi & psi and phi | psi read the sets of phi and psi from the
+    mask cache. The ``default`` group is asked without a registry, and
+    reuses its parts all the same."""
     rng = random.Random(f"los-reuse:{kind}")
     reg = DEFAULT_REGISTRY
     reads: list[list[str]] = []
-    real_known = funlang._known_truth
+    real_bits = funlang._truth_bits
 
-    def known_truth(a, b, known, shape):
-        truth = real_known(a, b, known, shape)
-        if truth is not None:
-            reads[-1].append(a._pp[0])
-        return truth
+    def truth_bits(node, horizon, full, cache, *args):
+        if node._pp is not None and node._pp[0] in cache:
+            reads[-1].append(node._pp[0])
+        return real_bits(node, horizon, full, cache, *args)
 
-    monkeypatch.setattr(funlang, "_known_truth", known_truth)
+    monkeypatch.setattr(funlang, "_truth_bits", truth_bits)
     checked = 0
     for trial in range(1 if kind == "default" else 8):
         if kind == "default":
@@ -254,7 +254,7 @@ def test_los_group_reuses_compiled_parts(monkeypatch, kind):
             psi = rand_formula(rng, ["v"], reg, depth=1, allow_quantifier=False)
             src = _LOS_POINTS[trial % (2 if kind == "sat" else len(_LOS_POINTS))]
         group = [phi, Not(phi), psi, And(phi, psi), Or(phi, psi)]
-        cache: dict[str, np.ndarray] = {}
+        cache: OrderedDict[str, int] = OrderedDict()
         u = Universe(OracleState(OracleConfig(horizon=LOS_H), mask_cache=cache))
         seen: list[tuple] = []  # (predicate, mask-cache texts before its query)
         real_query = u.oracle.query
@@ -383,7 +383,7 @@ def test_sat_masks_match_per_index_reference(seed, outer, inner, point, grid_lim
     pred = truth_predicate(phi, env, reg, horizon=SAT_H)
     assert pred.text.startswith("sat[")
     with mock.patch.object(transfer, "GRID_LIMIT", grid_limit):
-        mask = pred.mask(SAT_H)
+        mask = truth_vector(pred.mask(SAT_H), SAT_H)
     reference = _reference_fn(phi, {"v": env["v"].seq}, reg)
     assert mask.tolist() == [reference(m) for m in range(SAT_H + 1)]
 
@@ -419,4 +419,4 @@ def test_quantifier_stops_at_first_witness(src, point, expected):
     pred = truth_predicate(parse_formula(src), {"v": Hyperpoint(parse_fn(point))},
                            horizon=h)
     assert pred.text.startswith("sat[")
-    assert pred.mask(h).tolist() == [expected(m) for m in range(h + 1)]
+    assert truth_vector(pred.mask(h), h).tolist() == [expected(m) for m in range(h + 1)]

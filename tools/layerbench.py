@@ -26,8 +26,12 @@ Each line is the best of five repetitions, in µs per call, measured with
   pair(4, x)), pair(x, x * x), 1, 0)``, whose left pair passes 2**62; the
   comparison unpairs the right side in int64 instead of building the pair;
 - an oracle decision on a mask already in the mask cache: 4,096
-  cofinite vectors, cached bit-packed by a first query of each, so each
-  decision unpacks one;
+  cofinite sets, cached by a first query of each, so each decision is
+  a few int operations on one;
+- an oracle decision at H = 256 on ``or_`` of two cached predicates:
+  4,005 unions of two of 90 cofinite indicators ``ifeq(x div d, 0, 0,
+  1)``, each indicator cached by a first query, so each decision builds
+  the union's mask from the cache;
 - an oracle decision on a closed predicate, one that reads no index:
   4,096 memberships of standard points, the indicator composed with
   ``Const(k)``, each decided from its value without a mask;
@@ -47,6 +51,7 @@ from __future__ import annotations
 import sys
 import tempfile
 import timeit
+from collections import OrderedDict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -61,6 +66,7 @@ from starext.funlang import (  # noqa: E402
     IndexPredicate,
     eval_vec,
     normalize,
+    or_,
     parse_fn,
     pretty,
 )
@@ -151,15 +157,30 @@ def _decision():
     rng = np.random.default_rng(0)
     preds = [IndexPredicate(f"p{i}", vec=lambda ns, k=rng.integers(0, 40): ns >= k)
              for i in range(4096)]
+    return _decisions(preds, preds)
+
+
+def _union_decision():
+    # unions of cofinite sets are cofinite: each decision accepts
+    parts = [IndexPredicate.from_expr(parse_fn(f"ifeq(x div {d}, 0, 0, 1)"))
+             for d in range(2, 92)]
+    unions = [IndexPredicate.from_expr(or_(p.expr, q.expr))
+              for i, p in enumerate(parts) for q in parts[i + 1:]]
+    return _decisions(parts, unions)
+
+
+def _decisions(cached, preds):
+    """Decisions of ``preds`` in turn, each repetition from a new state
+    whose mask cache holds the masks of ``cached``."""
     # the cache is filled the way a run fills it, by a first query of each
-    masks = {}
+    masks = OrderedDict()
     first = OracleState(OracleConfig(horizon=H), mask_cache=masks)
-    for pred in preds:
+    for pred in cached:
         first.query(pred)
     state = {}
 
     def setup():
-        oracle = OracleState(OracleConfig(horizon=H), mask_cache=dict(masks))
+        oracle = OracleState(OracleConfig(horizon=H), mask_cache=OrderedDict(masks))
         state["query"], state["next"] = oracle.query, iter(preds).__next__
 
     return setup, lambda: state["query"](state["next"]())
@@ -225,6 +246,7 @@ BENCHES = [
     (f"IndexPredicate.mask, H={MASK_H}, wide ifeq", _wide_mask(WIDE_QUERY), 200),
     (f"IndexPredicate.mask, H={MASK_H}, wide pair ifeq", _wide_mask(WIDE_PAIR_QUERY), 200),
     ("oracle decision, cached mask", _decision, 4_000),
+    (f"oracle decision, or_ of two cached predicates, H={H}", _union_decision, 4_000),
     ("oracle decision, closed predicate", _constant_decision, 4_000),
     ("Łoś group, five eval_hyper", _los_group, 200),
     ("build_fragment, quick", _fragment, 200),
