@@ -1,8 +1,9 @@
 """Batch driver: run scenario suites, write a report and a decision log.
 
 Exit codes: 0 all checks passed (undecidable tolerated unless --strict),
-1 suite failures, 2 parse or configuration errors (an --out directory
-that cannot be written included), 3 broken filter consistency or replay
+1 suite failures, 2 parse or configuration errors (a repeated --suite, a
+horizon of 2**62 or more, and an --out directory or report that cannot
+be written included), 3 broken filter consistency or replay
 divergence (a decision that differs from the replayed log, or a
 recomputed log shorter or longer than it), 4 an internal error while the
 suites run, reported as one line on stderr.
@@ -87,6 +88,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.seed is not None:
         scenario.seed = args.seed
+    for i, name in enumerate(args.suite or ()):
+        if name in args.suite[:i]:
+            print(f"error: --suite {name} given twice", file=sys.stderr)
+            return 2
     suites = args.suite if args.suite else scenario.suites
     if not suites:
         print("error: no suites selected", file=sys.stderr)
@@ -126,10 +131,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --out {args.out}: {exc}", file=sys.stderr)
             return 2
         with sink:
-            oracle = OracleState(config, replay_log=replay_log, log=DecisionLog(sink))
-            ctx = SuiteContext(scenario, Universe(oracle))
             try:
-                reports = run_suites(ctx, suites)
+                oracle = OracleState(config, replay_log=replay_log, log=DecisionLog(sink))
+                reports = run_suites(SuiteContext(scenario, Universe(oracle)), suites)
                 oracle.check_consistency()
                 oracle.check_replay_complete()
             except ReplayMismatch as exc:
@@ -143,8 +147,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
                 return 4
         report_text = render_report(scenario, config.horizon, args.strict, reports)
-        (out_dir / REPORT_NAME).write_text(report_text)
-        staged.replace(out_dir / LOG_NAME)
+        try:
+            (out_dir / REPORT_NAME).write_text(report_text)
+            staged.replace(out_dir / LOG_NAME)
+        except OSError as exc:
+            print(f"error: --out {args.out}: {exc}", file=sys.stderr)
+            return 2
         kept = True
     finally:
         if not kept:

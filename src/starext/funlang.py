@@ -73,12 +73,12 @@ input vector itself. :func:`eval_vec` and its interval pass raise
 interval pass on 0..max(xs) picks a dtype per node: exact object-dtype
 Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
 ``8z+1`` of unpair, a divisor, a ``Table`` key) or children may reach
-2**62, int64 everywhere else. An ``ifeq`` compares a wide pair, sum or
-product with a side that fits int64 without building it, by unpairing,
-subtracting or dividing that side's value in int64. Inputs past the
-bound are evaluated whole in Python ints. A caller that needs more than
-one value, a quantifier's sweep included, makes one :func:`eval_vec`
-call for them.
+2**62, int64 everywhere else. An ``ifeq`` compares a wide pair with a
+side that fits int64 without building it, by unpairing that side's value
+in int64; any other comparison with a wide side is made in Python ints.
+Inputs past the bound are evaluated whole in Python ints. A caller that
+needs more than one value, a quantifier's sweep included, makes one
+:func:`eval_vec` call for them.
 
 A truth set of an :class:`IndexPredicate` is a Python int whose bit n is
 set exactly when the predicate holds at n. :meth:`IndexPredicate.mask`
@@ -444,57 +444,19 @@ def _unpair_vec(z):
     return w - y, y
 
 
-# The comparison of an ``ifeq`` in ``_bound_pass``'s ``wide`` map. A side
-# whose value fits int64 ("narrow", not ``True`` in ``wide``) is evaluated
-# by ``go``; a wide side is compared without being built where pairing,
-# a sum or a product allows, and lifted to Python ints where not.
-
-def _wide_eq(a: FnExpr, b: FnExpr, wide: dict[int, bool], go, lifted):
-    """Truth of ``a == b`` at every input."""
-    if not wide.get(id(a)):
-        v = go(a)
-        return go(b) == v if not wide.get(id(b)) else _eq_value(b, v, wide, go, lifted)
-    if not wide.get(id(b)):
-        return _eq_value(a, go(b), wide, go, lifted)
-    if type(a) is PairE and type(b) is PairE:
-        # pairing is a bijection: equal pairs have equal components
-        return (_wide_eq(a.left, b.left, wide, go, lifted)
-                & _wide_eq(a.right, b.right, wide, go, lifted))
-    return lifted(a) == lifted(b)
-
-
-def _eq_value(node: FnExpr, v, wide: dict[int, bool], go, lifted):
+def _eq_pair(node: FnExpr, v, wide: dict[int, bool], go, lifted):
     """Truth of ``node == v``, where ``v`` is a narrow value: an int64
-    array or an int, below :data:`INT64_SAFE`. Every value passed down is
-    at most ``v``, so it stays narrow."""
+    array or an int, below :data:`INT64_SAFE`. A wide pair is compared
+    component by component with ``unpair(v)``, exact in int64 while
+    8v + 1 is below the bound; any other wide node is lifted."""
     if not wide.get(id(node)):
         return go(node) == v
-    cls = type(node)
-    if cls is PairE:
-        # pair(l, r) = v iff unpair(v) = (l, r); unpair is exact in int64
-        # while 8v + 1 is below the bound
+    if type(node) is PairE:
         top = int(v.max(initial=0)) if isinstance(v, np.ndarray) else v
         if 8 * top + 1 < INT64_SAFE:
             l, r = _unpair_vec(v)
-            return (_eq_value(node.left, l, wide, go, lifted)
-                    & _eq_value(node.right, r, wide, go, lifted))
-    elif cls is Add or cls is Mul:
-        known, rest = node.left, node.right
-        if wide.get(id(known)):
-            known, rest = rest, known
-        if not wide.get(id(known)):
-            u = go(known)
-            if cls is Add:
-                # u + rest = v iff u <= v and rest = v - u
-                d = v - u
-                fits = d >= 0
-                return fits & _eq_value(rest, d * fits, wide, go, lifted)
-            # u * rest = v iff u = 0 = v, or u > 0 divides v and rest = v / u
-            zero = u == 0
-            q, rem = divmod(v, u + zero)
-            return ((zero & (v == 0))
-                    | (np.logical_not(zero) & (rem == 0)
-                       & _eq_value(rest, q, wide, go, lifted)))
+            return (_eq_pair(node.left, l, wide, go, lifted)
+                    & _eq_pair(node.right, r, wide, go, lifted))
     return lifted(node) == (v.astype(object) if isinstance(v, np.ndarray) else v)
 
 
@@ -514,10 +476,9 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     exactly then and when the root's own value or an intermediate of it
     may reach the bound. Shared subtrees are evaluated once.
 
-    An ``ifeq`` on that list decides its comparison by :func:`_wide_eq`:
-    two wide pairs component by component, and a wide pair, sum or
-    product against a side that fits int64 by unpairing, subtracting or
-    dividing that side's value; any other wide side is lifted.
+    An ``ifeq`` on that list compares a wide pair with a side that fits
+    int64 by unpairing that side's value (:func:`_eq_pair`); any other
+    comparison with a wide side is made in Python ints.
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
@@ -561,10 +522,16 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         elif cls is Var:
             out = xs
         elif cls is IfEq:
-            if lift:
-                cond = _wide_eq(node.a, node.b, wide, go, lifted)
+            a, b = node.a, node.b
+            if not lift:
+                cond = go(a) == go(b)
             else:
-                cond = go(node.a) == go(node.b)
+                # a narrow side, if any, goes first; it is compared with
+                # the other by ``_eq_pair``, and two wide sides in Python ints
+                if wide.get(id(a)):
+                    a, b = b, a
+                cond = (lifted(a) == lifted(b) if wide.get(id(a))
+                        else _eq_pair(b, go(a), wide, go, lifted))
             # the branches fit in int64 unless the node's own bound does not
             t, o = go(node.then), go(node.other)
             if isinstance(cond, np.ndarray):

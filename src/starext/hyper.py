@@ -117,8 +117,8 @@ class Universe:
     Membership queries canonicalise through the universe's own
     :class:`~starext.funlang.NormalMemo` (:meth:`predicate`). A query
     about a Boolean combination of sets that were queried at the same
-    point then reuses their normal forms, with the texts and closedness
-    cached on them, and the oracle reads their truth sets from its
+    point then reuses their normal forms, with the texts cached on them,
+    and the oracle reads their truth sets from its
     mask cache. ``formulas`` does the same for
     :func:`starext.transfer.eval_hyper`: it holds the formulas compiled
     in this universe (see :func:`starext.transfer.compile_formula`). Both

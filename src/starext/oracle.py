@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import ConsistencyViolation, ReplayMismatch, Undecidable
-from .funlang import IndexPredicate
+from .funlang import INT64_SAFE, IndexPredicate
 
 DEFAULT_HORIZON = 10_000
 #: the smallest horizon an oracle accepts
@@ -93,14 +93,25 @@ def valid_tiebreak(tiebreak: str) -> bool:
     return tiebreak == "least" or re.fullmatch(r"seeded:-?[0-9]+", tiebreak) is not None
 
 
+def check_horizon(horizon: int) -> None:
+    """Raise :class:`ValueError` unless ``horizon`` is one the oracle can
+    work with: at least :data:`MIN_HORIZON`, and below
+    :data:`~starext.funlang.INT64_SAFE`, from which
+    :func:`~starext.funlang.eval_vec` would lift every input to Python
+    ints."""
+    if horizon < MIN_HORIZON:
+        raise ValueError("horizon too small to be meaningful")
+    if horizon >= INT64_SAFE:
+        raise ValueError("horizon too large: it must be below 2**62")
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     horizon: int = DEFAULT_HORIZON
     tiebreak: str = "least"  # "least" or "seeded:<n>"
 
     def __post_init__(self):
-        if self.horizon < MIN_HORIZON:
-            raise ValueError("horizon too small to be meaningful")
+        check_horizon(self.horizon)
         if not valid_tiebreak(self.tiebreak):
             raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
 

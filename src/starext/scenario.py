@@ -38,8 +38,8 @@ parsed by :func:`starext.transfer.parse_formula`; their terms are funlang
 expressions with named variables. ``[suites]`` names come from
 :data:`starext.suites.SUITE_RUNNERS`.
 
-A function, point or closed-set name, or a ``[config]`` or ``[fragment]``
-key, given twice is an error at its second line.
+A function, point, closed-set or suite name, or a ``[config]`` or
+``[fragment]`` key, given twice is an error at the line that repeats it.
 
 The whole file is parsed and every name resolved before any oracle work
 starts; errors carry the offending line number and, inside an expression
@@ -54,7 +54,7 @@ from pathlib import Path
 from .errors import ParseError
 from .funlang import FnExpr, parse_definition, parse_fn
 from .nary import NaryFn
-from .oracle import MIN_HORIZON, OracleConfig, valid_tiebreak
+from .oracle import OracleConfig, check_horizon, valid_tiebreak
 from .suites import SUITE_RUNNERS
 from .transfer import DEFAULT_REGISTRY, Formula, Registry, parse_formula
 
@@ -86,10 +86,13 @@ class Scenario:
 
     def oracle_config(self, horizon: int | None = None) -> OracleConfig:
         """The oracle's settings; ``horizon`` overrides the scenario's. A
-        scenario horizon in effect that is too small is a
+        scenario horizon in effect that :func:`check_horizon` rejects is a
         :class:`ParseError` at its line."""
-        if horizon is None and self.horizon < MIN_HORIZON:
-            raise ParseError("horizon too small to be meaningful", self.horizon_line, 1)
+        if horizon is None:
+            try:
+                check_horizon(self.horizon)
+            except ValueError as exc:
+                raise ParseError(str(exc), self.horizon_line, 1) from None
         return OracleConfig(
             horizon=self.horizon if horizon is None else horizon,
             tiebreak=self.tiebreak,
@@ -240,6 +243,8 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                     continue
                 if n not in SUITE_RUNNERS:
                     raise ParseError(f"unknown suite {n!r}", lineno, 1)
+                if n in sc.suites:
+                    raise ParseError(f"duplicate suite {n!r}", lineno, 1)
                 sc.suites.append(n)
 
     sc.fragment.sample_stop = sample_range[1]

@@ -331,11 +331,20 @@ _WIDE_EQ = {
                          list(range(7))),
     "pair-vs-narrow": _row(PairE(_X6, VAR), PairE(VAR, VAR), [0, 1]),
     "pair-vs-narrow-first-equal": _row(PairE(_X6, VAR), PairE(VAR, Const(2)), []),
+    # the narrow side on the left
+    "narrow-vs-pair": _row(PairE(VAR, Const(5)), PairE(_X6, Add(VAR, Const(4))), [1]),
+    "nested-wide-pair-vs-narrow": _row(PairE(PairE(_X6, Const(3)), ModC(VAR, 5)),
+                                       PairE(PairE(VAR, Const(3)), ModC(VAR, 5)), [0, 1]),
     "nested-pair-vs-narrow": _row(PairE(PairE(Const(4), VAR), Mul(PairE(VAR, VAR), _X6)),
                                   PairE(PairE(Const(4), VAR), Mul(VAR, Const(3))), [0]),
     # pair(2**30, 0) is too large to unpair in int64
     "too-large-to-unpair": _row(PairE(Mul(VAR, Const(2**21)), ModC(VAR, 512)),
                                 Const(pair(2**30, 0)), [512]),
+    # an int64 array holding pair(s, 0) for the largest s with s(s+1)/2
+    # below 2**62, which the int64 unpair's correction step overflows at
+    "array-too-large-to-unpair": _row(PairE(Add(VAR, Const(3037000499 - 512)), ModC(VAR, 512)),
+                                      IfEq(VAR, Const(512), Const(pair(3037000499, 0)), Const(0)),
+                                      [512]),
     "product": _row(Mul(VAR, _X6), Const(128), [2]),
     "zero-factor-against-zero": _row(Mul(ModC(VAR, 2), PairE(_X6, Const(1))), Const(0),
                                      list(range(0, 2001, 2))),

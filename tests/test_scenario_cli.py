@@ -8,8 +8,8 @@ import pytest
 
 from starext.cli import LOG_NAME, REPORT_NAME, main
 from starext.errors import ConsistencyViolation, ParseError
-from starext.funlang import interpret
-from starext.oracle import OracleState
+from starext.funlang import INT64_SAFE, interpret
+from starext.oracle import OracleConfig, OracleState
 from starext.scenario import bundled_scenario_path, load_scenario, parse_scenario
 from starext.suites import SUITE_RUNNERS
 
@@ -89,6 +89,8 @@ def test_parse_minimal_scenario():
      "10:1: duplicate config key 'horizon'"),
     ("[fragment]\ndepth = 0\ndepth = 1", "7:1: duplicate fragment key 'depth'"),
     ("[closed]\nE = []\nE = [(f, std0)]", "7:1: duplicate closed set 'E'"),
+    ("[suites]\nfinite, axioms, finite", "6:1: duplicate suite 'finite'"),
+    ("[suites]\naxioms\nfinite, axioms", "7:1: duplicate suite 'axioms'"),
 ])
 def test_scenario_parse_errors(mutation, fragment):
     base = "[functions]\ndef f = x\n[points]\nstd0 = 0\n"
@@ -182,6 +184,15 @@ def test_cli_missing_scenario_exit_two(tmp_path):
 def test_cli_unknown_suite_exit_two(tmp_path):
     code, out = run_cli("quick", "--suite", "warp", "--out", str(tmp_path / "o"))
     assert code == 2
+
+
+def test_cli_repeated_suite_exit_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["quick", "--suite", "keisler", "--suite", "finite", "--suite", "keisler",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --suite keisler given twice\n"
+    assert not out.exists()
 
 
 def test_cli_suite_selection(tmp_path):
@@ -301,6 +312,58 @@ def test_cli_horizon_flag_overrides_bad_scenario_horizon(tmp_path):
     assert "horizon: 500" in (tmp_path / "o" / "report.txt").read_text()
 
 
+#: a horizon past the range check and 2**62 itself, where it starts; neither
+#: reaches the oracle, which would allocate a bitset of that many bits
+_HUGE_HORIZONS = [10**20, 2**62]
+
+
+@pytest.mark.parametrize("horizon", _HUGE_HORIZONS)
+def test_cli_huge_horizon_flag_exit_two(tmp_path, capsys, horizon):
+    assert main(["quick", "--horizon", str(horizon), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --horizon {horizon}: horizon too large: it must be below 2**62\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("horizon", _HUGE_HORIZONS)
+def test_cli_huge_scenario_horizon_names_its_line(tmp_path, capsys, horizon):
+    scn = tmp_path / "huge.scn"
+    scn.write_text(_LOW_HORIZON.replace("horizon = 63", f"horizon = {horizon}"))
+    assert main([str(scn), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: 2:1: horizon too large: it must be below 2**62\n"
+
+
+def test_oracle_config_horizon_range():
+    assert OracleConfig(horizon=INT64_SAFE - 1).horizon == INT64_SAFE - 1
+    with pytest.raises(ValueError, match="below 2\\*\\*62"):
+        OracleConfig(horizon=INT64_SAFE)
+
+
+def test_cli_oracle_that_cannot_be_built_exit_four(tmp_path, monkeypatch, capsys):
+    def no_memory(self, *args, **kwargs):
+        raise MemoryError("bitset of the window")
+
+    monkeypatch.setattr(OracleState, "__init__", no_memory)
+    code = main(["quick", "--suite", "finite", "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert capsys.readouterr().err == "internal error: MemoryError: bitset of the window\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_unwritable_report_exit_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["quick", "--suite", "finite", "--out", str(out)]) == 0
+    log = (out / LOG_NAME).read_bytes()
+    (out / REPORT_NAME).unlink()
+    (out / REPORT_NAME).mkdir()
+    capsys.readouterr()
+    assert main(["quick", "--suite", "finite", "--seed", "99", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == [LOG_NAME, REPORT_NAME]
+    assert (out / LOG_NAME).read_bytes() == log
+
+
 def test_cli_internal_error_exit_four(tmp_path, monkeypatch, capsys):
     def boom(ctx):
         raise RuntimeError("boom")
@@ -367,7 +430,7 @@ _FUZZ_TOKENS = ["x", "omega", "id", "untag", "p1", "pair", "ifeq", "mod", "div",
 #: values at the edges of the range of each setting of [config] and
 #: [fragment] ("full" scale is left out: it runs for minutes)
 _FUZZ_SETTINGS = {
-    "horizon": ["64", "65", "63", "-1"],
+    "horizon": ["64", "65", "63", "-1", "100000000000000000000"],
     "seed": ["0", "-1", "99999999999"],
     "tiebreak": ["least", "seeded:0", "seeded:-2", "seeded:x", "seeded:", "coin"],
     "scale": ["quick", "fast"],
@@ -414,7 +477,8 @@ def _fuzz_flags(rng, tmp_path):
     for suite in rng.sample(_FUZZ_SUITES + ["warp"], rng.randint(0, 2)):
         flags += ["--suite", suite]
     if rng.random() < 0.3:
-        flags += ["--horizon", rng.choice(["64", "100", "300", "63", "-5", "abc"])]
+        flags += ["--horizon", rng.choice(["64", "100", "300", "63", "-5", "abc",
+                                          "100000000000000000000"])]
     if rng.random() < 0.2:
         flags += ["--seed", rng.choice(["0", "1", "-3", "12345", "x"])]
     if rng.random() < 0.2:

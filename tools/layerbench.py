@@ -21,10 +21,11 @@ Each line is the best of five repetitions, in µs per call, measured with
   horizon of the bundled ``standard`` scenario;
 - the truth vector at H = 10⁴ of ``ifeq(2, x * (pair(4, x) * pair(4, x)),
   0, 1)``, a ``mask-h10k`` query whose product passes 2**62; the
-  comparison divides 2 by x instead of building the product;
+  comparison builds the product in Python ints;
 - the truth vector at H = 10⁴ of ``ifeq(pair(pair(4, x), pair(4, x) *
   pair(4, x)), pair(x, x * x), 1, 0)``, whose left pair passes 2**62; the
-  comparison unpairs the right side in int64 instead of building the pair;
+  comparison unpairs the right side in int64 instead of building the pair,
+  and builds only the product component in Python ints;
 - an oracle decision on a mask already in the mask cache: 4,096
   cofinite sets, cached by a first query of each, so each decision is
   a few int operations on one;
