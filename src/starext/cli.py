@@ -4,9 +4,10 @@ Exit codes: 0 all checks passed (undecidable tolerated unless --strict),
 1 suite failures, 2 parse or configuration errors (a repeated --suite, a
 horizon of 2**62 or more, and an --out directory or report that cannot
 be written included), 3 broken filter consistency or replay
-divergence (a decision that differs from the replayed log, or a
-recomputed log shorter or longer than it), 4 an internal error while the
-suites run, reported as one line on stderr.
+divergence (a decision that differs from the replayed log or that the
+log lacks, where the run stops, or a logged entry left over at the
+end), 4 an internal error while the suites run, reported as one line on
+stderr.
 
 The decision log is written to a temporary file in the output directory
 while the suites run, one line per decision. A run that ends with exit
@@ -132,10 +133,10 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         with sink:
             try:
-                oracle = OracleState(config, replay_log=replay_log, log=DecisionLog(sink))
+                oracle = OracleState(config, log=DecisionLog(sink, replay=replay_log))
                 reports = run_suites(SuiteContext(scenario, Universe(oracle)), suites)
                 oracle.check_consistency()
-                oracle.check_replay_complete()
+                oracle.log.check_replay_complete()
             except ReplayMismatch as exc:
                 print(f"replay mismatch: {exc}", file=sys.stderr)
                 return 3

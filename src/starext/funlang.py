@@ -125,13 +125,13 @@ class FnExpr:
     Two fields cache facts derived from a node: ``_nf`` its normal form
     (:func:`normalize`, whose walk swaps the node for it; ``True`` when
     that is the node itself, so that no node refers to itself and each is
-    freed with its last reference) and ``_pp`` its text and chain flag
-    (:func:`pretty`). Each holds a pure function of the node's
-    structure and is ``None`` until computed. They are dataclass fields
-    outside ``__init__``, ``==``, ``hash`` and ``repr``, so
-    ``__match_args__`` lists only the structural fields and two equal
-    nodes stay equal whatever they have cached. A cache lives exactly as
-    long as its node, and an ``_nf`` that holds a node is never rewritten.
+    freed with its last reference) and ``_pp`` its text (:func:`pretty`).
+    Each holds a pure function of the node's structure and is ``None``
+    until computed. They are dataclass fields outside ``__init__``,
+    ``==``, ``hash`` and ``repr``, so ``__match_args__`` lists only the
+    structural fields and two equal nodes stay equal whatever they have
+    cached. A cache lives exactly as long as its node, and an ``_nf``
+    that holds a node is never rewritten.
 
     The node classes are plain slotted dataclasses, not frozen ones: the
     ``__init__`` of a frozen class writes each field through a call of
@@ -146,8 +146,8 @@ class FnExpr:
 
     _nf: FnExpr | bool | None = field(default=None, init=False, repr=False,
                                       compare=False, hash=False)
-    _pp: tuple[str, bool] | None = field(default=None, init=False, repr=False,
-                                         compare=False, hash=False)
+    _pp: str | None = field(default=None, init=False, repr=False,
+                            compare=False, hash=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -775,63 +775,63 @@ def pretty(e: FnExpr) -> str:
     pp = e._pp
     if pp is None:
         pp = e._pp = _text(e, {})
-    return pp[0]
+    return pp
 
 
-def _text(node: FnExpr, memo: dict[int, tuple[str, bool]]) -> tuple[str, bool]:
-    """(text, is_chain) of ``node``, where is_chain marks a top-level + - *."""
+def _text(node: FnExpr, memo: dict[int, str]) -> str:
+    """The text of ``node``."""
     key = id(node)
     if key in memo:
         return memo[key]
     cls = type(node)
     if cls is Const:
-        out = (str(node.value), False)
+        out = str(node.value)
     elif cls is Var:
-        out = ("x", False)
+        out = "x"
     else:
         out = node._pp
         if out is not None:
             return out
         if cls is IfEq:
-            out = (
-                f"ifeq({_text(node.a, memo)[0]}, {_text(node.b, memo)[0]}, "
-                f"{_text(node.then, memo)[0]}, {_text(node.other, memo)[0]})",
-                False,
-            )
+            out = (f"ifeq({_text(node.a, memo)}, {_text(node.b, memo)}, "
+                   f"{_text(node.then, memo)}, {_text(node.other, memo)})")
         elif cls is Add:
             # the left operand of a chain may itself be a chain
-            out = (f"{_text(node.left, memo)[0]} + {_atom(node.right, memo)}", True)
+            out = f"{_text(node.left, memo)} + {_atom(node.right, memo)}"
         elif cls is Sub:
-            out = (f"{_text(node.left, memo)[0]} - {_atom(node.right, memo)}", True)
+            out = f"{_text(node.left, memo)} - {_atom(node.right, memo)}"
         elif cls is PairE:
-            out = (f"pair({_text(node.left, memo)[0]}, {_text(node.right, memo)[0]})",
-                   False)
+            out = f"pair({_text(node.left, memo)}, {_text(node.right, memo)})"
         elif cls is ModC:
-            out = (f"{_atom(node.arg, memo)} mod {node.divisor}", False)
+            out = f"{_atom(node.arg, memo)} mod {node.divisor}"
         elif cls is P2:
-            out = (f"p2({_text(node.arg, memo)[0]})", False)
+            out = f"p2({_text(node.arg, memo)})"
         elif cls is Mul:
-            out = (f"{_text(node.left, memo)[0]} * {_atom(node.right, memo)}", True)
+            out = f"{_text(node.left, memo)} * {_atom(node.right, memo)}"
         elif cls is DivC:
-            out = (f"{_atom(node.arg, memo)} div {node.divisor}", False)
+            out = f"{_atom(node.arg, memo)} div {node.divisor}"
         elif cls is P1:
-            out = (f"p1({_text(node.arg, memo)[0]})", False)
+            out = f"p1({_text(node.arg, memo)})"
         elif cls is Compose:
             out = _text(normalize(node), memo)
         elif cls is Table:
             digest = sha256(repr((node.entries, node.default)).encode()).hexdigest()[:12]
-            out = (f"table#{digest}({_text(node.arg, memo)[0]})", False)
+            out = f"table#{digest}({_text(node.arg, memo)})"
         elif cls is Name:
-            out = (node.name, False)
+            out = node.name
         else:
             raise TypeError(f"not an FnExpr: {node!r}")
     memo[key] = out
     return out
 
 
-def _atom(node: FnExpr, memo: dict[int, tuple[str, bool]]) -> str:
-    text, is_chain = _text(node, memo)
-    return f"({text})" if is_chain else text
+def _atom(node: FnExpr, memo: dict[int, str]) -> str:
+    """The text of ``node``, in parentheses when it is a chain: a
+    top-level + - *, of the normal form for a ``Compose``."""
+    text = _text(node, memo)
+    if type(node) is Compose:
+        node = normalize(node)
+    return f"({text})" if type(node) in (Add, Sub, Mul) else text
 
 
 # ---------------------------------------------------------------------------
@@ -1130,10 +1130,10 @@ def _truth_bits(node: FnExpr, horizon: int, full: int, cache: Mapping[str, int],
         return full if node.value else 0
     pp = node._pp
     if pp is not None:
-        bits = cache.get(pp[0])
+        bits = cache.get(pp)
         if bits is not None:
             return bits
-        if "x" not in pp[0]:
+        if "x" not in pp:
             return full if interpret(node, 0) else 0
     if cls is IfEq and type(node.b) is Const and node.b.value == 0:
         p = _truth_bits(node.a, horizon, full, cache, False)

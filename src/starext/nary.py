@@ -97,8 +97,6 @@ class NaryRel:
         return self.indicator.apply(*args) == 1
 
 
-ADDITION = NaryFn(2, parse_fn("p1(x) + p2(x)"), name="add")
-MULTIPLICATION = NaryFn(2, parse_fn("p1(x) * p2(x)"), name="mul")
 EQUALITY = NaryRel(2, NaryFn(2, parse_fn("ifeq(p1(x), p2(x), 1, 0)")), name="eq")
 LESS_THAN = NaryRel(2, NaryFn(2, parse_fn("ifeq(p2(x) - p1(x), 0, 0, 1)")), name="lt")
 

@@ -20,19 +20,20 @@ window [1, H] of the index set; index 0 is left out (``WINDOW_START``):
 Every decision appends one log entry and shrinks C, which is what makes
 the complement, superset and finite-union laws hold mechanically for all
 later queries. Repeating a query (same canonical predicate text) returns
-the recorded decision without a new entry. A replay compares each
-decision with the logged one, and its end checks that none is missing
-or extra (:meth:`OracleState.check_replay_complete`).
+the recorded decision without a new entry.
 
 The log is written as decisions are made: :class:`DecisionLog` formats
-each entry's line once, writes it to its text sink and keeps only a
-count, so memory does not grow with the number of decisions. The CLI's
-sink is a temporary file that replaces ``decisions.log`` when the run
-ends with a verdict; a library caller's default sink is an
-:class:`io.StringIO`. Reading a log file (:meth:`DecisionLog.read`)
-validates every line up front but keeps only their count; a replay then
-reads the file again, one entry per recomputed decision
-(:class:`ReplayLog`).
+each entry's line once and writes it to its text sink, so memory does
+not grow with the number of decisions. The CLI's sink is a temporary
+file that replaces ``decisions.log`` when the run ends with a verdict;
+a library caller's default sink is an :class:`io.StringIO`. A log given
+the entries of a recorded one replays it: each entry is compared with
+the next recorded one before it is written, so a run stops at its first
+divergence or missing decision, and
+:meth:`DecisionLog.check_replay_complete` finds a recorded entry left
+over at the end. Reading a log file (:meth:`DecisionLog.read`)
+validates every line up front, then yields the entries from the file
+again, one at a time.
 
 C, each cached truth set and the result of a mask build are Python ints
 whose bit n is set exactly when n is in the set. C has no bit below
@@ -61,7 +62,7 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import ConsistencyViolation, ReplayMismatch, Undecidable
 from .funlang import INT64_SAFE, IndexPredicate
@@ -130,17 +131,44 @@ class LogEntry(NamedTuple):
 class DecisionLog:
     """Append-only record of decisions, written line by line to a text sink.
 
-    Each entry is formatted once and written at once; the log keeps only
-    their count. The default sink is an :class:`io.StringIO`.
+    Each entry is formatted once and written at once; the log keeps no
+    entry, only their number (``len``). The default sink is an
+    :class:`io.StringIO`.
+
+    ``replay``, when given, holds the entries of a recorded log: a list,
+    or the entries of a log file (:meth:`read`). Each appended entry is
+    compared with the next recorded one before it is written, and a
+    difference, or a recorded log that has ended, raises
+    :class:`ReplayMismatch`. States that append to one log (see
+    :meth:`OracleState.fresh_sibling`) share its replay.
     """
 
-    def __init__(self, sink: TextIO | None = None):
+    def __init__(self, sink: TextIO | None = None,
+                 replay: Iterable[LogEntry] | None = None):
         self._sink = sink if sink is not None else io.StringIO()
         self._count = 0
+        self._replay = None if replay is None else iter(replay)
 
     def append(self, entry: LogEntry) -> None:
+        if self._replay is not None:
+            expected = next(self._replay, None)
+            if expected is None:
+                raise ReplayMismatch(f"decision {entry.seq}: the replayed log ends here")
+            if expected != entry:
+                raise ReplayMismatch(
+                    f"decision {entry.seq}: recomputed {entry!r}, logged {expected!r}"
+                )
         self._sink.write(f"{entry.seq}\t{entry.text}\t{entry.decision}\t{entry.witness}\n")
         self._count += 1
+
+    def check_replay_complete(self) -> None:
+        """Raise :class:`ReplayMismatch` if the replayed log holds an entry
+        beyond the last one appended."""
+        extra = None if self._replay is None else next(self._replay, None)
+        if extra is not None:
+            raise ReplayMismatch(
+                f"decision {extra.seq}: logged {extra!r}, the run has no such decision"
+            )
 
     def __len__(self) -> int:
         return self._count
@@ -157,14 +185,14 @@ class DecisionLog:
         return list(_parse(text.splitlines()))
 
     @staticmethod
-    def read(path: str | Path) -> "ReplayLog":
+    def read(path: str | Path) -> Iterator[LogEntry]:
         """The entries of the log file at ``path``, for a replay. Every
-        line is validated now, as by :meth:`from_text`, but only their
-        count is kept; the entries are read from the file again as the
-        replay takes them."""
-        with open(path) as f:
-            count = sum(1 for _ in _parse(_file_lines(f)))
-        return ReplayLog(_read_entries(path), count)
+        line is validated now, as by :meth:`from_text`; the entries are
+        then read from the file again, one at a time, as the replay
+        takes them."""
+        for _ in _read_entries(path):
+            pass
+        return _read_entries(path)
 
 
 def _parse(lines: Iterable[str]) -> Iterator[LogEntry]:
@@ -192,31 +220,6 @@ def _read_entries(path: str | Path) -> Iterator[LogEntry]:
         yield from _parse(_file_lines(f))
 
 
-class ReplayLog:
-    """The entries of a recorded log, taken one at a time and in order by
-    the states that replay it, and their count (``len``).
-
-    States that append to one log share its replay (see
-    :meth:`OracleState.fresh_sibling`), so each recomputed decision takes
-    the next entry, whichever state made it.
-    """
-
-    __slots__ = ("_entries", "_count")
-
-    def __init__(self, entries: Iterable[LogEntry], count: int):
-        self._entries = iter(entries)
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[LogEntry]:
-        return self
-
-    def __next__(self) -> LogEntry:
-        return next(self._entries)
-
-
 class OracleState:
     """Committed ultrafilter decisions within a horizon.
 
@@ -227,11 +230,6 @@ class OracleState:
     replayable file. ``mask_cache`` may likewise be shared, since a
     predicate's truth set does not depend on any filter state.
 
-    ``replay_log``, when given, holds the entries of a recorded log: a
-    list, or a log file's :meth:`DecisionLog.read`. Each recomputed
-    decision is compared with its next entry, and any divergence raises
-    :class:`ReplayMismatch`.
-
     ``mask_cache`` is an :class:`~collections.OrderedDict` from predicate
     texts to their truth sets over 0..horizon, in order of insertion, as
     :meth:`query` stores them: ints whose bit n is set exactly when n is
@@ -239,7 +237,6 @@ class OracleState:
     """
 
     def __init__(self, config: OracleConfig | None = None,
-                 replay_log: Sequence[LogEntry] | ReplayLog | None = None,
                  log: DecisionLog | None = None,
                  mask_cache: OrderedDict[str, int] | None = None):
         self.config = config or OracleConfig()
@@ -247,9 +244,6 @@ class OracleState:
         self.log = log if log is not None else DecisionLog()
         # the largest witness this state has logged, -1 before the first
         self._top_witness = -1
-        if replay_log is not None and type(replay_log) is not ReplayLog:
-            replay_log = ReplayLog(replay_log, len(replay_log))
-        self._replay_log = replay_log
         self._decisions: dict[str, bool] = {}
         if mask_cache is None:
             mask_cache = OrderedDict()
@@ -268,12 +262,7 @@ class OracleState:
 
     def fresh_sibling(self) -> "OracleState":
         """A state with no commitments that appends to the same log."""
-        return OracleState(
-            self.config,
-            replay_log=self._replay_log,
-            log=self.log,
-            mask_cache=self._mask_cache,
-        )
+        return OracleState(self.config, log=self.log, mask_cache=self._mask_cache)
 
     # -- introspection -------------------------------------------------------
 
@@ -327,15 +316,6 @@ class OracleState:
         side = inside if accept else outside
         return self._record(pred, accept, _least(side), side)
 
-    def check_replay_complete(self) -> None:
-        """Raise :class:`ReplayMismatch` unless the run recomputed as many
-        decisions as the replayed log holds (each one was compared)."""
-        if self._replay_log is not None and len(self.log) != len(self._replay_log):
-            raise ReplayMismatch(
-                f"recomputed {len(self.log)} decisions, "
-                f"the replayed log has {len(self._replay_log)}"
-            )
-
     def check_consistency(self) -> None:
         """Verify the committed family still reaches past every witness."""
         if not self._commit:
@@ -360,12 +340,6 @@ class OracleState:
                     f"commitment to {pred.text!r} emptied the filter window"
                 )
         entry = LogEntry(len(self.log), pred.text, "accept" if accept else "reject", witness)
-        if self._replay_log is not None and entry.seq < len(self._replay_log):
-            expected = next(self._replay_log)
-            if expected != entry:
-                raise ReplayMismatch(
-                    f"decision {entry.seq}: recomputed {entry!r}, logged {expected!r}"
-                )
         self.log.append(entry)
         self._top_witness = max(self._top_witness, witness)
         self._decisions[pred.text] = accept
@@ -377,7 +351,7 @@ def _least(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def replay(log: Sequence[LogEntry] | ReplayLog, queries: Iterable[IndexPredicate],
+def replay(log: Iterable[LogEntry], queries: Iterable[IndexPredicate],
            config: OracleConfig | None = None) -> OracleState:
     """Re-run a query sequence against a recorded log's entries.
 
@@ -385,8 +359,8 @@ def replay(log: Sequence[LogEntry] | ReplayLog, queries: Iterable[IndexPredicate
     the logged one, and no fewer or more decisions than it has.
     Otherwise :class:`ReplayMismatch` is raised.
     """
-    state = OracleState(config, replay_log=log)
+    state = OracleState(config, log=DecisionLog(replay=log))
     for pred in queries:
         state.query(pred)
-    state.check_replay_complete()
+    state.log.check_replay_complete()
     return state

@@ -1,11 +1,12 @@
-"""Every function and method of the package has a caller in the package.
+"""Every definition of the package has a user in the package.
 
-A module-level function, or a non-dunder method of a module-level class,
-that no other place in ``src/starext`` names and that ``starext.__all__``
-does not export is code that only tests reach: delete it, or move what
-the test needs into the test. The scan matches bare names, not symbols:
-a name shared with another symbol, a variable (``pred``) or a method of
-another class (``full``), counts as used, so such a name escapes it.
+A module-level function, class or assigned name, or a non-dunder method
+of a module-level class, that no other place in ``src/starext`` names
+and that ``starext.__all__`` does not export is code that only tests
+reach: delete it, or move what the test needs into the test. The scan
+matches bare names, not symbols: a name shared with another symbol, a
+variable (``pred``) or a method of another class (``full``), counts as
+used, so such a name escapes it.
 """
 
 import ast
@@ -26,6 +27,8 @@ ALLOWED = {
                              "for library callers; the CLI reads its replay from a file",
     "OracleState.decided": "the benchmark's query probe (perfbench/run.py) reads it to "
                            "tell a repeated query from a new one",
+    "__all__": "the package's export list, which ``import *`` and this scan read",
+    "__version__": "the package version, read by callers outside the package",
 }
 
 
@@ -34,12 +37,19 @@ def _is_function(node) -> bool:
 
 
 def _defs(tree: ast.Module):
-    """(qualified name, name, node) of each module-level function and each
-    non-dunder method of a module-level class."""
+    """(qualified name, name, node) of each module-level function, class
+    and name assigned to, and each non-dunder method of a module-level
+    class."""
     for node in tree.body:
         if _is_function(node):
             yield node.name, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id, node
         elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name, node
             for item in node.body:
                 if _is_function(item) and not (
                         item.name.startswith("__") and item.name.endswith("__")):

@@ -5,8 +5,6 @@ import pytest
 from starext.funlang import VAR, Name, interpret, parse_fn
 from starext.gen import rand_nary, rand_point_expr
 from starext.nary import (
-    ADDITION,
-    MULTIPLICATION,
     NaryFn,
     alternative_decompositions,
     default_decomposition,
@@ -18,6 +16,9 @@ from starext.nary import (
 )
 from starext.transfer import AtomRel, eval_hyper
 from tests.conftest import make_universe
+
+ADDITION = NaryFn(2, parse_fn("p1(x) + p2(x)"), name="add")
+MULTIPLICATION = NaryFn(2, parse_fn("p1(x) * p2(x)"), name="mul")
 
 
 def test_encoding_and_projections_invert():

@@ -277,7 +277,12 @@ def test_cli_replay_log_of_other_length_exit_three(tmp_path, edit):
     edited.write_text("\n".join(lines) + "\n")
     code, out = run_cli("quick", "--replay", str(edited), "--out", str(tmp_path / "x"))
     assert code == 3
-    assert "replay mismatch" in out
+    if edit == "truncate":
+        # the run stops at the first decision the log lacks
+        assert out.startswith("replay mismatch: decision 100: the replayed log ends here")
+    else:
+        extra = f"LogEntry(seq={len(lines) - 1}, text='x mod 2', decision='accept', witness=1)"
+        assert out.startswith(f"replay mismatch: decision {len(lines) - 1}: logged {extra}")
     assert len(out.strip().splitlines()) == 1
     assert not (tmp_path / "x").exists()
 

@@ -240,8 +240,8 @@ def test_los_group_reuses_compiled_parts(monkeypatch, kind):
     real_bits = funlang._truth_bits
 
     def truth_bits(node, horizon, full, cache, *args):
-        if node._pp is not None and node._pp[0] in cache:
-            reads[-1].append(node._pp[0])
+        if node._pp is not None and node._pp in cache:
+            reads[-1].append(node._pp)
         return real_bits(node, horizon, full, cache, *args)
 
     monkeypatch.setattr(funlang, "_truth_bits", truth_bits)
