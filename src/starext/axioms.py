@@ -378,7 +378,8 @@ def check_irredundant(ext: Extension, xi, extra_points=()) -> CheckOutcome:
                         witness=f"({ext.function_name(handle)}, {ext.describe_point(eta)})",
                     )
             except Undecidable as exc:
-                pending_undecidable = exc
+                # kept without its traceback, whose frames refer back here
+                pending_undecidable = exc.with_traceback(None)
     if pending_undecidable is not None:
         return CheckOutcome(UNDECIDABLE, witness=str(pending_undecidable))
     return CheckOutcome(EXHAUSTED, witness=ext.describe_point(xi))
@@ -397,7 +398,11 @@ def puritz_leq(ext: Extension, eta, xi):
             if ext.eq(ext.star(handle, xi), eta):
                 return handle
         except Undecidable as exc:
-            pending = exc
+            # kept without its traceback, whose frames refer back here
+            pending = exc.with_traceback(None)
     if pending is not None:
-        raise pending
+        try:
+            raise pending
+        finally:
+            pending = None  # the raised traceback holds this frame
     return None

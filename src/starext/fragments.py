@@ -428,10 +428,11 @@ def surjectivity_probe(
     if violation is not None:
         i, j = violation[1]
         raise NotRepresentable(f"table not constant on the class of ({i}, {j})")
-    missing = np.setdiff1d(alpha_tab.codes, alpha_tab.codes[ai])
-    if missing.size:
+    # sets, not np.setdiff1d, which imports numpy.ma on its first call
+    missing = set(alpha_tab.codes.ravel().tolist()) - set(alpha_tab.codes[ai].tolist())
+    if missing:
         raise NotRepresentable(
-            f"{missing.size} equivalence classes have no representative "
+            f"{len(missing)} equivalence classes have no representative "
             "on the source row; the probe cannot tabulate them"
         )
 

@@ -73,12 +73,14 @@ input vector itself. :func:`eval_vec` and its interval pass raise
 interval pass on 0..max(xs) picks a dtype per node: exact object-dtype
 Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
 ``8z+1`` of unpair, a divisor, a ``Table`` key) or children may reach
-2**62, int64 everywhere else. An ``ifeq`` compares a wide pair with a
-side that fits int64 without building it, by unpairing that side's value
-in int64; any other comparison with a wide side is made in Python ints.
-Inputs past the bound are evaluated whole in Python ints. A caller that
-needs more than one value, a quantifier's sweep included, makes one
-:func:`eval_vec` call for them.
+2**62, int64 everywhere else; inputs past the bound are evaluated in
+Python ints throughout. A call with such a node or such inputs runs a
+block of inputs at a time, so its Python-int arrays grow with the block,
+not with the input. An ``ifeq`` that compares a wide side with a side
+that fits int64 evaluates the wide side clamped at 2**62, in int64, which
+decides the comparison exactly; two wide sides compare in Python ints. A
+caller that needs more than one value, a quantifier's sweep included,
+makes one :func:`eval_vec` call for them.
 
 A truth set of an :class:`IndexPredicate` is a Python int whose bit n is
 set exactly when the predicate holds at n. :meth:`IndexPredicate.mask`
@@ -444,20 +446,14 @@ def _unpair_vec(z):
     return w - y, y
 
 
-def _eq_pair(node: FnExpr, v, wide: dict[int, bool], go, lifted):
-    """Truth of ``node == v``, where ``v`` is a narrow value: an int64
-    array or an int, below :data:`INT64_SAFE`. A wide pair is compared
-    component by component with ``unpair(v)``, exact in int64 while
-    8v + 1 is below the bound; any other wide node is lifted."""
-    if not wide.get(id(node)):
-        return go(node) == v
-    if type(node) is PairE:
-        top = int(v.max(initial=0)) if isinstance(v, np.ndarray) else v
-        if 8 * top + 1 < INT64_SAFE:
-            l, r = _unpair_vec(v)
-            return (_eq_pair(node.left, l, wide, go, lifted)
-                    & _eq_pair(node.right, r, wide, go, lifted))
-    return lifted(node) == (v.astype(object) if isinstance(v, np.ndarray) else v)
+#: the largest s with s(s + 1) / 2 below :data:`INT64_SAFE`: a pair whose
+#: components sum past it is at least the bound
+_PAIR_SUM_MAX = 3_037_000_499
+
+#: a call with a wide node, or with inputs past :data:`INT64_SAFE`, is
+#: evaluated this many inputs at a time, so its Python-int arrays grow
+#: with the block and not with the input
+EVAL_BLOCK = 2048
 
 
 def eval_vec(e: FnExpr, xs) -> np.ndarray:
@@ -472,13 +468,23 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     to Python ints, so that no sum, product, comparison or lookup depends
     on NumPy's promotion of int64 against Python ints, and casts its
     result back to int64 when its own bound fits. Inputs that reach the
-    bound are evaluated whole in Python ints. The result is object dtype
-    exactly then and when the root's own value or an intermediate of it
-    may reach the bound. Shared subtrees are evaluated once.
+    bound are evaluated in Python ints throughout. The result is object
+    dtype exactly then and when the root's own value or an intermediate
+    of it may reach the bound. Shared subtrees are evaluated once.
 
-    An ``ifeq`` on that list compares a wide pair with a side that fits
-    int64 by unpairing that side's value (:func:`_eq_pair`); any other
-    comparison with a wide side is made in Python ints.
+    A call with a node on that list, or with inputs past the bound, runs
+    over consecutive blocks of :data:`EVAL_BLOCK` inputs and joins their
+    results; the one interval pass over all of ``xs`` fixes every node's
+    dtype, so the blocks agree with each other and with an unblocked call.
+
+    An ``ifeq`` on that list that compares a wide side with a narrow one
+    evaluates the wide side clamped, as min(value, C) in int64 with
+    C = :data:`INT64_SAFE`. Every value of the narrow side is below C, so
+    the clamped values decide the comparison exactly. With a and b the
+    clamped operands, a sum is min(a, C - b) + b, a product is C where
+    b is nonzero and a > C // b, a pair is C once a + b passes
+    :data:`_PAIR_SUM_MAX`, and any other wide node is evaluated exactly,
+    then clamped. Two wide sides compare in Python ints.
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
@@ -488,12 +494,13 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         wide, dtype = {}, object
     else:
         dtype = np.int64
-    xs = xs.astype(dtype)
-    # only values of shared nodes are kept, so the intermediates of the
-    # rest are freed as soon as they are used
+    shape, flat = xs.shape, xs.reshape(-1).astype(dtype)
+    # kept per block: the values of shared nodes (the intermediates of
+    # the rest are freed as soon as they are used), both projections of a
+    # shared node unpaired once, and clamped values of shared nodes
     memo: dict[int, object] = {}
-    # both projections of a shared node, unpaired once
     halves: dict[int, tuple] = {}
+    clamps: dict[int, object] = {}
 
     def unp(node: FnExpr, ev):
         key = id(node)
@@ -508,6 +515,41 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         # the value of ``node`` in Python ints
         v = go(node)
         return v.astype(object) if type(v) is np.ndarray and v.dtype != object else v
+
+    def clamped(node: FnExpr):
+        # min(value of ``node``, INT64_SAFE), in int64 or a Python int
+        key = id(node)
+        if not wide.get(key):
+            return go(node)
+        if key in clamps:
+            return clamps[key]
+        cls = type(node)
+        if cls is Add or cls is Mul or cls is PairE:
+            a, b = clamped(node.left), clamped(node.right)
+            if type(a) is not np.ndarray and type(b) is not np.ndarray:
+                # Python ints: exact, then clamped
+                out = min(a + b if cls is Add else a * b if cls is Mul else pair(a, b),
+                          INT64_SAFE)
+            elif cls is Add:
+                out = np.minimum(a, INT64_SAFE - b) + b
+            elif cls is Mul:
+                q = INT64_SAFE // np.maximum(b, 1)
+                out = np.where(a > q, INT64_SAFE, np.minimum(a, q) * b)
+            else:
+                # components past the limit sum past it all the same
+                a = np.minimum(a, _PAIR_SUM_MAX + 1)
+                b = np.minimum(b, _PAIR_SUM_MAX + 1)
+                s = a + b
+                t = np.minimum(s, _PAIR_SUM_MAX)
+                out = np.where(s > _PAIR_SUM_MAX, INT64_SAFE,
+                               np.minimum(t * (t + 1) // 2 + b, INT64_SAFE))
+        else:
+            v = go(node)
+            out = (np.minimum(v, INT64_SAFE).astype(np.int64) if type(v) is np.ndarray
+                   else min(v, INT64_SAFE))
+        if key in shared:
+            clamps[key] = out
+        return out
 
     def go(node: FnExpr):
         key = id(node)
@@ -525,13 +567,10 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
             a, b = node.a, node.b
             if not lift:
                 cond = go(a) == go(b)
+            elif wide.get(id(a)) and wide.get(id(b)):
+                cond = lifted(a) == lifted(b)
             else:
-                # a narrow side, if any, goes first; it is compared with
-                # the other by ``_eq_pair``, and two wide sides in Python ints
-                if wide.get(id(a)):
-                    a, b = b, a
-                cond = (lifted(a) == lifted(b) if wide.get(id(a))
-                        else _eq_pair(b, go(a), wide, go, lifted))
+                cond = clamped(a) == clamped(b)
             # the branches fit in int64 unless the node's own bound does not
             t, o = go(node.then), go(node.other)
             if isinstance(cond, np.ndarray):
@@ -569,13 +608,26 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
             memo[key] = out
         return out
 
+    # the first block is all of the inputs unless the call is blocked
+    blocked = (wide or dtype is object) and flat.size > EVAL_BLOCK
+    xs = flat[:EVAL_BLOCK] if blocked else flat
     out = go(e)
-    del go, unp, lifted  # they refer to each other: unbound, they and the memo die on return
+    # a value that reads no input is the same in every block
+    if blocked and isinstance(out, np.ndarray):
+        first, out = out, np.empty(flat.size, out.dtype)
+        out[:EVAL_BLOCK] = first
+        for start in range(EVAL_BLOCK, flat.size, EVAL_BLOCK):
+            xs = flat[start:start + EVAL_BLOCK]
+            memo.clear()
+            halves.clear()
+            clamps.clear()
+            out[start:start + EVAL_BLOCK] = go(e)
+    del go, unp, lifted, clamped  # they refer to each other: unbound, they and the memos die on return
     if isinstance(out, np.ndarray):
-        return out
+        return out.reshape(shape)
     if wide.get(id(e)):
         dtype = object  # the root's result stays exact
-    return np.full(xs.shape, out, dtype=dtype)
+    return np.full(shape, out, dtype=dtype)
 
 
 def _lookup_vec(v, entries, default):

@@ -47,9 +47,13 @@ def closed_member(u: Universe, xi: Hyperpoint, closed: BasicClosed) -> bool:
             if u.eq(u.star_apply(f, xi), target):
                 return True
         except Undecidable as exc:
-            pending = exc
+            # kept without its traceback, whose frames refer back here
+            pending = exc.with_traceback(None)
     if pending is not None:
-        raise pending
+        try:
+            raise pending
+        finally:
+            pending = None  # the raised traceback holds this frame
     return False
 
 

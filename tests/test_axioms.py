@@ -1,11 +1,17 @@
+import gc
 import random
+import types
+from pathlib import Path
 
 import pytest
+
+import starext
 
 from starext.axioms import (
     EXHAUSTED,
     FAIL,
     PASS,
+    UNDECIDABLE,
     ToyExtension,
     UltrapowerExtension,
     broken_comp_toy,
@@ -18,9 +24,13 @@ from starext.axioms import (
     puritz_leq,
     redundant_toy,
 )
-from starext.errors import NotSupported
+from starext.cli import main
+from starext.errors import NotSupported, Undecidable
 from starext.funlang import Const, VAR, interpret, pair, parse_fn, pretty
 from starext.gen import rand_expr, rand_point_expr
+from starext.hyper import Universe
+from starext.oracle import OracleConfig, OracleState
+from starext.topology import BasicClosed, closed_member
 
 REGISTRY = [
     ("id", VAR),
@@ -231,3 +241,93 @@ def test_standard_sample_is_fixed_by_star(u):
         for x in range(8):
             image = ext.star(expr, u.standard(x))
             assert u.eq(image, u.standard(interpret(expr, x)))
+
+
+# -- a kept Undecidable leaves no reference cycle -----------------------------------
+
+class _Undecided(OracleState):
+    """Raises Undecidable for the first ``undecided`` queries, then
+    accepts every query."""
+
+    undecided = float("inf")
+
+    def query(self, pred):
+        if self.undecided <= 0:
+            return True
+        self.undecided -= 1
+        raise Undecidable(pred.text, self.horizon, "undecided by the test")
+
+
+def _undecided_universe(undecided):
+    oracle = _Undecided(OracleConfig(horizon=64))
+    oracle.undecided = undecided
+    return Universe(oracle)
+
+
+# each scan keeps an Undecidable, then raises it, or decides after all
+
+def _closed_member(decides):
+    u = _undecided_universe(1 if decides else float("inf"))
+    closed = BasicClosed(((VAR, u.standard(1)), (parse_fn("x + 1"), u.standard(2))))
+    if decides:
+        assert closed_member(u, u.point("x * x"), closed)
+    else:
+        with pytest.raises(Undecidable):
+            closed_member(u, u.point("x * x"), closed)
+
+
+def _puritz_leq(decides):
+    u = _undecided_universe(1 if decides else float("inf"))
+    if decides:
+        assert puritz_leq(hyper_ext(u), u.standard(5), u.point(VAR)) is not None
+    else:
+        with pytest.raises(Undecidable):
+            puritz_leq(hyper_ext(u), u.standard(5), u.point(VAR))
+
+
+def _check_irredundant(decides):
+    # the identity check's Undecidable is not kept, the next one is
+    u = _undecided_universe(2 if decides else float("inf"))
+    status = check_irredundant(hyper_ext(u), u.point("x * x")).status
+    assert status == (PASS if decides else UNDECIDABLE)
+
+
+_SOURCES = str(Path(starext.__file__).resolve().parent)
+
+
+def _starext_cycles(run):
+    """The starext objects, and the frames of starext code, that ``run``
+    leaves for the cycle collector. Objects of other modules, argparse's
+    and inspect's among them, are not counted."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [o for o in gc.garbage
+                if type(o).__module__.startswith("starext")
+                or isinstance(o, types.FrameType)
+                and str(Path(o.f_code.co_filename).resolve()).startswith(_SOURCES)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("scan", [_closed_member, _puritz_leq, _check_irredundant],
+                         ids=lambda scan: scan.__name__.strip("_"))
+@pytest.mark.parametrize("decides", [False, True], ids=["undecided", "decides"])
+def test_kept_undecidable_leaves_no_reference_cycles(scan, decides):
+    """What a scan that keeps an Undecidable builds is freed by reference
+    counting alone."""
+    assert _starext_cycles(lambda: scan(decides)) == []
+
+
+def test_a_run_with_undecidable_checks_leaves_no_reference_cycles(tmp_path):
+    # this seed's topology and axioms checks meet undecidable queries
+    argv = ["standard", "--horizon", "256", "--seed", "2", "--suite", "topology",
+            "--suite", "axioms", "--out", str(tmp_path)]
+    assert _starext_cycles(lambda: main(argv)) == []

@@ -2,6 +2,7 @@
 interpreter, and every truth vector against its pointwise definition."""
 
 import random
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -353,6 +354,20 @@ _WIDE_EQ = {
     # past x = 0 the other side is smaller than the known addend 5x
     "sum-past-the-other-side": _row(Add(Mul(VAR, Const(5)), PairE(_X6, VAR)), VAR, [0]),
     "sum-of-wide-parts": _row(Add(_X6, _X6), Mul(VAR, Const(2)), [0, 1]),
+    # the clamped side at the clamp: a sum worth 2**62 - 1 at x = 1998,
+    # and one worth 2**62 at x = 2000, against the largest narrow value
+    "sum-just-below-the-clamp": _row(Add(VAR, Const(2**62 - 1999)), Const(2**62 - 1), [1998]),
+    "sum-at-the-clamp": _row(Add(Add(VAR, VAR), Const(2**62 - 4000)), Const(2**62 - 1), []),
+    "saturated-times-zero-factor": _row(Mul(Mul(VAR, Const(2**70)), ModC(VAR, 2)), Const(0),
+                                        list(range(0, 2001, 2))),
+    # l + r reaches 3,037,000,499 at x = 995 and passes it after
+    "pair-crossing-the-sum-limit": _row(PairE(Add(VAR, Const(3037000499 - 1000)), Const(5)),
+                                        Const(pair(3037000499 - 5, 5)), [995]),
+    "p2-of-wide-product-in-pair": _row(PairE(P2(Mul(_X6, _X6)), ModC(VAR, 3)),
+                                       Const(pair(0, 1)), [1]),
+    # the subtraction is 0 up to x = 1024 and passes 2**62 by x = 2000
+    "wide-subtraction-in-pair": _row(PairE(Sub(_X6, Mul(Mul(VAR, VAR), Const(2**40))), VAR),
+                                     PairE(Const(0), VAR), list(range(1025))),
 }
 
 
@@ -364,6 +379,100 @@ def test_wide_comparisons_against_narrow_sides(row):
     got = assert_matches_interpret(e, np.arange(2001))
     assert got.dtype == np.int64
     assert np.flatnonzero(got).tolist() == hits
+
+
+# -- evaluation a block at a time -------------------------------------------------
+
+#: the block size the blocked evaluations below are run with
+_BLOCK = 16
+
+#: entries past 2**62, for inputs evaluated in Python ints
+_BIG_INPUTS = [2**62, 2**62 + 1, 2**64 + 5, 2**70, pair(2**40, 2**41)]
+
+
+@st.composite
+def _blocked_inputs(draw):
+    """One to three blocks of inputs plus a remainder, shuffled, with
+    repeats; past 2**62 in some draws, as an object array."""
+    size = draw(st.integers(1, 3)) * _BLOCK + draw(st.integers(0, _BLOCK - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [rng.randrange(10**4) for _ in range(size // 2 + 1)] + [0, 1, 10**4]
+    if draw(st.booleans()):
+        pool += _BIG_INPUTS
+    xs = rng.choices(pool, k=size)
+    return np.array(xs, dtype=object if max(xs) >= INT64_SAFE else np.int64)
+
+
+_any_wide_tree = trees(_wide_leaf, _WIDE_BRANCHES, st.integers(1, 12))
+
+_closed_leaf = st.sampled_from([Const(2**62), Const(2**70)]) | st.integers(0, 9).map(Const)
+
+#: trees with a wide root, trees that come back down, closed trees, and
+#: trees under a Table
+_blocked_trees = st.one_of(
+    _any_wide_tree,
+    _wide_trees,
+    trees(_closed_leaf, _WIDE_BRANCHES, st.integers(1, 12)),
+    st.builds(_table, _any_wide_tree, st.dictionaries(_KEYS, _KEYS, max_size=4),
+              st.none() | _KEYS),
+)
+
+
+def _eval_in_blocks(e, xs, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funlang, "EVAL_BLOCK", block)
+        return eval_vec(e, xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocked_trees, _blocked_inputs())
+def test_blocked_evaluation_matches_interpret(e, xs):
+    """Blocks of inputs give the values of interpret, and the dtype of
+    one evaluation over all of them."""
+    got = _eval_in_blocks(e, xs, _BLOCK)
+    assert got.tolist() == [interpret(e, x) for x in xs.tolist()]
+    assert got.dtype == _eval_in_blocks(e, xs, len(xs)).dtype
+
+
+def test_blocked_evaluation_keeps_the_input_shape():
+    e = PairE(_X6, VAR)
+    xs = np.arange(0, 1000 * (2 * _BLOCK + 3), 1000).reshape(1, -1)
+    got = _eval_in_blocks(e, xs, _BLOCK)
+    assert got.shape == xs.shape and got.dtype == object
+    assert got.tolist() == [[interpret(e, x) for x in xs[0].tolist()]]
+
+
+def _traced_peak(run) -> int:
+    """The peak of the memory that tracemalloc traces while ``run`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: mask-h10k queries with wide nodes: one compares a side evaluated
+#: clamped, one compares two wide sides in Python ints. Built in Python
+#: ints over all of 0..10**4 at once, their masks traced 2.6 and 2.2 MiB.
+_WIDE_MASKS = {
+    "clamped-side": "ifeq((pair(3, x * x) * 9) div 6 * pair(pair(3, x * x) - 2, "
+                    "pair(pair(3, x * x), pair(3, x * x))), x, 1, 0)",
+    "two-wide-sides": "ifeq(pair(x, x * x) + 6 - pair(pair(x, x * x), pair(x, x * x)), "
+                      "pair(x, x * x) * pair(x, x * x) - (pair(x, x * x) + 0), 1, 0)",
+}
+
+
+@pytest.mark.parametrize("row", sorted(_WIDE_MASKS))
+def test_wide_masks_trace_less_than_a_mebibyte(row):
+    pred = IndexPredicate.from_expr(parse_fn(_WIDE_MASKS[row]))
+    horizon = 10**4
+    out = []
+    assert _traced_peak(lambda: out.append(pred.mask(horizon))) < 2**20
+    # a sample of the indices, the blocks' edges among them
+    ns = sorted({0, 1, 2047, 2048, 2049, 4096, 8191, 8192, horizon}
+                | set(range(0, horizon, 97)))
+    assert [out[0] >> n & 1 for n in ns] == [int(interpret(pred.expr, n) != 0) for n in ns]
 
 
 # -- truth vectors ---------------------------------------------------------------

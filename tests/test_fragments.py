@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,3 +417,16 @@ def test_probe_precondition_matches_cell_loop():
         assert got == want
         outcomes.add(want and want.split(" ", 2)[1])
     assert outcomes == {None, "not", "equivalence"}
+
+
+def test_a_keisler_run_leaves_numpy_ma_unimported(tmp_path):
+    """numpy.ma, which np.setdiff1d imports on its first call, holds about
+    0.65 MB that no result needs; a fresh process shows whether a run
+    imports it."""
+    code = ("import sys; from starext.cli import main; "
+            f"main(['quick', '--suite', 'keisler', '--out', {str(tmp_path)!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(fragments.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.splitlines()[-1] == "False"

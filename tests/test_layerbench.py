@@ -10,8 +10,10 @@ def test_layerbench_smoke(capsys):
     layerbench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layerbench)
     results = layerbench.main(repeat=1)
-    assert list(results) == [label for label, _, _ in layerbench.BENCHES]
-    assert all(math.isfinite(us) and us > 0 for us in results.values())
+    assert list(results) == ([label for label, _, _ in layerbench.BENCHES]
+                             + [label for label, _ in layerbench.PEAKS])
+    assert all(math.isfinite(value) and value > 0 for value, _ in results.values())
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(results)
-    assert all(line.endswith(" µs") for line in lines)
+    assert [line.rsplit(" ", 1)[1] for line in lines] == [unit for _, unit in results.values()]
+    assert {unit for _, unit in results.values()} == {"µs", "KiB"}

@@ -20,12 +20,13 @@ Each line is the best of five repetitions, in µs per call, measured with
 - that query's truth vector (``IndexPredicate.mask``) at H = 10⁴, the
   horizon of the bundled ``standard`` scenario;
 - the truth vector at H = 10⁴ of ``ifeq(2, x * (pair(4, x) * pair(4, x)),
-  0, 1)``, a ``mask-h10k`` query whose product passes 2**62; the
-  comparison builds the product in Python ints;
+  0, 1)``, a ``mask-h10k`` query whose product passes 2**62; the other
+  side is narrow, so the comparison evaluates the product clamped at
+  2**62, in int64;
 - the truth vector at H = 10⁴ of ``ifeq(pair(pair(4, x), pair(4, x) *
   pair(4, x)), pair(x, x * x), 1, 0)``, whose left pair passes 2**62; the
-  comparison unpairs the right side in int64 instead of building the pair,
-  and builds only the product component in Python ints;
+  right side is narrow, so the left pair is evaluated clamped at 2**62 in
+  int64, its product component included;
 - an oracle decision on a mask already in the mask cache: 4,096
   cofinite sets, cached by a first query of each, so each decision is
   a few int operations on one;
@@ -42,6 +43,10 @@ Each line is the best of five repetitions, in µs per call, measured with
 - a decision log: 30,000 fixed entries appended to a ``DecisionLog``
   whose sink is a temporary file, which is then closed.
 
+One more line is a peak of memory, in KiB: what ``tracemalloc`` traces
+while the first of the two wide truth vectors above is built once at
+H = 10⁵.
+
 The inputs are fixed, so two checkouts can be compared line by line on
 one machine. The numbers depend on the machine and its load; compare
 runs made back to back.
@@ -52,6 +57,7 @@ from __future__ import annotations
 import sys
 import tempfile
 import timeit
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 
@@ -80,6 +86,8 @@ from starext.transfer import And, Not, Or, eval_hyper, parse_formula  # noqa: E4
 H = 256
 #: the horizon of a full-scale run
 MASK_H = 10_000
+#: the horizon of the memory row
+PEAK_H = 100_000
 INDICATOR_TEXT = "ifeq(x mod 5, 0, 1, ifeq(x mod 7, 2, 1, 0))"
 FORMULA_TEXT = "exists y < 5 . y + y = v mod 5"
 INDICATOR = normalize(parse_fn(INDICATOR_TEXT))
@@ -145,10 +153,10 @@ def _mask():
     return None, lambda: pred.mask(MASK_H)
 
 
-def _wide_mask(query):
+def _wide_mask(query, horizon=MASK_H):
     def factory():
         pred = IndexPredicate.from_expr(query)
-        return None, lambda: pred.mask(MASK_H)
+        return None, lambda: pred.mask(horizon)
 
     return factory
 
@@ -255,22 +263,39 @@ BENCHES = [
 ]
 
 
-def measure(repeat: int = 5) -> dict[str, float]:
-    """µs per call of each benchmark, the best of ``repeat`` runs."""
+#: (label, factory returning (None, statement)) of the memory rows
+PEAKS = [
+    (f"IndexPredicate.mask, H={PEAK_H}, wide ifeq, traced peak",
+     _wide_mask(WIDE_QUERY, PEAK_H)),
+]
+
+
+def measure(repeat: int = 5) -> dict[str, tuple[float, str]]:
+    """(value, unit) of each benchmark: µs per call, the best of
+    ``repeat`` runs, for a timed row, and the KiB that tracemalloc traces
+    at the peak of one call for a memory row."""
     results = {}
     for label, factory, number in BENCHES:
         setup, stmt = factory()
         timer = timeit.Timer(stmt, setup=setup or "pass")
         best = min(timer.repeat(repeat=repeat, number=number))
-        results[label] = best / number * 1e6
+        results[label] = (best / number * 1e6, "µs")
+    for label, factory in PEAKS:
+        _, stmt = factory()
+        tracemalloc.start()
+        try:
+            stmt()
+            results[label] = (tracemalloc.get_traced_memory()[1] / 1024, "KiB")
+        finally:
+            tracemalloc.stop()
     return results
 
 
-def main(repeat: int = 5) -> dict[str, float]:
+def main(repeat: int = 5) -> dict[str, tuple[float, str]]:
     results = measure(repeat)
     width = max(map(len, results))
-    for label, us in results.items():
-        print(f"{label:<{width}}  {us:10.2f} µs")
+    for label, (value, unit) in results.items():
+        print(f"{label:<{width}}  {value:10.2f} {unit}")
     return results
 
 
