@@ -154,7 +154,8 @@ def build_check_set(
     registry scan.
     """
     u = frag.universe
-    t_prefix = target.values(PREFIX_LEN - 1)
+    # object dtype: exact whatever the dtype of the images
+    t_prefix = np.array(target.values(PREFIX_LEN - 1), dtype=object)
     # hits[k][i]: registry function k maps point i's prefix onto the target's
     hits = [(image == t_prefix).all(axis=1) for image in frag.prefix_images()]
     check_set = CheckSet(target, [])
@@ -442,7 +443,7 @@ def surjectivity_probe(
     elif all(v == x for x, v in row.items()):
         g = VAR
     else:
-        g = Table(VAR, tuple(sorted(row.items())), None)
+        g = Table(VAR, tuple(sorted(row.items())))
     beta_tab = image_table(frag, g, "probe", alpha_tab)
     beta_cs = beta_tab.check_set
     recovered = np.array(beta_tab.values, dtype=object).reshape(n_pts, n_smp)

@@ -69,18 +69,19 @@ parts of a truth set) and equals :func:`interpret` entry
 by entry. It takes a normal form: ``*`` composes representatives, and
 :func:`normalize` inlines every composition, so every node reads the
 input vector itself. :func:`eval_vec` and its interval pass raise
-:class:`TypeError` on a composition. The
-interval pass on 0..max(xs) picks a dtype per node: exact object-dtype
-Python ints at a node whose value, intermediates (``s*(s+1)`` of pair,
-``8z+1`` of unpair, a divisor, a ``Table`` key) or children may reach
-2**62, int64 everywhere else; inputs past the bound are evaluated in
-Python ints throughout. A call with such a node or such inputs runs a
-block of inputs at a time, so its Python-int arrays grow with the block,
-not with the input. An ``ifeq`` that compares a wide side with a side
-that fits int64 evaluates the wide side clamped at 2**62, in int64, which
-decides the comparison exactly; two wide sides compare in Python ints. A
-caller that needs more than one value, a quantifier's sweep included,
-makes one :func:`eval_vec` call for them.
+:class:`TypeError` on a composition. One rule picks every dtype: the
+interval pass on 0..max(xs) has a node computed in exact object-dtype
+Python ints when its value, intermediates (``s*(s+1)`` of pair, ``8z+1``
+of unpair, a divisor, a ``Table`` key) or children may reach 2**62, and
+in int64 otherwise, and its result stays exact only when its own value
+may reach the bound. The input node is no exception: inputs past the
+bound make it exact. The result has its root's dtype. A call with an
+exact node runs a block of inputs at a time, so its Python-int arrays
+grow with the block, not with the input. An ``ifeq`` that compares a
+wide side with a side that fits int64 evaluates the wide side clamped at
+2**62, in int64, which decides the comparison exactly; two wide sides
+compare in Python ints. A caller that needs more than one value, a
+quantifier's sweep included, makes one :func:`eval_vec` call for them.
 
 A truth set of an :class:`IndexPredicate` is a Python int whose bit n is
 set exactly when the predicate holds at n. :meth:`IndexPredicate.mask`
@@ -257,13 +258,11 @@ class Table(FnExpr):
     """Finite lookup applied to a subexpression.
 
     Not part of the published grammar; used internally for functions that
-    are only known on a finite sample. ``default`` of None means identity
-    outside the table, otherwise the given constant.
+    are only known on a finite sample. Identity outside the table.
     """
 
     arg: FnExpr
     entries: tuple[tuple[int, int], ...]
-    default: int | None
 
     def __post_init__(self):
         keys = [k for k, _ in self.entries]
@@ -328,7 +327,7 @@ def interpret(e: FnExpr, x: int) -> int:
         for k, out in e.entries:
             if k == v:
                 return out
-        return v if e.default is None else e.default
+        return v
     raise TypeError(f"not an FnExpr: {e!r}")
 
 
@@ -348,10 +347,9 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[dict[int, bool], set[int]]:
     its result stays exact. A node is there when its own value, one of
     its intermediates (the ``s*(s+1)`` of pair, the ``8z+1`` of unpair, a
     divisor, a ``Table`` key) or the value of a child it reads may reach
-    :data:`INT64_SAFE`. Its result stays exact when its own value may
-    reach the bound; at the root also when an intermediate may, so that
-    the result of :func:`eval_vec` is exact whenever its root needed
-    exact ints of its own. Bounds saturate at :data:`INT64_SAFE`, so the
+    :data:`INT64_SAFE`, the input node when ``x_max`` does. Its result
+    stays exact exactly when its own value may reach the bound; otherwise
+    it is cast back to int64. Bounds saturate at :data:`INT64_SAFE`, so the
     walk always finishes, and a saturated bound stands for any larger
     value: only a rule that holds for every larger value brings it back
     below (``mod`` does, by its divisor; ``div`` keeps it saturated).
@@ -408,16 +406,13 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[dict[int, bool], set[int]]:
         elif cls is Table:
             child = bound(node.arg)
             inter = node.entries[-1][0] if node.entries else 0
-            out = max([v for _, v in node.entries]
-                      + [child if node.default is None else node.default])
+            out = max([v for _, v in node.entries] + [child])
         else:
             raise TypeError(f"not an FnExpr in normal form: {node!r}")
         if out >= INT64_SAFE:
             out = INT64_SAFE
             wide[key] = True
-        elif inter >= INT64_SAFE:
-            wide[key] = node is e
-        elif child >= INT64_SAFE:
+        elif inter >= INT64_SAFE or child >= INT64_SAFE:
             wide[key] = False
         memo[key] = out
         return out
@@ -450,9 +445,8 @@ def _unpair_vec(z):
 #: components sum past it is at least the bound
 _PAIR_SUM_MAX = 3_037_000_499
 
-#: a call with a wide node, or with inputs past :data:`INT64_SAFE`, is
-#: evaluated this many inputs at a time, so its Python-int arrays grow
-#: with the block and not with the input
+#: a call with a wide node is evaluated this many inputs at a time, so
+#: its Python-int arrays grow with the block and not with the input
 EVAL_BLOCK = 2048
 
 
@@ -464,18 +458,18 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     Values are int64 arrays, and exact object-dtype Python ints only where
     a node needs them. An interval pass over the tree on 0..max(xs) (see
     :func:`_bound_pass`) lists the nodes whose value, intermediates or
-    children may reach :data:`INT64_SAFE`. Such a node lifts its operands
-    to Python ints, so that no sum, product, comparison or lookup depends
-    on NumPy's promotion of int64 against Python ints, and casts its
-    result back to int64 when its own bound fits. Inputs that reach the
-    bound are evaluated in Python ints throughout. The result is object
-    dtype exactly then and when the root's own value or an intermediate
-    of it may reach the bound. Shared subtrees are evaluated once.
+    children may reach :data:`INT64_SAFE`; inputs that reach it put the
+    input node there. Such a node lifts its operands to Python ints, so
+    that no sum, product, comparison or lookup depends on NumPy's
+    promotion of int64 against Python ints, and casts its result back to
+    int64 when its own bound fits. The result has the root's dtype: object
+    exactly when the root's own value may reach the bound. Shared subtrees
+    are evaluated once.
 
-    A call with a node on that list, or with inputs past the bound, runs
-    over consecutive blocks of :data:`EVAL_BLOCK` inputs and joins their
-    results; the one interval pass over all of ``xs`` fixes every node's
-    dtype, so the blocks agree with each other and with an unblocked call.
+    A call with a node on that list runs over consecutive blocks of
+    :data:`EVAL_BLOCK` inputs and joins their results; the one interval
+    pass over all of ``xs`` fixes every node's dtype, so the blocks agree
+    with each other and with an unblocked call.
 
     An ``ifeq`` on that list that compares a wide side with a narrow one
     evaluates the wide side clamped, as min(value, C) in int64 with
@@ -489,12 +483,9 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
     wide, shared = _bound_pass(e, x_max)
-    # the inputs must fit too, also when no node reads them
-    if x_max >= INT64_SAFE:
-        wide, dtype = {}, object
-    else:
-        dtype = np.int64
-    shape, flat = xs.shape, xs.reshape(-1).astype(dtype)
+    # inputs past the bound make the input node wide: keep them exact
+    shape = xs.shape
+    flat = xs.reshape(-1).astype(object if x_max >= INT64_SAFE else np.int64)
     # kept per block: the values of shared nodes (the intermediates of
     # the rest are freed as soon as they are used), both projections of a
     # shared node unpaired once, and clamped values of shared nodes
@@ -574,7 +565,7 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
             # the branches fit in int64 unless the node's own bound does not
             t, o = go(node.then), go(node.other)
             if isinstance(cond, np.ndarray):
-                dt = object if lift and wide[key] else dtype
+                dt = object if lift and wide[key] else np.int64
                 out = np.where(cond, np.asarray(t, dt), np.asarray(o, dt))
             else:
                 out = t if cond else o
@@ -598,7 +589,7 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         elif cls is P1:
             out = unp(node.arg, ev)[0]
         elif cls is Table:
-            out = _lookup_vec(ev(node.arg), node.entries, node.default)
+            out = _lookup_vec(ev(node.arg), node.entries)
         else:
             raise TypeError(f"not an FnExpr in normal form: {node!r}")
         if lift and type(out) is np.ndarray:
@@ -609,7 +600,7 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         return out
 
     # the first block is all of the inputs unless the call is blocked
-    blocked = (wide or dtype is object) and flat.size > EVAL_BLOCK
+    blocked = wide and flat.size > EVAL_BLOCK
     xs = flat[:EVAL_BLOCK] if blocked else flat
     out = go(e)
     # a value that reads no input is the same in every block
@@ -625,25 +616,14 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     del go, unp, lifted, clamped  # they refer to each other: unbound, they and the memos die on return
     if isinstance(out, np.ndarray):
         return out.reshape(shape)
-    if wide.get(id(e)):
-        dtype = object  # the root's result stays exact
-    return np.full(shape, out, dtype=dtype)
+    return np.full(shape, out, dtype=object if wide.get(id(e)) else np.int64)
 
 
-def _lookup_vec(v, entries, default):
+def _lookup_vec(v, entries):
     table = dict(entries)
-
-    def get(k):
-        return table.get(k, k if default is None else default)
-
     if not isinstance(v, np.ndarray):
-        return get(v)
-    if v.dtype == object or not entries:
-        return np.array([get(k) for k in v.tolist()], dtype=v.dtype).reshape(v.shape)
-    keys = np.array([k for k, _ in entries], dtype=v.dtype)
-    outs = np.array([w for _, w in entries], dtype=v.dtype)
-    pos = np.minimum(np.searchsorted(keys, v), len(keys) - 1)
-    return np.where(keys[pos] == v, outs[pos], v if default is None else default)
+        return table.get(v, v)
+    return np.array([table.get(k, k) for k in v.tolist()], dtype=v.dtype).reshape(v.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +668,8 @@ def _subst(node: FnExpr, repl, names, memo: dict[int, FnExpr]) -> FnExpr:
             # the outer function's variable is its own; names are global
             out = Compose(f if names is None else _subst(f, repl, names, memo),
                           _subst(g, repl, names, memo))
-        case Table(a, entries, default):
-            out = Table(_subst(a, repl, names, memo), entries, default)
+        case Table(a, entries):
+            out = Table(_subst(a, repl, names, memo), entries)
         case Name(name):
             # Name cases come last here and in normalize/pretty: those
             # walks are hot, and only formula terms hold names
@@ -806,7 +786,7 @@ def _normal(node: FnExpr, repl: FnExpr, memo: dict[tuple[int, int], FnExpr]) -> 
     elif cls is DivC:
         out = DivC(_normal(node.arg, repl, memo), node.divisor)
     elif cls is Table:
-        out = Table(_normal(node.arg, repl, memo), node.entries, node.default)
+        out = Table(_normal(node.arg, repl, memo), node.entries)
     elif cls is Name:
         out = node
     else:
@@ -867,7 +847,9 @@ def _text(node: FnExpr, memo: dict[int, str]) -> str:
         elif cls is Compose:
             out = _text(normalize(node), memo)
         elif cls is Table:
-            digest = sha256(repr((node.entries, node.default)).encode()).hexdigest()[:12]
+            # the trailing None (identity outside the table) keeps every
+            # digest stable
+            digest = sha256(repr((node.entries, None)).encode()).hexdigest()[:12]
             out = f"table#{digest}({_text(node.arg, memo)})"
         elif cls is Name:
             out = node.name

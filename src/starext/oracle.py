@@ -97,9 +97,9 @@ def valid_tiebreak(tiebreak: str) -> bool:
 def check_horizon(horizon: int) -> None:
     """Raise :class:`ValueError` unless ``horizon`` is one the oracle can
     work with: at least :data:`MIN_HORIZON`, and below
-    :data:`~starext.funlang.INT64_SAFE`, from which
-    :func:`~starext.funlang.eval_vec` would lift every input to Python
-    ints."""
+    :data:`~starext.funlang.INT64_SAFE`, from which the input node of
+    :func:`~starext.funlang.eval_vec`, and every node that reads it,
+    would be computed in Python ints."""
     if horizon < MIN_HORIZON:
         raise ValueError("horizon too small to be meaningful")
     if horizon >= INT64_SAFE:

@@ -201,7 +201,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                         raise ParseError(f"fragment point {n!r} undefined", lineno, 1)
                 sc.fragment.points = names
             elif key == "depth":
-                sc.fragment.depth = _int(value, lineno)
+                depth = _int(value, lineno)
+                if depth < 0:
+                    raise ParseError("depth must not be negative", lineno, 1)
+                sc.fragment.depth = depth
             elif key == "sample":
                 lo, _, hi = value.partition("..")
                 if _int(lo, lineno) != 0:

@@ -27,6 +27,7 @@ from starext.funlang import (
     PairE,
     Sub,
     Table,
+    _unpair_vec,
     and_,
     eval_vec,
     interpret,
@@ -62,8 +63,8 @@ def assert_matches_interpret(e, xs, source=None):
     return got
 
 
-def _table(arg, mapping, default):
-    return Table(arg, tuple(sorted(mapping.items())), default)
+def _table(arg, mapping):
+    return Table(arg, tuple(sorted(mapping.items())))
 
 
 _leaves = st.one_of(st.just(VAR), st.integers(0, 40).map(Const))
@@ -85,7 +86,6 @@ def _extend(children):
             _table,
             children,
             st.dictionaries(st.integers(0, 60), st.integers(0, 2**70), max_size=5),
-            st.none() | st.integers(0, 9),
         ),
     )
 
@@ -149,7 +149,7 @@ def test_projections_of_huge_pairs_are_exact():
 def test_value_vectors_past_int64():
     vals = [2**64 + 5, 2**70, 3, pair(2**40, 2**41)]
     for e in (P1(VAR), P2(VAR), ModC(VAR, 7), Add(VAR, Const(1)),
-              _table(VAR, {3: 2**65}, None), Const(9)):
+              _table(VAR, {3: 2**65}), Const(9)):
         got = eval_vec(e, np.array(vals, dtype=object))
         assert got.tolist() == [interpret(e, v) for v in vals]
 
@@ -175,9 +175,15 @@ def test_unpair_at_triangular_boundaries():
     exact_side = [z for z in zs if 8 * z + 1 >= INT64_SAFE]
     assert int64_side and exact_side
     for part, dtype in ((int64_side, np.int64), (exact_side, object)):
+        # both kernels: int64 below the bound, Python ints on object arrays
         xs = np.array(part, dtype=dtype)
-        p1, p2 = eval_vec(P1(VAR), xs), eval_vec(P2(VAR), xs)
+        p1, p2 = _unpair_vec(xs)
         assert p1.dtype == dtype
+        assert list(zip(p1.tolist(), p2.tolist())) == [unpair(z) for z in part]
+        # eval_vec unpairs the exact side in Python ints; every projection
+        # fits, so both results are int64
+        p1, p2 = eval_vec(P1(VAR), xs), eval_vec(P2(VAR), xs)
+        assert p1.dtype == p2.dtype == np.int64
         assert list(zip(p1.tolist(), p2.tolist())) == [unpair(z) for z in part]
 
 
@@ -227,8 +233,7 @@ _WIDE_BRANCHES = [
     (2, lambda draw, a, b: PairE(a, b)),
     (1, lambda draw, a: P1(a)),
     (1, lambda draw, a: P2(a)),
-    (1, lambda draw, a: _table(a, draw(st.dictionaries(_KEYS, _KEYS, max_size=4)),
-                               draw(st.none() | _KEYS))),
+    (1, lambda draw, a: _table(a, draw(st.dictionaries(_KEYS, _KEYS, max_size=4)))),
 ]
 
 #: nodes that bring a huge value ``t`` back below 2**62
@@ -240,7 +245,7 @@ _DOWN = [
     lambda t, s: Sub(s, t),
     lambda t, s: Mul(t, Sub(s, s)),
     lambda t, s: P1(P2(PairE(s, PairE(s, t)))),
-    lambda t, s: _table(t, {0: 5, 2**62: 1, 2**70: 2}, 3),
+    lambda t, s: ModC(_table(t, {0: 5, 2**62: 1, 2**70: 2}), 5),
 ]
 
 _wide_trees = st.builds(
@@ -251,12 +256,25 @@ _wide_trees = st.builds(
 )
 
 
+#: entries past 2**62, which make the input node wide
+_BIG_INPUTS = [2**62, 2**62 + 1, 2**64 + 5, 2**70, pair(2**40, 2**41)]
+
+
+def _input_array(xs):
+    """``xs`` as an int64 array, or as an object array when an entry is
+    past 2**62."""
+    return np.array(xs, dtype=object if max(xs) >= INT64_SAFE else np.int64)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_wide_trees, st.lists(st.integers(0, 10**4), min_size=1, max_size=8))
+@given(_wide_trees,
+       st.lists(st.integers(0, 10**4), min_size=1, max_size=8)
+       | st.lists(st.integers(0, 10**4) | st.sampled_from(_BIG_INPUTS), min_size=1, max_size=8))
 def test_eval_vec_matches_interpret_past_int64(e, xs):
-    """Trees whose values pass 2**62 and come back down: exact ints where
-    a node needs them, int64 elsewhere, and the values of interpret."""
-    got = assert_matches_interpret(e, np.array(xs))
+    """Trees whose values pass 2**62 and come back down, on inputs below
+    and past 2**62: exact ints where a node needs them, int64 elsewhere,
+    the result in the root's dtype, and the values of interpret."""
+    got = assert_matches_interpret(e, _input_array(xs))
     wide, _ = _bound_pass(e, max(xs))
     assert (got.dtype == object) == bool(wide.get(id(e)))
 
@@ -386,9 +404,6 @@ def test_wide_comparisons_against_narrow_sides(row):
 #: the block size the blocked evaluations below are run with
 _BLOCK = 16
 
-#: entries past 2**62, for inputs evaluated in Python ints
-_BIG_INPUTS = [2**62, 2**62 + 1, 2**64 + 5, 2**70, pair(2**40, 2**41)]
-
 
 @st.composite
 def _blocked_inputs(draw):
@@ -399,8 +414,7 @@ def _blocked_inputs(draw):
     pool = [rng.randrange(10**4) for _ in range(size // 2 + 1)] + [0, 1, 10**4]
     if draw(st.booleans()):
         pool += _BIG_INPUTS
-    xs = rng.choices(pool, k=size)
-    return np.array(xs, dtype=object if max(xs) >= INT64_SAFE else np.int64)
+    return _input_array(rng.choices(pool, k=size))
 
 
 _any_wide_tree = trees(_wide_leaf, _WIDE_BRANCHES, st.integers(1, 12))
@@ -413,8 +427,7 @@ _blocked_trees = st.one_of(
     _any_wide_tree,
     _wide_trees,
     trees(_closed_leaf, _WIDE_BRANCHES, st.integers(1, 12)),
-    st.builds(_table, _any_wide_tree, st.dictionaries(_KEYS, _KEYS, max_size=4),
-              st.none() | _KEYS),
+    st.builds(_table, _any_wide_tree, st.dictionaries(_KEYS, _KEYS, max_size=4)),
 )
 
 

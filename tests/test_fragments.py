@@ -86,6 +86,19 @@ def test_check_set_projection_witness():
     assert by_index[frag.points.index(zeta)] == "first"
 
 
+def test_check_set_prefix_test_is_exact_past_2_63():
+    # big's first 64 values mix values below 2**63 with values in
+    # [2**63, 2**64), which NumPy turns into float64 as a plain array
+    u = make_universe(horizon=2000)
+    f = parse_fn("x * 288230376151711744 + 1")
+    omega = u.point(VAR, "omega")
+    big = u.point(f, "big")
+    frag = build_fragment(u, [("f", f), ("id", VAR)], [omega, big], list(range(50)))
+    assert u.eq(u.star_apply(f, omega), big)
+    cs = build_check_set(frag, big)
+    assert [(i, name) for i, name, _ in cs.members] == [(0, "f"), (1, "id")]
+
+
 def test_reach_sets_intersect_on_directed_fragment():
     u, frag = tagged_fragment()
     sets = [build_check_set(frag, p).indices() for p in frag.points]

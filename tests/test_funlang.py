@@ -156,12 +156,14 @@ def test_truncated_subtraction_and_predecessor():
 def test_table_node_eval():
     from starext.funlang import Table
 
-    t = Table(VAR, ((1, 10), (2, 20)), None)
+    t = Table(VAR, ((1, 10), (2, 20)))
     assert interpret(t, 1) == 10
-    assert interpret(t, 5) == 5  # identity default
-    t0 = Table(VAR, ((1, 10),), 0)
-    assert interpret(t0, 7) == 0
-    assert interpret(t0, 1) == 10
+    assert interpret(t, 5) == 5  # identity outside the table
+
+
+def test_table_text_is_pinned():
+    # the digest hashes the entries with a trailing None
+    assert pretty(Table(VAR, ((1, 2),))) == "table#c24861054bcd(x)"
 
 
 # -- exact-type dispatch against the match-based walks -------------------------
@@ -196,12 +198,12 @@ def _ref_interpret(e, x):
             return unpair(_ref_interpret(a, x))[1]
         case Compose(f, g):
             return _ref_interpret(f, _ref_interpret(g, x))
-        case Table(a, entries, default):
+        case Table(a, entries):
             v = _ref_interpret(a, x)
             for k, out in entries:
                 if k == v:
                     return out
-            return v if default is None else default
+            return v
         case _:
             raise TypeError(f"not an FnExpr: {e!r}")
 
@@ -238,8 +240,8 @@ def _ref_text(node):
             return (f"p2({_ref_text(a)[0]})", False)
         case Compose(_, _):
             return _ref_text(normalize(node))
-        case Table(a, entries, default):
-            digest = sha256(repr((entries, default)).encode()).hexdigest()[:12]
+        case Table(a, entries):
+            digest = sha256(repr((entries, None)).encode()).hexdigest()[:12]
             return (f"table#{digest}({_ref_text(a)[0]})", False)
         case Name(name):
             return (name, False)
@@ -262,7 +264,7 @@ def _ref_is_closed(e):
         case IfEq(a, b, t, o):
             return (_ref_is_closed(a) and _ref_is_closed(b) and _ref_is_closed(t)
                     and _ref_is_closed(o))
-        case Table(a, _, _):
+        case Table(a, _):
             return _ref_is_closed(a)
         case _:
             raise TypeError(f"not an FnExpr: {e!r}")
@@ -291,7 +293,7 @@ _table_entries = st.builds(
 #: the branches of every node class, compositions and tables included
 _ALL_BRANCHES = _BRANCHES + [
     (2, lambda draw, f, g: Compose(f, g)),
-    (1, lambda draw, a: Table(a, draw(_table_entries), draw(st.none() | _big))),
+    (1, lambda draw, a: Table(a, draw(_table_entries))),
 ]
 
 #: every node class of the language, free names included
@@ -337,7 +339,7 @@ _NODE_SAMPLES = {
     P1: (lambda: P1(VAR), ("arg",)),
     P2: (lambda: P2(VAR), ("arg",)),
     Compose: (lambda: Compose(Add(VAR, Const(1)), VAR), ("outer", "inner")),
-    Table: (lambda: Table(VAR, ((1, 2), (4, 0)), None), ("arg", "entries", "default")),
+    Table: (lambda: Table(VAR, ((1, 2), (4, 0))), ("arg", "entries")),
 }
 
 _CACHES = ("_nf", "_pp")
@@ -556,7 +558,7 @@ def _composition_tree(rng, depth, warm):
             e = and_(Compose(rand_indicator(rng), sub()), sub())
         else:
             e = Compose(P1(VAR) if rng.random() < 0.5 else P2(VAR),
-                        Compose(PairE(VAR, Table(VAR, ((1, 5), (3, 0)), None)), sub()))
+                        Compose(PairE(VAR, Table(VAR, ((1, 5), (3, 0)))), sub()))
     if rng.random() < warm:
         normalize(e)
         pretty(e)
@@ -756,8 +758,8 @@ _predicate_node = trees(
 @settings(max_examples=300, deadline=None)
 @example(P2(PairE(VAR, Const(3))))  # closed only once normalized
 @example(Compose(Const(2**63), VAR))
-@example(Table(Const(2**63 + 1), ((2**63 + 1, 0),), 5))
-@example(Table(VAR, ((0, 7),), 7))  # constant in value, yet reads x
+@example(Table(Const(2**63 + 1), ((2**63 + 1, 0),)))
+@example(Table(ModC(VAR, 1), ((0, 7),)))  # constant in value, yet reads x
 @given(_predicate_node)
 def test_constant_value_reads_closedness_off_the_text(e):
     n = normalize(e)

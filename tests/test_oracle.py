@@ -189,7 +189,7 @@ def _closed_predicates() -> list[IndexPredicate]:
         IndexPredicate.from_expr(Compose(thirds, Const(6))),
         IndexPredicate.from_expr(Compose(thirds, Const(7))),
         IndexPredicate.from_expr(IfEq(Const(3), Const(5), Const(1), Const(0))),
-        IndexPredicate.from_expr(Table(Const(4), ((4, 0), (5, 1)), 2)),
+        IndexPredicate.from_expr(Table(Const(4), ((4, 0), (5, 1)))),
     ]
 
 

@@ -80,6 +80,7 @@ def test_parse_minimal_scenario():
     ("[config]\ntiebreak = coin", "6:1: unknown tiebreak 'coin'"),
     ("[config]\ntiebreak = seeded:x", "6:1: unknown tiebreak 'seeded:x'"),
     ("[fragment]\ndepth = x", "6:1: expected an integer"),
+    ("[fragment]\ndepth = -1", "6:1: depth must not be negative"),
     ("[fragment]\nsample = 0..", "6:1: expected an integer"),
     ("[fragment]\nsample = 0..-1", "6:1: sample must not be empty"),
     ("[points]\nomega = x\nomega = x + 1", "7:1: duplicate point 'omega'"),
