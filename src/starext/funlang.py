@@ -1082,8 +1082,10 @@ class IndexPredicate:
     ``sat[...]`` predicates of :func:`starext.transfer.truth_predicate`).
     Combine predicates by their expressions: ``from_expr(and_(p, q))``.
 
-    An expression predicate holds a normal form and its text:
-    ``text == pretty(expr)``, as :meth:`from_expr` builds it. That text
+    An expression predicate holds an expression and its text:
+    ``text == pretty(expr)``, as :meth:`from_expr` builds it. The
+    expression is a normal form, or, for a predicate that reads no index,
+    may be the ``Compose(f, Const(c))`` it was built from. That text
     contains the letter ``x`` exactly when the expression reads the
     index: ``Var`` prints as ``x``, a node's text contains its children's,
     and no keyword, numeral or ``table#<hex>`` digest contains an ``x``.
@@ -1111,7 +1113,18 @@ class IndexPredicate:
     @classmethod
     def from_expr(cls, expr: FnExpr, memo: NormalMemo | None = None) -> "IndexPredicate":
         """The predicate of ``expr``, canonicalised through ``memo`` when
-        given (see :func:`normalize`)."""
+        given (see :func:`normalize`).
+
+        At a standard point, ``expr = Compose(f, Const(c))``, the text is
+        the text of f's normal form with each ``x`` replaced by ``c`` when
+        ``c`` is not printed in it. No rule of :func:`normalize` can fire
+        then: each needs a ``Var`` facing a ``Const(c)`` at an ``ifeq``.
+        The predicate then holds ``expr`` itself, unnormalised, and
+        ``text == pretty(expr)`` still holds."""
+        if type(expr) is Compose and type(expr.inner) is Const:
+            text, c = pretty(normalize(expr.outer, memo)), str(expr.inner.value)
+            if c not in text:
+                return cls(text.replace("x", c), expr=expr)
         norm = normalize(expr, memo)
         return cls(pretty(norm), expr=norm)
 
@@ -1135,12 +1148,13 @@ class IndexPredicate:
 
         ``cache`` maps canonical texts to truth sets over the same
         indices, such as the oracle's mask cache. The Boolean skeleton of
-        the expression is combined in bits from it (see
+        the expression's normal form is combined in bits from it (see
         :func:`_truth_bits`), and each other part is one :func:`eval_vec`
-        call."""
+        call. The expression is normalised first, which costs one field
+        read when it is a normal form already."""
         if self.expr is None:
             return _bits_of(self.vec(np.arange(horizon + 1)))  # type: ignore[misc]
-        return _truth_bits(self.expr, horizon, (1 << horizon + 1) - 1,
+        return _truth_bits(normalize(self.expr), horizon, (1 << horizon + 1) - 1,
                            {} if cache is None else cache)
 
 

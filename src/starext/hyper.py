@@ -155,6 +155,10 @@ class Universe:
         return candidate
 
     def standard(self, x: int) -> Hyperpoint:
+        # the text of Const(x) is str(x): a repeat point costs one lookup
+        existing = self._interned.get(str(x))
+        if existing is not None:
+            return existing
         return self.point(Const(x), name=f"std({x})")
 
     def star_apply(self, f: FnExpr, xi: Hyperpoint) -> Hyperpoint:

@@ -769,3 +769,50 @@ def test_constant_value_reads_closedness_off_the_text(e):
     assert (const is not None) == _ref_is_closed(n)
     if const is not None:
         assert const == (interpret(n, 0) != 0)
+
+
+def _constants(e):
+    """The values of the ``Const`` nodes of ``e``."""
+    if type(e) is Const:
+        return [e.value]
+    return [v for name in e.__match_args__ if isinstance(child := getattr(e, name), FnExpr)
+            for v in _constants(child)]
+
+
+@st.composite
+def _standard_queries(draw):
+    """A normal form f and a constant c, half the time one of f's own and
+    otherwise a drawn k. Random trees seldom meet a rule at x = c, so f
+    may hold ``ifeq(a, a[x := k], t, o)``, where one fires when c = k."""
+    k = draw(_big)
+    meets = (3, lambda draw, a, t, o: IfEq(a, substitute(a, Const(k)), t, o))
+    f = normalize(draw(trees(_big.map(Const) | st.just(VAR), _ALL_BRANCHES + [meets] * 3)))
+    own = _constants(f)
+    c = draw(st.sampled_from(own) if own and draw(st.booleans()) else st.just(k))
+    return f, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_standard_queries())
+def test_standard_point_predicate_matches_normal_form(query):
+    # the predicate of f at a standard point c, printed by substitution
+    # when no rule can fire, against the normal form of a separate copy
+    f, c = query
+    pred = IndexPredicate.from_expr(Compose(f, Const(c)))
+    n = normalize(Compose(f, Const(c)))
+    assert pred.text == pretty(n)
+    assert pred.constant_value() == (interpret(f, c) != 0)
+    horizon = 20
+    assert pred.mask(horizon) == ((1 << horizon + 1) - 1 if interpret(f, c) else 0)
+
+
+@pytest.mark.parametrize("f, text", [
+    ("ifeq(x, 8, 1, 0)", "ifeq(7, 8, 1, 0)"),  # no rule fires: substitution
+    ("ifeq(x, 7, 1, 0)", "1"),
+    ("p1(ifeq(x, 7, pair(3, x), pair(x, 4)))", "3"),
+    ("ifeq(x mod 7, 0, 1, 0)", "ifeq(7 mod 7, 0, 1, 0)"),  # a 7 that is no constant
+])
+def test_standard_point_predicate_text_at_seven(f, text):
+    pred = IndexPredicate.from_expr(Compose(normalize(parse_fn(f)), Const(7)))
+    assert pred.text == text
+    assert pred.constant_value() == (interpret(parse_fn(text), 0) != 0)

@@ -3,9 +3,14 @@ are pinned byte for byte, and replaying the log reproduces both. The
 negative-control scenarios' outputs are pinned too."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import starext
 from starext.cli import LOG_NAME, REPORT_NAME, main
 
 QUICK_GOLDEN = {
@@ -41,6 +46,20 @@ def test_quick_outputs_match_golden_and_replay(tmp_path):
         "quick", "--replay", str(first / LOG_NAME), "--out", str(replayed),
     ]) == 0
     assert _digests(replayed) == QUICK_GOLDEN
+
+
+def test_quick_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # each fresh process hashes strings with its own seed
+    src = str(Path(starext.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        subprocess.run([sys.executable, "-m", "starext.cli", "quick", "--out", str(out)],
+                       capture_output=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        outputs.append({name: (out / name).read_bytes() for name in QUICK_GOLDEN})
+    assert outputs[0] == outputs[1]
+    assert _digests(tmp_path / "0") == QUICK_GOLDEN
 
 
 @pytest.mark.parametrize("scenario", sorted(NEGATIVE_GOLDEN))

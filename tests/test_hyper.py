@@ -47,6 +47,14 @@ def test_star_of_constant_on_nonstandard(u):
     assert u.eq(image, u.standard(7))
 
 
+def test_standard_points_are_interned_by_text(u):
+    seven = u.point("p1(pair(7, x))")  # normalises to the constant 7
+    assert u.standard(7) is seven
+    assert seven.name is None
+    first = u.standard(8)
+    assert first.name == "std(8)" and u.standard(8) is first
+
+
 def test_standard_embedding_fixed_by_star(u):
     rng = random.Random(2)
     for _ in range(30):

@@ -13,6 +13,10 @@ Each line is the best of five repetitions, in µs per call, measured with
   formula, the two parsers a scenario file goes through;
 - ``normalize`` + ``pretty`` of a fresh membership query, an indicator
   composed with a point's sequence;
+- ``IndexPredicate.from_expr`` of a membership query at a standard
+  point: 4,096 queries, the indicator composed with ``Const(k)``, each
+  a new node; those whose ``k`` the indicator's text does not print
+  are printed by substitution;
 - ``eval_vec`` of that query's normal form (19 nodes) at H = 256;
 - one instance of the axioms suite's composition law at H = 256, with
   fixed f, g and a point's sequence xi: g applied to the values of f at
@@ -126,6 +130,17 @@ def _parse():
 
 def _canonicalise():
     return None, lambda: pretty(normalize(Compose(INDICATOR, SEQ)))
+
+
+def _standard_member():
+    # new nodes each repetition: a query normalised once keeps its form
+    state = {}
+
+    def setup():
+        queries = [Compose(INDICATOR, Const(k)) for k in range(4096)]
+        state["next"] = iter(queries).__next__
+
+    return setup, lambda: IndexPredicate.from_expr(state["next"]())
 
 
 QUERY = normalize(Compose(INDICATOR, SEQ))
@@ -249,6 +264,7 @@ BENCHES = [
     ("cache field read, unset", _cache_read, 200_000),
     ("parse_fn + parse_formula", _parse, 2_000),
     ("normalize + pretty, member query", _canonicalise, 5_000),
+    ("IndexPredicate.from_expr, standard point", _standard_member, 4_096),
     (f"eval_vec, {_node_count(QUERY)}-node mask, H={H}", _eval_vec, 2_000),
     (f"axioms comp instance, H={H}", _comp_law, 2_000),
     (f"IndexPredicate.mask, H={MASK_H}", _mask, 200),
