@@ -13,16 +13,18 @@ The laws checked here:
 Checkers run against any object implementing :class:`Extension`; the
 ultrapower model should pass, and the deliberately broken finite tables
 built by the ``broken_*`` constructors are negative controls that must
-be caught. "Undecidable" is reported apart from "fail": a horizon
+be caught. A checker lets an :class:`~starext.errors.Undecidable` query
+propagate, for its caller to report apart from "fail": a horizon
 limitation is not a refutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from .errors import MalformedIndicator, NotSupported, Undecidable
+from .errors import MalformedIndicator, NotSupported
 from .funlang import (
     VAR,
     Compose,
@@ -32,16 +34,18 @@ from .funlang import (
     PairE,
     pretty,
 )
-from .hyper import Hyperpoint, Universe, diagonal_composite
+from .hyper import Hyperpoint, Universe, diagonal_composite, first_equal
 
 PASS = "pass"
 FAIL = "fail"
-UNDECIDABLE = "undecidable"
 EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
+    """A checker's verdict, PASS, FAIL or EXHAUSTED, with its witness. An
+    undecidable query is no outcome: it propagates as ``Undecidable``."""
+
     status: str
     witness: str = ""
 
@@ -288,13 +292,10 @@ def redundant_toy() -> ToyExtension:
 
 def check_composition(ext: Extension, f, g, xi) -> CheckOutcome:
     """star(g) after star(f) against star(g after f) at one point."""
-    try:
-        lhs = ext.star(g, ext.star(f, xi))
-        rhs = ext.star(ext.compose(g, f), xi)
-        if ext.eq(lhs, rhs):
-            return CheckOutcome(PASS)
-    except Undecidable as exc:
-        return CheckOutcome(UNDECIDABLE, witness=str(exc))
+    lhs = ext.star(g, ext.star(f, xi))
+    rhs = ext.star(ext.compose(g, f), xi)
+    if ext.eq(lhs, rhs):
+        return CheckOutcome(PASS)
     return CheckOutcome(
         FAIL,
         witness=(
@@ -307,13 +308,10 @@ def check_composition(ext: Extension, f, g, xi) -> CheckOutcome:
 
 def check_diagonal(ext: Extension, f, g, xi) -> CheckOutcome:
     """The starred diagonal indicator must report star-equality exactly."""
-    try:
-        value = ext.star(ext.diagonal(f, g), xi)
-        same = ext.eq(ext.star(f, xi), ext.star(g, xi))
-        is_one = ext.eq(value, ext.standard(1))
-        is_zero = ext.eq(value, ext.standard(0))
-    except Undecidable as exc:
-        return CheckOutcome(UNDECIDABLE, witness=str(exc))
+    value = ext.star(ext.diagonal(f, g), xi)
+    same = ext.eq(ext.star(f, xi), ext.star(g, xi))
+    is_one = ext.eq(value, ext.standard(1))
+    is_zero = ext.eq(value, ext.standard(0))
     if not is_one and not is_zero:
         raise MalformedIndicator(
             f"diagonal of ({ext.function_name(f)}, {ext.function_name(g)}) "
@@ -334,12 +332,10 @@ def check_diagonal(ext: Extension, f, g, xi) -> CheckOutcome:
 def check_directedness(ext: Extension, xi, eta) -> CheckOutcome:
     try:
         zeta, pr1, pr2 = ext.realize_pair(xi, eta)
-        ok1 = ext.eq(ext.star(pr1, zeta), xi)
-        ok2 = ext.eq(ext.star(pr2, zeta), eta)
     except NotSupported as exc:
         return CheckOutcome(FAIL, witness=f"not supported: {exc}")
-    except Undecidable as exc:
-        return CheckOutcome(UNDECIDABLE, witness=str(exc))
+    ok1 = ext.eq(ext.star(pr1, zeta), xi)
+    ok2 = ext.eq(ext.star(pr2, zeta), eta)
     if ok1 and ok2:
         return CheckOutcome(PASS, witness=ext.describe_point(zeta))
     return CheckOutcome(
@@ -348,33 +344,22 @@ def check_directedness(ext: Extension, xi, eta) -> CheckOutcome:
 
 
 def check_irredundant(ext: Extension, xi, extra_points=()) -> CheckOutcome:
-    """Search for (f, eta) with star(f)(eta) equal to the point.
+    """Search for (f, eta) with star(f)(eta) equal to the point, the
+    identity at the point itself first.
 
     A completed scan is reported as EXHAUSTED, not FAIL: absence from a
     finite registry does not disprove the law.
     """
-    try:
-        ident = ext.identity_handle()
-        if ext.eq(ext.star(ident, xi), xi):
-            return CheckOutcome(PASS, witness="(identity, the point itself)")
-    except Undecidable:
-        pass
     candidates = list(extra_points) or [xi]
-    pending_undecidable = None
-    for handle in ext.function_handles():
-        for eta in candidates:
-            try:
-                if ext.eq(ext.star(handle, eta), xi):
-                    return CheckOutcome(
-                        PASS,
-                        witness=f"({ext.function_name(handle)}, {ext.describe_point(eta)})",
-                    )
-            except Undecidable as exc:
-                # kept without its traceback, whose frames refer back here
-                pending_undecidable = exc.with_traceback(None)
-    if pending_undecidable is not None:
-        return CheckOutcome(UNDECIDABLE, witness=str(pending_undecidable))
-    return CheckOutcome(EXHAUSTED, witness=ext.describe_point(xi))
+    witness = first_equal(ext.eq, chain(
+        [("(identity, the point itself)", ext.star(ext.identity_handle(), xi), xi)],
+        ((f"({ext.function_name(handle)}, {ext.describe_point(eta)})",
+          ext.star(handle, eta), xi)
+         for handle in ext.function_handles() for eta in candidates),
+    ))
+    if witness is None:
+        return CheckOutcome(EXHAUSTED, witness=ext.describe_point(xi))
+    return CheckOutcome(PASS, witness=witness)
 
 
 def puritz_leq(ext: Extension, eta, xi):
@@ -384,17 +369,5 @@ def puritz_leq(ext: Extension, eta, xi):
     a witness is still possible and re-raised only if the scan ends
     without one.
     """
-    pending = None
-    for handle in ext.function_handles():
-        try:
-            if ext.eq(ext.star(handle, xi), eta):
-                return handle
-        except Undecidable as exc:
-            # kept without its traceback, whose frames refer back here
-            pending = exc.with_traceback(None)
-    if pending is not None:
-        try:
-            raise pending
-        finally:
-            pending = None  # the raised traceback holds this frame
-    return None
+    return first_equal(ext.eq, ((handle, ext.star(handle, xi), eta)
+                                for handle in ext.function_handles()))

@@ -42,7 +42,7 @@ from .funlang import (
     normalize,
     pretty,
 )
-from .hyper import Hyperpoint, StarSet, Universe
+from .hyper import Hyperpoint, StarSet, Universe, first_equal
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -130,8 +130,9 @@ class CheckSet:
 
     target: Hyperpoint
     members: list[tuple[int, str, FnExpr]]  # (point index, witness name, witness)
-    #: point index -> the first query about that point the oracle could
-    #: not decide; such a point may reach the target all the same
+    #: point index -> for a point that no candidate placed, the last
+    #: query about it that the oracle could not decide; such a point may
+    #: reach the target all the same
     undecided: dict[int, Undecidable] = field(default_factory=dict)
 
     def indices(self) -> set[int]:
@@ -163,14 +164,15 @@ def build_check_set(
         candidates = [entry for entry, hit in zip(frag.registry, hits) if hit[i]]
         if fallback and i in fallback:
             candidates.append(fallback[i])
-        for name, expr in candidates:
-            try:
-                if u.eq(u.star_apply(expr, xi), target):
-                    check_set.members.append((i, name, expr))
-                    break
-            except Undecidable as exc:
-                # kept without its traceback, whose frames refer back here
-                check_set.undecided.setdefault(i, exc.with_traceback(None))
+        try:
+            found = first_equal(u.eq, ((entry, u.star_apply(entry[1], xi), target)
+                                       for entry in candidates))
+        except Undecidable as exc:
+            # kept without its traceback, whose frames refer back here
+            check_set.undecided[i] = exc.with_traceback(None)
+            continue
+        if found is not None:
+            check_set.members.append((i, *found))
     return check_set
 
 

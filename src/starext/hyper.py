@@ -17,11 +17,11 @@ sets and their Boolean combinations at one point share their work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyViolation, MalformedIndicator
+from .errors import ConsistencyViolation, MalformedIndicator, Undecidable
 from .funlang import (
     CHI_DIAG,
     VAR,
@@ -105,6 +105,33 @@ def set_intersection(a: StarSet, b: StarSet) -> StarSet:
 
 def set_complement(a: StarSet) -> StarSet:
     return StarSet(normalize(not_(a.indicator)))
+
+
+def first_equal(eq: Callable[[object, object], bool], pairs: Iterable[tuple]):
+    """The key of the first ``(key, p, q)`` in ``pairs`` with ``eq(p, q)``,
+    or None when every pair is decided unequal.
+
+    This is the one search for "some starred function in a finite list
+    carries xi onto eta". A pair whose equality is undecidable is passed
+    over, since a later pair may still be equal; when none is, the last
+    :class:`Undecidable` is raised again, without its traceback.
+    ``pairs`` is read lazily: given a generator, no pair after the first
+    equal one is built.
+    """
+    pending: Undecidable | None = None
+    for key, p, q in pairs:
+        try:
+            if eq(p, q):
+                return key
+        except Undecidable as exc:
+            # kept without its traceback, whose frames refer back here
+            pending = exc.with_traceback(None)
+    if pending is not None:
+        try:
+            raise pending
+        finally:
+            pending = None  # the raised traceback holds this frame
+    return None
 
 
 class Universe:

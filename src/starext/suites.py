@@ -32,7 +32,6 @@ from .axioms import (
     EXHAUSTED,
     FAIL,
     PASS,
-    UNDECIDABLE,
     UltrapowerExtension,
     broken_comp_toy,
     broken_diag_toy,
@@ -150,6 +149,10 @@ QUICK_COUNTS = {
     "topo_continuity": 12,
 }
 
+#: the verdict of an instance that met a query the oracle could not decide
+UNDECIDABLE = "undecidable"
+
+
 @dataclass(frozen=True)
 class ReportLine:
     check: str
@@ -171,8 +174,7 @@ class SuiteReport:
         self.lines.append(ReportLine(check, f"{index:04d}", verdict, witness))
 
     def add_outcome(self, check: str, index: int, outcome: CheckOutcome) -> None:
-        verdict = outcome.status if outcome.status in (PASS, UNDECIDABLE) else FAIL
-        self.add(check, index, verdict, outcome.witness)
+        self.add(check, index, PASS if outcome.status == PASS else FAIL, outcome.witness)
 
     def law(self, check: str, index: int, ok: bool, witness: str = "") -> None:
         """A pass line, or a fail line carrying ``witness``."""
@@ -297,29 +299,30 @@ def run_axioms(ctx: SuiteContext) -> SuiteReport:
         f = ctx.sample_fn(rng)
         g = ctx.sample_fn(rng)
         xi = ctx.sample_points(rng, 1)[0]
-        report.add_outcome("diag", i, check_diagonal(ctx.extension(ctx.fresh()), f, g, xi))
+        with report.instance("diag", i):
+            report.add_outcome("diag", i, check_diagonal(ctx.extension(ctx.fresh()), f, g, xi))
 
     rng = ctx.rng("axioms.dir")
     for i in range(ctx.counts["dir"]):
         xi, eta = ctx.sample_points(rng, 2)
         u = ctx.fresh()
-        outcome = check_directedness(ctx.extension(u), xi, eta)
-        if outcome.status != PASS or i % 10:
-            report.add_outcome("dir", i, outcome)
-            continue
-        # uniqueness: a realizer perturbed on a finite index set is
-        # still equal to the canonical one
         with report.instance("dir", i):
-            zeta = u.point(outcome.witness)
-            patched = u.point(IfEq(VAR, Const(i % 50), Const(0), zeta.seq))
-            if not u.eq(patched, zeta):
-                outcome = CheckOutcome(FAIL, witness="perturbed realizer not equal")
+            outcome = check_directedness(ctx.extension(u), xi, eta)
+            if outcome.status == PASS and not i % 10:
+                # uniqueness: a realizer perturbed on a finite index set
+                # is still equal to the canonical one
+                zeta = u.point(outcome.witness)
+                patched = u.point(IfEq(VAR, Const(i % 50), Const(0), zeta.seq))
+                if not u.eq(patched, zeta):
+                    outcome = CheckOutcome(FAIL, witness="perturbed realizer not equal")
             report.add_outcome("dir", i, outcome)
 
     rng = ctx.rng("axioms.irredundant")
     for i in range(ctx.counts["irredundant"]):
         xi = ctx.sample_points(rng, 1)[0]
-        report.add_outcome("irredundant", i, check_irredundant(ctx.extension(ctx.fresh()), xi))
+        with report.instance("irredundant", i):
+            report.add_outcome("irredundant", i,
+                               check_irredundant(ctx.extension(ctx.fresh()), xi))
 
     rng = ctx.rng("axioms.puritz")
     for i in range(ctx.counts["puritz"]):

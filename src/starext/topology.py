@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Undecidable
 import numpy as np
 
 from .funlang import Compose, Const, FnExpr, eval_vec, pretty
-from .hyper import Hyperpoint, Universe
+from .hyper import Hyperpoint, Universe, first_equal
 
 
 @dataclass(frozen=True)
@@ -40,21 +39,11 @@ class BasicClosed:
 
 
 def closed_member(u: Universe, xi: Hyperpoint, closed: BasicClosed) -> bool:
-    """Disjunction over the listed pairs of one star-equality each."""
-    pending: Undecidable | None = None
-    for f, target in closed.pairs:
-        try:
-            if u.eq(u.star_apply(f, xi), target):
-                return True
-        except Undecidable as exc:
-            # kept without its traceback, whose frames refer back here
-            pending = exc.with_traceback(None)
-    if pending is not None:
-        try:
-            raise pending
-        finally:
-            pending = None  # the raised traceback holds this frame
-    return False
+    """Disjunction over the listed pairs of one star-equality each. An
+    undecidable disjunct is passed over, since a later one may hold, and
+    raised again when none does (:func:`~starext.hyper.first_equal`)."""
+    return first_equal(u.eq, ((f, u.star_apply(f, xi), target)
+                              for f, target in closed.pairs)) is not None
 
 
 def covers_standard(u: Universe, closed: BasicClosed) -> int | None:

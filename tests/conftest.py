@@ -8,6 +8,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from starext.cli import main
+from starext.errors import Undecidable
+from starext.funlang import parse_fn
 from starext.hyper import Universe
 from starext.oracle import OracleConfig, OracleState
 from starext.suites import SUITE_RUNNERS, SuiteReport
@@ -18,6 +20,33 @@ settings.load_profile("starext")
 
 def make_universe(horizon: int = 2000, tiebreak: str = "least") -> Universe:
     return Universe(OracleState(OracleConfig(horizon=horizon, tiebreak=tiebreak)))
+
+
+class UndecidedOracle(OracleState):
+    """Raises Undecidable for the first ``undecided`` queries, then
+    accepts every query."""
+
+    undecided = float("inf")
+
+    def query(self, pred):
+        if self.undecided <= 0:
+            return True
+        self.undecided -= 1
+        raise Undecidable(pred.text, self.horizon, "undecided by the test")
+
+
+def undecided_universe(undecided: float) -> Universe:
+    """A universe whose oracle leaves its first ``undecided`` queries open
+    and accepts the rest."""
+    oracle = UndecidedOracle(OracleConfig(horizon=64))
+    oracle.undecided = undecided
+    return Universe(oracle)
+
+
+#: two functions that both carry omega's first 64 values onto 5's, so
+#: that both are candidate witnesses of omega reaching 5; the second one
+#: differs from 5 only at 1000
+LATE_WITNESS = [("c5", parse_fn("5")), ("c5-late", parse_fn("ifeq(x, 1000, 6, 5)"))]
 
 
 def truth_vector(bits: int, horizon: int) -> np.ndarray:

@@ -11,7 +11,6 @@ from starext.axioms import (
     EXHAUSTED,
     FAIL,
     PASS,
-    UNDECIDABLE,
     ToyExtension,
     UltrapowerExtension,
     broken_comp_toy,
@@ -26,11 +25,11 @@ from starext.axioms import (
 )
 from starext.cli import main
 from starext.errors import NotSupported, Undecidable
+from starext.fragments import build_check_set, build_fragment
 from starext.funlang import Const, VAR, interpret, pair, parse_fn, pretty
 from starext.gen import rand_expr, rand_point_expr
-from starext.hyper import Universe
-from starext.oracle import OracleConfig, OracleState
 from starext.topology import BasicClosed, closed_member
+from tests.conftest import LATE_WITNESS, undecided_universe
 
 REGISTRY = [
     ("id", VAR),
@@ -245,29 +244,11 @@ def test_standard_sample_is_fixed_by_star(u):
 
 # -- a kept Undecidable leaves no reference cycle -----------------------------------
 
-class _Undecided(OracleState):
-    """Raises Undecidable for the first ``undecided`` queries, then
-    accepts every query."""
-
-    undecided = float("inf")
-
-    def query(self, pred):
-        if self.undecided <= 0:
-            return True
-        self.undecided -= 1
-        raise Undecidable(pred.text, self.horizon, "undecided by the test")
-
-
-def _undecided_universe(undecided):
-    oracle = _Undecided(OracleConfig(horizon=64))
-    oracle.undecided = undecided
-    return Universe(oracle)
-
-
-# each scan keeps an Undecidable, then raises it, or decides after all
+# each scan keeps an Undecidable, then raises it (build_check_set records
+# it in the check set), or decides after all
 
 def _closed_member(decides):
-    u = _undecided_universe(1 if decides else float("inf"))
+    u = undecided_universe(1 if decides else float("inf"))
     closed = BasicClosed(((VAR, u.standard(1)), (parse_fn("x + 1"), u.standard(2))))
     if decides:
         assert closed_member(u, u.point("x * x"), closed)
@@ -277,7 +258,7 @@ def _closed_member(decides):
 
 
 def _puritz_leq(decides):
-    u = _undecided_universe(1 if decides else float("inf"))
+    u = undecided_universe(1 if decides else float("inf"))
     if decides:
         assert puritz_leq(hyper_ext(u), u.standard(5), u.point(VAR)) is not None
     else:
@@ -286,10 +267,24 @@ def _puritz_leq(decides):
 
 
 def _check_irredundant(decides):
-    # the identity check's Undecidable is not kept, the next one is
-    u = _undecided_universe(2 if decides else float("inf"))
-    status = check_irredundant(hyper_ext(u), u.point("x * x")).status
-    assert status == (PASS if decides else UNDECIDABLE)
+    # the identity check is the search's first pair, the next one is
+    # undecided too
+    u = undecided_universe(2 if decides else float("inf"))
+    if decides:
+        assert check_irredundant(hyper_ext(u), u.point("x * x")).status == PASS
+    else:
+        with pytest.raises(Undecidable):
+            check_irredundant(hyper_ext(u), u.point("x * x"))
+
+
+def _build_check_set(decides):
+    # the first point's first candidate is undecided; the second decides
+    # it, or is undecided too
+    u = undecided_universe(1 if decides else float("inf"))
+    frag = build_fragment(u, LATE_WITNESS, [u.point(VAR)], range(4))
+    check_set = build_check_set(frag, u.standard(5))
+    assert bool(check_set.members) == decides
+    assert bool(check_set.undecided) != decides
 
 
 _SOURCES = str(Path(starext.__file__).resolve().parent)
@@ -317,7 +312,8 @@ def _starext_cycles(run):
             gc.enable()
 
 
-@pytest.mark.parametrize("scan", [_closed_member, _puritz_leq, _check_irredundant],
+@pytest.mark.parametrize("scan", [_closed_member, _puritz_leq, _check_irredundant,
+                                  _build_check_set],
                          ids=lambda scan: scan.__name__.strip("_"))
 @pytest.mark.parametrize("decides", [False, True], ids=["undecided", "decides"])
 def test_kept_undecidable_leaves_no_reference_cycles(scan, decides):

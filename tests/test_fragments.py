@@ -29,7 +29,7 @@ from starext.fragments import (
 )
 from starext.funlang import Const, VAR, eval_vec, parse_definitions, parse_fn, pretty
 from starext.oracle import OracleState
-from tests.conftest import make_universe
+from tests.conftest import LATE_WITNESS, make_universe, undecided_universe
 
 TAGGED_DEFS = """
 def untag = p2(x)
@@ -97,6 +97,27 @@ def test_check_set_prefix_test_is_exact_past_2_63():
     assert u.eq(u.star_apply(f, omega), big)
     cs = build_check_set(frag, big)
     assert [(i, name) for i, name, _ in cs.members] == [(0, "f"), (1, "id")]
+
+
+def test_a_point_placed_by_a_later_candidate_is_a_member_only():
+    # the oracle leaves the first candidate's query open and accepts the
+    # second's
+    u = undecided_universe(1)
+    frag = build_fragment(u, LATE_WITNESS, [u.point(VAR)], range(4))
+    cs = build_check_set(frag, u.standard(5))
+    assert [(i, name) for i, name, _ in cs.members] == [(0, "c5-late")]
+    assert cs.undecided == {}
+
+
+def test_an_unplaced_point_keeps_its_last_undecided_query():
+    u = undecided_universe(float("inf"))
+    frag = build_fragment(u, LATE_WITNESS, [u.point(VAR)], range(4))
+    cs = build_check_set(frag, u.standard(5))
+    assert cs.members == []
+    # the first candidate's agreement query prints as 1, the second's
+    # keeps its ifeq
+    assert "ifeq" in cs.undecided[0].predicate_text
+    assert cs.undecided[0].__traceback__ is None
 
 
 def test_reach_sets_intersect_on_directed_fragment():

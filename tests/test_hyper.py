@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starext.errors import MalformedIndicator
+from starext.errors import MalformedIndicator, Undecidable
 from starext.funlang import (
     Compose,
     Const,
@@ -21,11 +21,54 @@ from starext.hyper import (
     StarSet,
     diagonal_composite,
     finite_indicator,
+    first_equal,
     set_complement,
     set_intersection,
     set_union,
 )
 from tests.conftest import make_universe, truth_vector
+
+
+# -- the search for an equal pair ---------------------------------------------------
+
+def _eq(p, q):
+    """Equality of ints; None is equal to nothing decidably."""
+    if p is None:
+        raise Undecidable(f"pair {q}", 64, "undecided by the test")
+    return p == q
+
+
+def test_first_equal_passes_over_an_undecidable_pair():
+    assert first_equal(_eq, [("a", None, 1), ("b", 2, 3), ("c", 4, 4)]) == "c"
+
+
+def test_first_equal_raises_the_last_undecidable_without_its_traceback():
+    with pytest.raises(Undecidable) as info:
+        first_equal(_eq, [("a", None, 1), ("b", 2, 3), ("c", None, 4)])
+    assert info.value.predicate_text == "pair 4"
+    # the raise in first_equal is the last frame: _eq's are dropped
+    assert info.traceback[-1].name == "first_equal"
+
+
+def test_first_equal_is_none_when_every_pair_is_decided_unequal():
+    assert first_equal(_eq, [("a", 1, 2), ("b", 3, 4)]) is None
+    assert first_equal(_eq, []) is None
+
+
+def test_first_equal_stops_at_the_first_equal_pair():
+    drawn, compared = [], []
+
+    def pairs():
+        for key in "abcd":
+            drawn.append(key)
+            yield key, key, "b"
+
+    def eq(p, q):
+        compared.append(p)
+        return p == q
+
+    assert first_equal(eq, pairs()) == "b"
+    assert drawn == compared == ["a", "b"]
 
 
 # -- standard embedding ---------------------------------------------------------

@@ -24,6 +24,10 @@ QUICK = bundled_scenario_path("quick").read_text().replace(
     ("axioms", suites, "check_directedness", "dir"),
     # once irredundancy is checked, the Puritz order is not decided
     ("axioms", suites, "check_irredundant", "puritz"),
+    # after the first diagonal check, the later ones are not decided
+    ("axioms", suites, "check_diagonal", "diag"),
+    # after the first irredundancy check, the later ones are not decided
+    ("axioms", suites, "check_irredundant", "irredundant"),
     # boolean's first rng call starts the run: the laws and then the
     # standard-part sweep meet undecidable queries
     ("boolean", SuiteContext, "rng", "laws"),
