@@ -1,4 +1,5 @@
-"""Extension contract and executable checkers for the defining laws.
+"""Executable checkers for the defining laws, and the two extensions
+they run on.
 
 The laws checked here:
 
@@ -10,12 +11,20 @@ The laws checked here:
   irredundancy  every point is in the range of some starred function
   Puritz order  p <= q iff some starred function maps q to p
 
-Checkers run against any object implementing :class:`Extension`; the
-ultrapower model should pass, and the deliberately broken finite tables
-built by the ``broken_*`` constructors are negative controls that must
-be caught. A checker lets an :class:`~starext.errors.Undecidable` query
-propagate, for its caller to report apart from "fail": a horizon
-limitation is not a refutation.
+The checkers run on :class:`UltrapowerExtension`, which should pass, and
+on :class:`ToyExtension`, the finite tables that the ``broken_*``
+constructors break on purpose as negative controls that must be caught.
+Functions and points are opaque handles to them; they call only
+``function_handles``, ``function_name``, ``star`` (total on the handles
+an extension hands out), ``compose(g, f)`` (a handle for g after f),
+``diagonal(f, g)`` (a handle for the diagonal indicator composed with
+(f, g)), ``eq``, ``standard``, ``identity_handle``, ``realize_pair``
+(a point and the two projections that recover a pair, or
+:class:`~starext.errors.NotSupported`) and ``describe_point``.
+
+A checker lets an :class:`~starext.errors.Undecidable` query propagate,
+for its caller to report apart from "fail": a horizon limitation is not
+a refutation.
 """
 
 from __future__ import annotations
@@ -38,64 +47,18 @@ from .hyper import Hyperpoint, Universe, diagonal_composite, first_equal
 
 PASS = "pass"
 FAIL = "fail"
-EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """A checker's verdict, PASS, FAIL or EXHAUSTED, with its witness. An
-    undecidable query is no outcome: it propagates as ``Undecidable``."""
+    """A checker's verdict, PASS or FAIL, with its witness. An undecidable
+    query is no outcome: it propagates as ``Undecidable``."""
 
     status: str
     witness: str = ""
 
 
-# ---------------------------------------------------------------------------
-# Contract
-
-class Extension:
-    """What a functional-extension candidate must expose to the checkers.
-
-    Functions and points are opaque handles; only the operations below are
-    used. ``star`` must be total on the handles the instance hands out.
-    """
-
-    name = "extension"
-
-    def function_handles(self):
-        raise NotImplementedError
-
-    def function_name(self, handle) -> str:
-        raise NotImplementedError
-
-    def star(self, handle, point):
-        raise NotImplementedError
-
-    def compose(self, g, f):
-        """Handle for the composite g after f."""
-        raise NotImplementedError
-
-    def diagonal(self, f, g):
-        """Handle for the diagonal indicator composed with (f, g)."""
-        raise NotImplementedError
-
-    def eq(self, p, q) -> bool:
-        raise NotImplementedError
-
-    def standard(self, x: int):
-        raise NotImplementedError
-
-    def identity_handle(self):
-        raise NotImplementedError
-
-    def realize_pair(self, xi, eta):
-        raise NotSupported(f"{self.name} has no pairing structure")
-
-    def describe_point(self, p) -> str:
-        return repr(p)
-
-
-class UltrapowerExtension(Extension):
+class UltrapowerExtension:
     """The ultrapower model wrapped for the generic checkers."""
 
     name = "ultrapower"
@@ -139,7 +102,7 @@ class UltrapowerExtension(Extension):
         return p.text
 
 
-class ToyExtension(Extension):
+class ToyExtension:
     """A finite table posing as an extension; may violate any law.
 
     The carrier is 0..carrier_size-1, of which the first ``standard_size``
@@ -172,11 +135,7 @@ class ToyExtension(Extension):
     def function_handles(self):
         return list(self.tables)
 
-    def function_name(self, handle) -> str:
-        if isinstance(handle, tuple):
-            kind, a, b = handle
-            sep = "." if kind == "comp" else ","
-            return f"{kind}({self.function_name(a)}{sep}{self.function_name(b)})"
+    def function_name(self, handle: str) -> str:
         return handle
 
     def _table(self, handle) -> tuple[int, ...]:
@@ -221,6 +180,12 @@ class ToyExtension(Extension):
 
     def identity_handle(self):
         return "id"
+
+    def realize_pair(self, xi: int, eta: int):
+        raise NotSupported(f"{self.name} has no pairing structure")
+
+    def describe_point(self, p: int) -> str:
+        return str(p)
 
     def all_points(self):
         return range(self.carrier_size)
@@ -290,7 +255,7 @@ def redundant_toy() -> ToyExtension:
 # ---------------------------------------------------------------------------
 # Checkers
 
-def check_composition(ext: Extension, f, g, xi) -> CheckOutcome:
+def check_composition(ext, f, g, xi) -> CheckOutcome:
     """star(g) after star(f) against star(g after f) at one point."""
     lhs = ext.star(g, ext.star(f, xi))
     rhs = ext.star(ext.compose(g, f), xi)
@@ -306,7 +271,7 @@ def check_composition(ext: Extension, f, g, xi) -> CheckOutcome:
     )
 
 
-def check_diagonal(ext: Extension, f, g, xi) -> CheckOutcome:
+def check_diagonal(ext, f, g, xi) -> CheckOutcome:
     """The starred diagonal indicator must report star-equality exactly."""
     value = ext.star(ext.diagonal(f, g), xi)
     same = ext.eq(ext.star(f, xi), ext.star(g, xi))
@@ -329,7 +294,7 @@ def check_diagonal(ext: Extension, f, g, xi) -> CheckOutcome:
     )
 
 
-def check_directedness(ext: Extension, xi, eta) -> CheckOutcome:
+def check_directedness(ext, xi, eta) -> CheckOutcome:
     try:
         zeta, pr1, pr2 = ext.realize_pair(xi, eta)
     except NotSupported as exc:
@@ -343,12 +308,13 @@ def check_directedness(ext: Extension, xi, eta) -> CheckOutcome:
     )
 
 
-def check_irredundant(ext: Extension, xi, extra_points=()) -> CheckOutcome:
+def check_irredundant(ext, xi, extra_points=()) -> CheckOutcome:
     """Search for (f, eta) with star(f)(eta) equal to the point, the
     identity at the point itself first.
 
-    A completed scan is reported as EXHAUSTED, not FAIL: absence from a
-    finite registry does not disprove the law.
+    A completed scan is a FAIL whose witness is the point. On a toy every
+    point is a candidate, so the scan refutes the law. On the ultrapower
+    no scan completes: star(identity) at the point is the point itself.
     """
     candidates = list(extra_points) or [xi]
     witness = first_equal(ext.eq, chain(
@@ -358,11 +324,11 @@ def check_irredundant(ext: Extension, xi, extra_points=()) -> CheckOutcome:
          for handle in ext.function_handles() for eta in candidates),
     ))
     if witness is None:
-        return CheckOutcome(EXHAUSTED, witness=ext.describe_point(xi))
+        return CheckOutcome(FAIL, witness=ext.describe_point(xi))
     return CheckOutcome(PASS, witness=witness)
 
 
-def puritz_leq(ext: Extension, eta, xi):
+def puritz_leq(ext, eta, xi):
     """Witness for eta <= xi in the Puritz order, or None.
 
     Scans the registry in order; undecidable candidates are skipped while

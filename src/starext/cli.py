@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed (undecidable tolerated unless --strict),
 1 suite failures, 2 parse or configuration errors (a repeated --suite, a
-horizon of 2**62 or more, and an --out directory or report that cannot
-be written included), 3 broken filter consistency or replay
+horizon of 2**62 or more, the keisler suite on a scenario whose
+[fragment] lacks functions or points, and an --out directory or report
+that cannot be written included), 3 broken filter consistency or replay
 divergence (a decision that differs from the replayed log or that the
 log lacks, where the run stops, or a logged entry left over at the
 end), 4 an internal error while the suites run, reported as one line on
@@ -38,8 +39,17 @@ REPORT_NAME = "report.txt"
 LOG_NAME = "decisions.log"
 
 
+def tally(reports: list[SuiteReport], strict: bool) -> tuple[str, bool]:
+    """The run's counts, ``pass=... fail=... undecidable=...``, and its
+    verdict: no fail line, and under ``strict`` no undecidable line."""
+    fails = sum(r.failures for r in reports)
+    undec = sum(r.undecided for r in reports)
+    counts = f"pass={sum(r.passes for r in reports)} fail={fails} undecidable={undec}"
+    return counts, fails == 0 and (not strict or undec == 0)
+
+
 def render_report(scenario: Scenario, horizon: int, strict: bool,
-                  reports: list[SuiteReport]) -> str:
+                  reports: list[SuiteReport], counts: str, ok: bool) -> str:
     head = [
         "# starext suite report",
         f"scenario: {scenario.name}",
@@ -50,11 +60,7 @@ def render_report(scenario: Scenario, horizon: int, strict: bool,
         "",
     ]
     body = [r.render() for r in reports]
-    passes = sum(r.passes for r in reports)
-    fails = sum(r.failures for r in reports)
-    undec = sum(r.undecided for r in reports)
-    verdict = "ok" if fails == 0 and (not strict or undec == 0) else "failed"
-    tail = f"overall: pass={passes} fail={fails} undecidable={undec} verdict={verdict}"
+    tail = f"overall: {counts} verdict={'ok' if ok else 'failed'}"
     return "\n".join(head) + "\n".join(body) + tail + "\n"
 
 
@@ -100,6 +106,11 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [s for s in suites if s not in SUITE_RUNNERS]
     if unknown:
         print(f"error: unknown suites {unknown}", file=sys.stderr)
+        return 2
+    missing = scenario.fragment.missing()
+    if "keisler" in suites and missing:
+        print(f"error: --suite keisler needs [fragment] {missing} in {scenario.name}",
+              file=sys.stderr)
         return 2
 
     replay_log = None
@@ -147,7 +158,9 @@ def main(argv: list[str] | None = None) -> int:
                 # a fault of the verifier itself, never a verdict on the scenario
                 print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
                 return 4
-        report_text = render_report(scenario, config.horizon, args.strict, reports)
+        counts, ok = tally(reports, args.strict)
+        report_text = render_report(scenario, config.horizon, args.strict, reports,
+                                    counts, ok)
         try:
             (out_dir / REPORT_NAME).write_text(report_text)
             staged.replace(out_dir / LOG_NAME)
@@ -165,17 +178,10 @@ def main(argv: list[str] | None = None) -> int:
                 with contextlib.suppress(OSError):
                     d.rmdir()
 
-    fails = sum(r.failures for r in reports)
-    undec = sum(r.undecided for r in reports)
-    passes = sum(r.passes for r in reports)
-    print(f"{scenario.name}: pass={passes} fail={fails} undecidable={undec}")
+    print(f"{scenario.name}: {counts}")
     print(f"report: {out_dir / REPORT_NAME}")
     print(f"decision log: {out_dir / LOG_NAME} ({len(oracle.log)} entries)")
-    if fails > 0:
-        return 1
-    if args.strict and undec > 0:
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -40,6 +40,8 @@ expressions with named variables. ``[suites]`` names come from
 
 A function, point, closed-set or suite name, or a ``[config]`` or
 ``[fragment]`` key, given twice is an error at the line that repeats it.
+A ``[suites]`` list with ``keisler`` is an error at that entry's line
+unless ``[fragment]`` lists both functions and points.
 
 The whole file is parsed and every name resolved before any oracle work
 starts; errors carry the offending line number and, inside an expression
@@ -65,6 +67,11 @@ class FragmentSpec:
     points: list[str] = field(default_factory=list)
     depth: int = 0
     sample_stop: int = 500
+
+    def missing(self) -> str:
+        """What the keisler suite needs and this section lacks, as
+        ``"functions and points"``, or ``""``."""
+        return " and ".join(key for key in ("functions", "points") if not getattr(self, key))
 
 
 @dataclass
@@ -136,6 +143,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
     section = None
     sample_range = (0, 500)
     seen: set[tuple[str, str]] = set()
+    keisler_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -249,7 +257,12 @@ def parse_scenario(text: str, name: str = "<scenario>") -> Scenario:
                 if n in sc.suites:
                     raise ParseError(f"duplicate suite {n!r}", lineno, 1)
                 sc.suites.append(n)
+                if n == "keisler":
+                    keisler_line = lineno
 
+    missing = sc.fragment.missing()
+    if keisler_line and missing:
+        raise ParseError(f"suite 'keisler' needs [fragment] {missing}", keisler_line, 1)
     sc.fragment.sample_stop = sample_range[1]
     return sc
 

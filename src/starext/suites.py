@@ -4,8 +4,8 @@ Each suite emits one line per checked instance:
 
     <check>\t<instance-id>\t<pass|fail|undecidable>\t<witness?>
 
-``SuiteReport.law`` and ``SuiteReport.instance`` are the one path from a
-check to its line: ``law`` writes a pass line, or a fail line carrying
+Three methods of ``SuiteReport`` write the lines: ``add`` writes the
+verdict it is given, ``law`` writes a pass line, or a fail line carrying
 its witness, and an ``Undecidable`` raised inside ``instance`` becomes
 that instance's ``undecidable`` line, with the oracle's reason as its
 witness.
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConsistencyViolation, NotRepresentable, Undecidable
 from .axioms import (
     CheckOutcome,
-    EXHAUSTED,
     FAIL,
     PASS,
     UltrapowerExtension,
@@ -173,9 +172,6 @@ class SuiteReport:
     def add(self, check: str, index: int, verdict: str, witness: str = "") -> None:
         self.lines.append(ReportLine(check, f"{index:04d}", verdict, witness))
 
-    def add_outcome(self, check: str, index: int, outcome: CheckOutcome) -> None:
-        self.add(check, index, PASS if outcome.status == PASS else FAIL, outcome.witness)
-
     def law(self, check: str, index: int, ok: bool, witness: str = "") -> None:
         """A pass line, or a fail line carrying ``witness``."""
         self.add(check, index, PASS if ok else FAIL, "" if ok else witness)
@@ -300,7 +296,8 @@ def run_axioms(ctx: SuiteContext) -> SuiteReport:
         g = ctx.sample_fn(rng)
         xi = ctx.sample_points(rng, 1)[0]
         with report.instance("diag", i):
-            report.add_outcome("diag", i, check_diagonal(ctx.extension(ctx.fresh()), f, g, xi))
+            outcome = check_diagonal(ctx.extension(ctx.fresh()), f, g, xi)
+            report.add("diag", i, outcome.status, outcome.witness)
 
     rng = ctx.rng("axioms.dir")
     for i in range(ctx.counts["dir"]):
@@ -315,14 +312,14 @@ def run_axioms(ctx: SuiteContext) -> SuiteReport:
                 patched = u.point(IfEq(VAR, Const(i % 50), Const(0), zeta.seq))
                 if not u.eq(patched, zeta):
                     outcome = CheckOutcome(FAIL, witness="perturbed realizer not equal")
-            report.add_outcome("dir", i, outcome)
+            report.add("dir", i, outcome.status, outcome.witness)
 
     rng = ctx.rng("axioms.irredundant")
     for i in range(ctx.counts["irredundant"]):
         xi = ctx.sample_points(rng, 1)[0]
         with report.instance("irredundant", i):
-            report.add_outcome("irredundant", i,
-                               check_irredundant(ctx.extension(ctx.fresh()), xi))
+            outcome = check_irredundant(ctx.extension(ctx.fresh()), xi)
+            report.add("irredundant", i, outcome.status, outcome.witness)
 
     rng = ctx.rng("axioms.puritz")
     for i in range(ctx.counts["puritz"]):
@@ -367,17 +364,13 @@ NEGATIVE_CONTROLS = (
 
 def _violation(check: str, toy) -> CheckOutcome | None:
     """The first violation of ``check`` on the toy, or None."""
+    pts = list(toy.all_points())
     if check == "irredundant":
-        pts = list(toy.all_points())
         outcomes = (check_irredundant(toy, p, extra_points=pts) for p in pts)
-        return next((out for out in outcomes if out.status == EXHAUSTED), None)
-    law = check_composition if check == "comp" else check_diagonal
-    outcomes = (
-        law(toy, f, g, p)
-        for f in toy.function_handles()
-        for g in toy.function_handles()
-        for p in toy.all_points()
-    )
+    else:
+        law = check_composition if check == "comp" else check_diagonal
+        fns = toy.function_handles()
+        outcomes = (law(toy, f, g, p) for f in fns for g in fns for p in pts)
     return next((out for out in outcomes if out.status == FAIL), None)
 
 
@@ -643,14 +636,13 @@ def _pair_label(frag, ai: int, bi: int) -> str:
 def run_keisler(ctx: SuiteContext) -> SuiteReport:
     # one filter state for the whole fragment: the construction's own
     # queries are mutually referential, and they are tame (agreement
-    # sets here are full or cofinite, so the committed family stays fat)
+    # sets here are full or cofinite, so the committed family stays fat).
+    # The scenario parser and the CLI run keisler only on a [fragment]
+    # that lists functions and points
     report = SuiteReport("keisler")
     u = ctx.fresh()
     sc = ctx.scenario
     spec = sc.fragment
-    if not spec.functions or not spec.points:
-        report.add("fragment", 0, FAIL, "scenario has no fragment section")
-        return report
     registry = [(name, sc.defs[name]) for name in spec.functions]
     base = [u.point(sc.points[name], name) for name in spec.points]
     frag = None

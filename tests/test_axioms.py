@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import random
 import types
 from pathlib import Path
@@ -7,8 +9,8 @@ import pytest
 
 import starext
 
+from starext import axioms
 from starext.axioms import (
-    EXHAUSTED,
     FAIL,
     PASS,
     ToyExtension,
@@ -45,6 +47,32 @@ REGISTRY = [
 
 def hyper_ext(u):
     return UltrapowerExtension(u, REGISTRY)
+
+
+# -- the checkers' protocol -----------------------------------------------------
+
+def _checker_calls() -> dict[str, set[str]]:
+    """For each function of ``axioms`` that takes an ``ext``, the names it
+    reads off ``ext``."""
+    calls = {}
+    for node in ast.parse(inspect.getsource(axioms)).body:
+        if isinstance(node, ast.FunctionDef) and "ext" in (a.arg for a in node.args.args):
+            calls[node.name] = {
+                sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                and sub.value.id == "ext"}
+    return calls
+
+
+@pytest.mark.parametrize("cls", [UltrapowerExtension, ToyExtension],
+                         ids=lambda cls: cls.__name__)
+def test_both_extensions_define_what_the_checkers_call(cls):
+    calls = _checker_calls()
+    assert set(calls) == {"check_composition", "check_diagonal", "check_directedness",
+                          "check_irredundant", "puritz_leq"}
+    used = set().union(*calls.values())
+    assert {"star", "eq", "realize_pair", "describe_point"} <= used
+    assert sorted(name for name in used if name not in vars(cls)) == []
 
 
 # -- checkers on the ultrapower model ------------------------------------------
@@ -210,7 +238,7 @@ def test_redundant_toy_exhausts_search():
     pts = list(toy.all_points())
     rho = toy.carrier_size - 1
     out = check_irredundant(toy, rho, extra_points=pts)
-    assert out.status == EXHAUSTED
+    assert out.status == FAIL
     assert out.witness == str(rho)
     # everything else is reachable and the other laws hold
     for p in pts[:-1]:

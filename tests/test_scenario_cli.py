@@ -92,6 +92,11 @@ def test_parse_minimal_scenario():
     ("[closed]\nE = []\nE = [(f, std0)]", "7:1: duplicate closed set 'E'"),
     ("[suites]\nfinite, axioms, finite", "6:1: duplicate suite 'finite'"),
     ("[suites]\naxioms\nfinite, axioms", "7:1: duplicate suite 'axioms'"),
+    ("[suites]\nfinite, keisler", "6:1: suite 'keisler' needs [fragment] functions and points"),
+    ("[fragment]\npoints = std0\n[suites]\nkeisler",
+     "8:1: suite 'keisler' needs [fragment] functions"),
+    ("[suites]\nkeisler\n[fragment]\nfunctions = f",
+     "6:1: suite 'keisler' needs [fragment] points"),
 ])
 def test_scenario_parse_errors(mutation, fragment):
     base = "[functions]\ndef f = x\n[points]\nstd0 = 0\n"
@@ -193,6 +198,24 @@ def test_cli_repeated_suite_exit_two(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == "error: --suite keisler given twice\n"
+    assert not out.exists()
+
+
+def test_cli_keisler_without_fragment_exit_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["broken_comp", "--suite", "keisler", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --suite keisler needs [fragment] functions and points in broken_comp.scn\n")
+    assert not out.exists()
+    # a [fragment] with points and no functions, selected in the file
+    text = MINI.replace("functions = id, parity\n", "").replace(
+        "boolean, transfer", "boolean, keisler")
+    scn = tmp_path / "points-only.scn"
+    scn.write_text(text)
+    assert main([str(scn), "--out", str(out)]) == 2
+    line = text.splitlines().index("boolean, keisler") + 1
+    assert capsys.readouterr().err == (
+        f"error: {line}:1: suite 'keisler' needs [fragment] functions\n")
     assert not out.exists()
 
 
