@@ -4,17 +4,22 @@ Everything here runs on a *fragment*: finitely many named functions and
 hyperpoints, and a finite sample 0..S-1 of the base set standing in for
 the second coordinate of the index set I = points x sample.
 
-Every check takes one route: target -> check set -> witness table ->
-verdict. The *check set* of a point a (alpha) collects the fragment
-points that reach it: every xi with a witness f in the registry such
-that star(f)(xi) equals a, the first one in registry order. Its
-*witness table* encodes a as a function on I: row xi is the witness
-applied to the sample when xi reaches a, and the identity otherwise. A
-table carries its check set, hence its target; :func:`image_table`
-gives the table of star(g)(a) from a's. The equivalence induced by a
-table (same value = related) is what the filter-of-equivalences law
-speaks about; one kernel, :func:`class_violation`, finds a value that
-is not constant on a table's classes, for that law and for the probe.
+Every check takes one route: target -> check set -> verdict, through
+a witness table only where the table's codes or values are read. The
+*check set* of a point a (alpha) collects the fragment points that
+reach it: every xi with a witness f in the registry such that
+star(f)(xi) equals a, the first one in registry order. Its *witness
+table* encodes a as a function on I: row xi is the witness applied to
+the sample when xi reaches a, and the identity otherwise. The check set
+alone gives each row's expression (:meth:`CheckSet.row_exprs`), and
+the tracking checks decide on that; :func:`image_check_set` gives the
+check set of star(g)(a) from a's. Tables, which carry their check set
+and hence their target, are built for the fragment's points, whose
+codes the inclusion law and the probes read, and for the image the
+surjectivity probe recovers. The equivalence induced by a table (same
+value = related) is what the filter-of-equivalences law speaks about;
+one kernel, :func:`class_violation`, finds a value that is not constant
+on a table's classes, for that law and for the probe.
 
 The membership policy for the product filter over I ("accept when the
 inner-true set contains some check set, reject when its complement
@@ -59,16 +64,16 @@ class Fragment:
     registry: list[tuple[str, FnExpr]]
     points: list[Hyperpoint]
     sample: list[int]
-    _images: list[np.ndarray] | None = field(default=None, repr=False)
+    _images: list[list[list[int]]] | None = field(default=None, repr=False)
 
-    def prefix_images(self) -> list[np.ndarray]:
+    def prefix_images(self) -> list[list[list[int]]]:
         """Each registry function, in registry order, applied to the
-        points' first PREFIX_LEN values: one (points x PREFIX_LEN) matrix
-        per function, computed once per fragment."""
+        points' first PREFIX_LEN values: per function, one row of Python
+        ints per point, computed once per fragment."""
         if self._images is None:
             prefixes = np.array([p.values(PREFIX_LEN - 1) for p in self.points],
                                 dtype=object).reshape(-1, PREFIX_LEN)
-            self._images = [eval_vec(expr, prefixes) for _, expr in self.registry]
+            self._images = [eval_vec(expr, prefixes).tolist() for _, expr in self.registry]
         return self._images
 
 
@@ -138,6 +143,12 @@ class CheckSet:
     def indices(self) -> set[int]:
         return {i for i, _, _ in self.members}
 
+    def row_exprs(self, n_points: int) -> list[FnExpr]:
+        """Per fragment point, the expression of its row in the target's
+        witness table: its witness in this set, the identity outside it."""
+        witness_by_index = {i: expr for i, _, expr in self.members}
+        return [witness_by_index.get(i, VAR) for i in range(n_points)]
+
 
 def build_check_set(
     frag: Fragment,
@@ -155,10 +166,10 @@ def build_check_set(
     registry scan.
     """
     u = frag.universe
-    # object dtype: exact whatever the dtype of the images
-    t_prefix = np.array(target.values(PREFIX_LEN - 1), dtype=object)
+    # Python ints on both sides: exact whatever their size
+    t_prefix = target.values(PREFIX_LEN - 1)
     # hits[k][i]: registry function k maps point i's prefix onto the target's
-    hits = [(image == t_prefix).all(axis=1) for image in frag.prefix_images()]
+    hits = [[row == t_prefix for row in image] for image in frag.prefix_images()]
     check_set = CheckSet(target, [])
     for i, xi in enumerate(frag.points):
         candidates = [entry for entry, hit in zip(frag.registry, hits) if hit[i]]
@@ -197,20 +208,17 @@ def witness_table(frag: Fragment, check_set: CheckSet) -> WitnessTable:
     share one evaluation. The codes number the distinct values in order of
     first appearance, reading the table row by row; the table is object
     dtype, exact Python ints, when any row is."""
-    witness_by_index = {i: expr for i, _, expr in check_set.members}
+    row_exprs = check_set.row_exprs(len(frag.points))
     sample = np.array(frag.sample)
     row_cache: dict[str, tuple[np.ndarray, list[int]]] = {}
-    row_exprs: list[FnExpr] = []
     rows: list[np.ndarray] = []
     values: list[list[int]] = []
-    for i in range(len(frag.points)):
-        row_expr = witness_by_index.get(i, VAR)
+    for row_expr in row_exprs:
         key = pretty(row_expr)
         if key not in row_cache:
             row = eval_vec(normalize(row_expr), sample)
             row_cache[key] = (row, row.tolist())
         row, row_vals = row_cache[key]
-        row_exprs.append(row_expr)
         rows.append(row)
         values.append(row_vals)
     grid = np.stack(rows) if rows else np.empty((0, len(frag.sample)), dtype=np.int64)
@@ -223,17 +231,18 @@ def witness_table(frag: Fragment, check_set: CheckSet) -> WitnessTable:
     return WitnessTable(check_set, codes, row_exprs, values)
 
 
-def image_table(frag: Fragment, g: FnExpr, g_name: str,
-                alpha_tab: WitnessTable) -> WitnessTable:
-    """The table of beta = star(g)(alpha), alpha being ``alpha_tab``'s
+def image_check_set(frag: Fragment, g: FnExpr, g_name: str,
+                    alpha_cs: CheckSet) -> CheckSet:
+    """The check set of beta = star(g)(alpha), alpha being ``alpha_cs``'s
     target. A point that reaches alpha through f, and beta through no
     registry function, is tried with the composite witness g after f,
-    named ``g_name.f``."""
-    alpha_cs = alpha_tab.check_set
+    named ``g_name.f``. The tracking checks read this check set and its
+    row expressions only; the surjectivity probe, which reads beta's
+    table values, builds the table from it."""
     beta = frag.universe.star_apply(g, alpha_cs.target)
     fallback = {i: (f"{g_name}.{name}", Compose(g, expr))
                 for i, name, expr in alpha_cs.members}
-    return witness_table(frag, build_check_set(frag, beta, fallback))
+    return build_check_set(frag, beta, fallback)
 
 
 def class_violation(
@@ -320,11 +329,13 @@ def product_filter(
 
 
 def _agreement_rows(g: FnExpr, alpha_tab: WitnessTable,
-                    beta_tab: WitnessTable) -> list[FnExpr]:
+                    beta_cs: CheckSet) -> list[FnExpr]:
     """Per point, the indicator ifeq(g(alpha row), beta row, 1, 0): the
-    I-set on which g carries alpha's table onto beta's."""
+    I-set on which g carries alpha's table onto the table of beta, the
+    target of ``beta_cs``."""
+    beta_rows = beta_cs.row_exprs(len(alpha_tab.row_exprs))
     return [IfEq(Compose(g, a_row), b_row, Const(1), Const(0))
-            for a_row, b_row in zip(alpha_tab.row_exprs, beta_tab.row_exprs)]
+            for a_row, b_row in zip(alpha_tab.row_exprs, beta_rows)]
 
 
 def _first_undecided(*check_sets: CheckSet) -> Undecidable | None:
@@ -362,11 +373,11 @@ def check_star_tracking(
     """
     u = frag.universe
     alpha_cs = alpha_tab.check_set
-    beta_tab = image_table(frag, g, g_name, alpha_tab)
-    report = TrackingReport(undecided=_first_undecided(alpha_cs, beta_tab.check_set))
+    beta_cs = image_check_set(frag, g, g_name, alpha_cs)
+    report = TrackingReport(undecided=_first_undecided(alpha_cs, beta_cs))
 
-    rows = _agreement_rows(g, alpha_tab, beta_tab)
-    reaches_beta = beta_tab.check_set.indices()
+    rows = _agreement_rows(g, alpha_tab, beta_cs)
+    reaches_beta = beta_cs.indices()
     for i, _, _ in alpha_cs.members:
         if i not in reaches_beta:
             report.forward_fail += 1
@@ -399,10 +410,10 @@ def check_tracking_negative(
     the check sets included: with one, an UNDECIDED verdict is the
     oracle's, without one it is the policy's.
     """
-    bp_tab = witness_table(frag, build_check_set(frag, beta_prime))
+    bp_cs = build_check_set(frag, beta_prime)
     verdict, undecided = product_filter(
-        frag, _agreement_rows(g, alpha_tab, bp_tab), [alpha_tab.check_set])
-    return verdict, _first_undecided(alpha_tab.check_set, bp_tab.check_set) or undecided
+        frag, _agreement_rows(g, alpha_tab, bp_cs), [alpha_tab.check_set])
+    return verdict, _first_undecided(alpha_tab.check_set, bp_cs) or undecided
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +457,8 @@ def surjectivity_probe(
         g = VAR
     else:
         g = Table(VAR, tuple(sorted(row.items())))
-    beta_tab = image_table(frag, g, "probe", alpha_tab)
-    beta_cs = beta_tab.check_set
+    beta_cs = image_check_set(frag, g, "probe", alpha_cs)
+    beta_tab = witness_table(frag, beta_cs)
     recovered = np.array(beta_tab.values, dtype=object).reshape(n_pts, n_smp)
     undecided: Undecidable | None = None
     for i, j in np.argwhere(recovered != grid).tolist():

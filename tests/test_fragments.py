@@ -21,7 +21,7 @@ from starext.fragments import (
     check_star_tracking,
     check_tracking_negative,
     class_violation,
-    image_table,
+    image_check_set,
     product_filter,
     refinement_violation,
     surjectivity_probe,
@@ -97,6 +97,24 @@ def test_check_set_prefix_test_is_exact_past_2_63():
     assert u.eq(u.star_apply(f, omega), big)
     cs = build_check_set(frag, big)
     assert [(i, name) for i, name, _ in cs.members] == [(0, "f"), (1, "id")]
+
+
+def test_check_set_prefix_test_skips_a_near_miss_without_a_query(monkeypatch):
+    # near's first 64 values are big's plus 1, past 2**58, where both
+    # round to the same float64: only an exact prefix test skips near
+    u = make_universe(horizon=2000)
+    f = parse_fn("(x + 1) * 288230376151711744 + 1")
+    near = parse_fn("(x + 1) * 288230376151711744 + 2")
+    big = u.point(f, "big")
+    frag = build_fragment(u, [("near", near), ("f", f), ("id", VAR)],
+                          [u.point(VAR, "omega"), big], list(range(50)))
+    asked = []
+    real_eq = u.eq
+    monkeypatch.setattr(u, "eq", lambda a, b: asked.append(a) or real_eq(a, b))
+    cs = build_check_set(frag, big)
+    assert [(i, name) for i, name, _ in cs.members] == [(0, "f"), (1, "id")]
+    # one query per point, its witness's
+    assert len(asked) == 2
 
 
 def test_a_point_placed_by_a_later_candidate_is_a_member_only():
@@ -315,7 +333,7 @@ def test_image_table_supplies_composite_witness():
     omega = frag.points[0]
     tab = alpha_table(frag, omega)
     g = parse_fn("x * 2 + 1")
-    bcs = image_table(frag, g, "odd", tab).check_set
+    bcs = image_check_set(frag, g, "odd", tab.check_set)
     assert bcs.target == u.star_apply(g, omega)
     assert bcs.indices() == tab.check_set.indices()
 
@@ -332,23 +350,70 @@ def test_tracking_negative_outcomes(monkeypatch):
     # once the oracle decides nothing, the verdict is open with its reason,
     # whether only the product filter met it or beta-prime's check set did
     armed = []
-    real_query, real_witness_table = OracleState.query, fragments.witness_table
+    real_query, real_build_check_set = OracleState.query, fragments.build_check_set
 
     def query(self, pred):
         if armed:
             raise Undecidable(pred.text, self.horizon, "forced by the test")
         return real_query(self, pred)
 
-    def arm_after(frag, check_set):
-        out = real_witness_table(frag, check_set)
+    def arm_after(frag, target, fallback=None):
+        out = real_build_check_set(frag, target, fallback)
         armed.append(True)
         return out
 
     monkeypatch.setattr(OracleState, "query", query)
-    monkeypatch.setattr(fragments, "witness_table", arm_after)
+    monkeypatch.setattr(fragments, "build_check_set", arm_after)
     for beta_prime in (frag.points[2], frag.points[3]):
         verdict, undecided = check_tracking_negative(frag, VAR, beta_prime, t1)
         assert verdict == UNDECIDED and "forced by the test" in str(undecided)
+
+
+def tracking_outcomes(frag, tables):
+    """Every tracking check of the fragment, and one negative per point
+    against the next point, as comparable values."""
+    out = []
+    for ai, alpha_tab in enumerate(tables):
+        for name, g in frag.registry:
+            rep = check_star_tracking(frag, g, name, alpha_tab)
+            out.append((rep.forward_pass, rep.forward_fail, rep.forward_undecided,
+                        rep.product_verdict, rep.details, str(rep.undecided)))
+        beta_prime = frag.points[(ai + 1) % len(frag.points)]
+        verdict, undecided = check_tracking_negative(frag, parse_fn("x + 1"), beta_prime,
+                                                     alpha_tab)
+        out.append((verdict, str(undecided)))
+    return out
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_tracking_checks_build_no_witness_table(monkeypatch, depth):
+    # the tracking checks read check sets and row expressions only; the
+    # same checks on a twin fragment, tables allowed, give the verdicts
+    _, twin = tagged_fragment(depth=depth)
+    want = tracking_outcomes(twin, point_tables(twin))
+    _, frag = tagged_fragment(depth=depth)
+    tables = point_tables(frag)
+
+    def refuse(frag, check_set):
+        raise AssertionError("witness_table called")
+
+    monkeypatch.setattr(fragments, "witness_table", refuse)
+    assert tracking_outcomes(frag, tables) == want
+    assert {o[0] for o in want if len(o) == 2} >= {REJECT}
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_check_set_row_exprs_are_the_table_rows(depth):
+    u, frag = tagged_fragment(depth=depth)
+    n = len(frag.points)
+    # a standard point no fragment point reaches: every row the identity
+    check_sets = [build_check_set(frag, p) for p in frag.points + [u.standard(0)]]
+    check_sets += [image_check_set(frag, g, name, cs)
+                   for cs in check_sets[:2] for name, g in frag.registry]
+    for cs in check_sets:
+        assert cs.row_exprs(n) == witness_table(frag, cs).row_exprs
+    sizes = {len(cs.members) for cs in check_sets}
+    assert min(sizes) == 0 and max(sizes) > 0
 
 
 # -- the class-constancy kernel against the cell loops it replaced ------------

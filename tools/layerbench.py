@@ -44,6 +44,11 @@ Each line is the best of five repetitions, in µs per call, measured with
 - one Łoś group: ``eval_hyper`` of phi, !phi, psi, phi & psi and
   phi | psi in a new universe, without a registry;
 - ``build_fragment`` on the fragment of the bundled ``quick`` scenario;
+- the keisler suite's tracking checks of that fragment's point 0: one
+  ``check_star_tracking`` per registry function, the point's witness
+  table built once in set-up; each check builds the image's check set
+  and decides on it, and after the first call its oracle queries are
+  repeats;
 - a decision log: 30,000 fixed entries appended to a ``DecisionLog``
   whose sink is a temporary file, which is then closed.
 
@@ -81,7 +86,12 @@ from starext.funlang import (  # noqa: E402
     parse_fn,
     pretty,
 )
-from starext.fragments import build_fragment  # noqa: E402
+from starext.fragments import (  # noqa: E402
+    build_check_set,
+    build_fragment,
+    check_star_tracking,
+    witness_table,
+)
 from starext.hyper import Universe  # noqa: E402
 from starext.oracle import DecisionLog, LogEntry, OracleConfig, OracleState  # noqa: E402
 from starext.scenario import bundled_scenario_path, load_scenario  # noqa: E402
@@ -234,14 +244,27 @@ def _los_group():
     return None, run
 
 
-def _fragment():
+def _quick_fragment_inputs():
+    """The arguments of ``build_fragment`` for the bundled ``quick``
+    scenario's fragment, in a new universe."""
     sc = load_scenario(bundled_scenario_path("quick"))
     spec = sc.fragment
     u = Universe(OracleState(sc.oracle_config()))
     registry = [(name, sc.defs[name]) for name in spec.functions]
     base = [u.point(sc.points[name], name) for name in spec.points]
-    sample = list(range(spec.sample_stop))
-    return None, lambda: build_fragment(u, registry, base, sample, depth=spec.depth)
+    return u, registry, base, list(range(spec.sample_stop)), spec.depth
+
+
+def _fragment():
+    u, registry, base, sample, depth = _quick_fragment_inputs()
+    return None, lambda: build_fragment(u, registry, base, sample, depth=depth)
+
+
+def _tracking():
+    frag = build_fragment(*_quick_fragment_inputs())
+    alpha_tab = witness_table(frag, build_check_set(frag, frag.points[0]))
+    return None, lambda: [check_star_tracking(frag, g, name, alpha_tab)
+                          for name, g in frag.registry]
 
 
 def _decision_log():
@@ -275,6 +298,7 @@ BENCHES = [
     ("oracle decision, closed predicate", _constant_decision, 4_000),
     ("Łoś group, five eval_hyper", _los_group, 200),
     ("build_fragment, quick", _fragment, 200),
+    ("check_star_tracking, quick point 0, every function", _tracking, 200),
     (f"decision log, {LOG_ENTRIES:,} entries to a file", _decision_log, 5),
 ]
 
