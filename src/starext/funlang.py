@@ -355,7 +355,9 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[dict[int, bool], set[int]]:
     below (``mod`` does, by its divisor; ``div`` keeps it saturated).
 
     ``shared`` holds the ids of the nodes reached twice, the nodes whose
-    values :func:`eval_vec` keeps for reuse.
+    values :func:`eval_vec` keeps for reuse. The sides of an ``ifeq``
+    whose branches are the same (see :func:`_same_branches`) are not
+    visited, since :func:`eval_vec` does not evaluate them.
 
     A composition, or any other node outside the evaluable grammar,
     raises :class:`TypeError`.
@@ -378,8 +380,11 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[dict[int, bool], set[int]]:
         elif cls is Var:
             out = x_max
         elif cls is IfEq:
-            child = max(bound(node.a), bound(node.b))
-            out = max(bound(node.then), bound(node.other))
+            if _same_branches(node):
+                out = bound(node.then)
+            else:
+                child = max(bound(node.a), bound(node.b))
+                out = max(bound(node.then), bound(node.other))
         elif cls is Sub:
             child = bound(node.right)
             out = bound(node.left)
@@ -420,6 +425,13 @@ def _bound_pass(e: FnExpr, x_max: int) -> tuple[dict[int, bool], set[int]]:
     bound(e)
     del bound  # it refers to itself: unbound, it and the memo are freed on return
     return wide, shared
+
+
+def _same_branches(node: IfEq) -> bool:
+    """Whether the two branches of ``node`` are one node or two equal
+    constants, so that ``node`` is its branch whatever its sides are."""
+    t, o = node.then, node.other
+    return t is o or (type(t) is Const and type(o) is Const and t.value == o.value)
 
 
 _isqrt_obj = np.frompyfunc(isqrt, 1, 1)
@@ -479,6 +491,16 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
     b is nonzero and a > C // b, a pair is C once a + b passes
     :data:`_PAIR_SUM_MAX`, and any other wide node is evaluated exactly,
     then clamped. Two wide sides compare in Python ints.
+
+    Three shortcuts skip NumPy work that cannot change a value or a
+    dtype. An ``ifeq`` whose branches are one node, or two constants of
+    one value, is its branch: neither the interval pass nor the
+    evaluation visits its sides, and its dtype still follows its own
+    bound. In int64, ``ifeq(a, b, 1, 0)`` is the condition cast to 0/1
+    and ``ifeq(a, b, 0, 1)`` its negation, with no ``np.where``; and
+    ``v mod d`` is ``v - v // d * d``, which NumPy's floor division makes
+    equal to ``%`` at half its cost. Python-int values keep ``np.where``
+    and ``%``.
     """
     xs = np.asarray(xs)
     x_max = int(xs.max()) if xs.size else 0
@@ -555,27 +577,36 @@ def eval_vec(e: FnExpr, xs) -> np.ndarray:
         elif cls is Var:
             out = xs
         elif cls is IfEq:
-            a, b = node.a, node.b
-            if not lift:
-                cond = go(a) == go(b)
-            elif wide.get(id(a)) and wide.get(id(b)):
-                cond = lifted(a) == lifted(b)
+            a, b, then, other = node.a, node.b, node.then, node.other
+            if _same_branches(node):
+                out = go(then)  # cast below to the node's own dtype
             else:
-                cond = clamped(a) == clamped(b)
-            # the branches fit in int64 unless the node's own bound does not
-            t, o = go(node.then), go(node.other)
-            if isinstance(cond, np.ndarray):
-                dt = object if lift and wide[key] else np.int64
-                out = np.where(cond, np.asarray(t, dt), np.asarray(o, dt))
-            else:
-                out = t if cond else o
+                if not lift:
+                    cond = go(a) == go(b)
+                elif wide.get(id(a)) and wide.get(id(b)):
+                    cond = lifted(a) == lifted(b)
+                else:
+                    cond = clamped(a) == clamped(b)
+                # the branches fit in int64 unless the node's own bound does not
+                t, o = go(then), go(other)
+                if not isinstance(cond, np.ndarray):
+                    out = t if cond else o
+                elif lift and wide[key]:
+                    out = np.where(cond, np.asarray(t, object), np.asarray(o, object))
+                elif type(then) is Const and type(other) is Const and (t, o) in ((1, 0), (0, 1)):
+                    # 0/1 branches: the condition or its negation, as 0/1
+                    out = (cond if t else ~cond).astype(np.int64)
+                else:
+                    out = np.where(cond, np.asarray(t, np.int64), np.asarray(o, np.int64))
         elif cls is Sub:
             d = ev(node.left) - ev(node.right)
             out = np.maximum(d, 0) if isinstance(d, np.ndarray) else max(d, 0)
         elif cls is Add:
             out = ev(node.left) + ev(node.right)
         elif cls is ModC:
-            out = ev(node.arg) % node.divisor
+            v, d = ev(node.arg), node.divisor
+            # in int64, NumPy's floor division makes this ``%``, at half the cost
+            out = v - v // d * d if not lift and type(v) is np.ndarray else v % d
         elif cls is PairE:
             r = ev(node.right)
             s = ev(node.left) + r
@@ -1171,8 +1202,11 @@ def _truth_bits(node: FnExpr, horizon: int, full: int, cache: Mapping[str, int],
     own. At ``ifeq(p, 0, t, o)``, the shape of :func:`not_`, :func:`and_`
     and :func:`or_`, whose ``p`` has a set found so, with no
     :func:`eval_vec` call, the set is ``(P & O) | (T & ~P)`` for the sets
-    P, T and O of ``p``, ``t`` and ``o``. Any other node is one
-    :func:`eval_vec` call."""
+    P, T and O of ``p``, ``t`` and ``o``; so it is at ``ifeq(0, p, t, o)``.
+    At ``ifeq(p, 1, t, o)`` and ``ifeq(1, p, t, o)`` it is the same with
+    ``~P`` for P, when ``p`` is 0/1-valued by its shape (see
+    :func:`_zero_one`): such a ``p`` is 1 exactly where it is true. Any
+    other node is one :func:`eval_vec` call."""
     cls = type(node)
     if cls is Const:
         return full if node.value else 0
@@ -1183,16 +1217,30 @@ def _truth_bits(node: FnExpr, horizon: int, full: int, cache: Mapping[str, int],
             return bits
         if "x" not in pp:
             return full if interpret(node, 0) else 0
-    if cls is IfEq and type(node.b) is Const and node.b.value == 0:
-        p = _truth_bits(node.a, horizon, full, cache, False)
-        if p is not None:
-            t = _truth_bits(node.then, horizon, full, cache, evaluate)
-            o = _truth_bits(node.other, horizon, full, cache, evaluate)
-            if t is not None and o is not None:
-                return (p & o) | (t & (full ^ p))
+    if cls is IfEq:
+        for p, c in ((node.a, node.b), (node.b, node.a)):
+            if type(c) is Const and (c.value == 0 or c.value == 1 and _zero_one(p)):
+                bits = _truth_bits(p, horizon, full, cache, False)
+                if bits is not None:
+                    t = _truth_bits(node.then, horizon, full, cache, evaluate)
+                    o = _truth_bits(node.other, horizon, full, cache, evaluate)
+                    if t is not None and o is not None:
+                        # where p = c: a 0/1-valued p is 1 where it is true
+                        hit = full ^ bits if c.value == 0 else bits
+                        return (t & hit) | (o & (full ^ hit))
+                break
     if not evaluate:
         return None
     return _bits_of(eval_vec(node, np.arange(horizon + 1)) != 0)
+
+
+def _zero_one(node: FnExpr) -> bool:
+    """Whether ``node`` takes only the values 0 and 1 by its shape: a
+    ``Const`` 0 or 1, or an ``ifeq`` whose branches are such nodes."""
+    cls = type(node)
+    if cls is Const:
+        return node.value == 0 or node.value == 1
+    return cls is IfEq and _zero_one(node.then) and _zero_one(node.other)
 
 
 def _bits_of(truth: np.ndarray) -> int:

@@ -42,7 +42,9 @@ windowed already. A decision is a fixed handful of int operations, with
 no NumPy call: ``inside = C & S`` and ``outside = C ^ inside``,
 :meth:`int.bit_count` for the sizes and, after a shift, the tail counts,
 the lowest set bit for a side's least element, and the chosen side
-becomes C.
+becomes C. C's least element is kept beside it, set whenever C is: a
+predicate that reads no index is decided from its value, with C's least
+element as the witness and no operation on C at all.
 
 The mask cache holds at most ``MASK_CACHE_LIMIT`` truth sets, about
 5.6 MB at H = 10**4, and evicts the oldest insertion first; a hit does
@@ -251,8 +253,10 @@ class OracleState:
             # eviction takes the oldest insertion, which a dict cannot pop
             raise TypeError("mask_cache must be an OrderedDict")
         self._mask_cache = mask_cache
-        # committed intersection C over indices 0..H, empty below the window
+        # committed intersection C over indices 0..H, empty below the window,
+        # and its least element
         self._commit = (1 << self.horizon + 1) - (1 << WINDOW_START)
+        self._commit_least = WINDOW_START
         self._tail_lo = tail_floor(self.horizon) + 1
         if self.config.tiebreak.startswith("seeded:"):
             seed = int(self.config.tiebreak.split(":", 1)[1])
@@ -279,7 +283,7 @@ class OracleState:
 
         const = pred.constant_value()
         if const is not None:
-            return self._record(pred, const, _least(self._commit))
+            return self._record(pred, const, self._commit_least)
 
         cache = self._mask_cache
         mask = cache.get(pred.text)
@@ -332,9 +336,10 @@ class OracleState:
     def _record(self, pred: IndexPredicate, accept: bool, witness: int,
                 commit: int | None = None) -> bool:
         """Log the decision; ``commit``, when given, is the new committed
-        intersection C."""
+        intersection C, and ``witness`` its least element."""
         if commit is not None:
             self._commit = commit
+            self._commit_least = witness
             if not commit:
                 raise ConsistencyViolation(
                     f"commitment to {pred.text!r} emptied the filter window"

@@ -18,6 +18,7 @@ from starext.funlang import (
     Compose,
     Const,
     DivC,
+    FnExpr,
     IfEq,
     IndexPredicate,
     ModC,
@@ -255,6 +256,47 @@ _wide_trees = st.builds(
     _wide_leaf,
 )
 
+#: branch constants, narrow and wide
+_BRANCH_CONSTS = st.sampled_from([0, 1, 2, 2**62, 2**70])
+
+#: the shapes eval_vec takes a shortcut on, over narrow, clamped and
+#: both-wide conditions: ifeqs with one node as both branches, with two
+#: equal constants, with 0/1 constants, and, as near misses, with the
+#: constants 1 and 2; and mod of int64 values up to 2**62 - 1
+_SHORTCUT_BRANCHES = _WIDE_BRANCHES + [
+    (3, lambda draw, a, b, t: IfEq(a, b, t, t)),
+    (2, lambda draw, a, b: IfEq(a, b, *map(Const, [draw(_BRANCH_CONSTS)] * 2))),
+    (2, lambda draw, a, b: IfEq(a, b, *map(Const, draw(st.permutations([0, 1]))))),
+    (2, lambda draw, a, b: IfEq(a, b, *map(Const, draw(st.permutations([1, 2]))))),
+    (1, lambda draw, a: ModC(a, draw(st.integers(2, 9) | st.integers(2**61, 2**62 - 1)))),
+]
+
+_shortcut_leaf = _wide_leaf | st.sampled_from([
+    Const(2**62 - 1), Add(VAR, Const(2**62 - 10**4 - 1)), Mul(VAR, Const(2**48))])
+
+_shortcut_trees = trees(_shortcut_leaf, _SHORTCUT_BRANCHES, st.integers(1, 16))
+
+
+def _without_shortcuts(e, memo=None):
+    """A copy of ``e`` on which eval_vec takes neither ifeq shortcut
+    (equal branches, 0/1 branches): every ifeq's other branch ``o``
+    becomes ``o + 0``. Each node of the copy has the bound of its
+    original, and the copy's conditions are evaluated, so its result has
+    the dtype that ``e``'s had before the shortcuts."""
+    memo = {} if memo is None else memo
+    key = id(e)
+    if key in memo:
+        return memo[key]
+    if type(e) is IfEq:
+        out = IfEq(*(_without_shortcuts(c, memo) for c in (e.a, e.b, e.then)),
+                   Add(_without_shortcuts(e.other, memo), Const(0)))
+    else:
+        fields = (getattr(e, f) for f in e.__match_args__)
+        out = type(e)(*(_without_shortcuts(v, memo) if isinstance(v, FnExpr) else v
+                        for v in fields))
+    memo[key] = out
+    return out
+
 
 #: entries past 2**62, which make the input node wide
 _BIG_INPUTS = [2**62, 2**62 + 1, 2**64 + 5, 2**70, pair(2**40, 2**41)]
@@ -266,17 +308,21 @@ def _input_array(xs):
     return np.array(xs, dtype=object if max(xs) >= INT64_SAFE else np.int64)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_wide_trees,
+@settings(max_examples=400, deadline=None)
+@given(_wide_trees | _shortcut_trees,
        st.lists(st.integers(0, 10**4), min_size=1, max_size=8)
        | st.lists(st.integers(0, 10**4) | st.sampled_from(_BIG_INPUTS), min_size=1, max_size=8))
 def test_eval_vec_matches_interpret_past_int64(e, xs):
-    """Trees whose values pass 2**62 and come back down, on inputs below
-    and past 2**62: exact ints where a node needs them, int64 elsewhere,
-    the result in the root's dtype, and the values of interpret."""
-    got = assert_matches_interpret(e, _input_array(xs))
-    wide, _ = _bound_pass(e, max(xs))
+    """Trees whose values pass 2**62 and come back down, and trees of
+    the shapes eval_vec takes shortcuts on, on inputs below and past
+    2**62: exact ints where a node needs them, int64 elsewhere, the
+    result in the root's dtype, the dtype without the shortcuts, and the
+    values of interpret."""
+    xs = _input_array(xs)
+    got = assert_matches_interpret(e, xs)
+    wide, _ = _bound_pass(e, int(xs.max()))
     assert (got.dtype == object) == bool(wide.get(id(e)))
+    assert got.dtype == eval_vec(_without_shortcuts(e), xs).dtype
 
 
 #: trees with exact nodes, their inputs and the dtype of their result
@@ -421,11 +467,12 @@ _any_wide_tree = trees(_wide_leaf, _WIDE_BRANCHES, st.integers(1, 12))
 
 _closed_leaf = st.sampled_from([Const(2**62), Const(2**70)]) | st.integers(0, 9).map(Const)
 
-#: trees with a wide root, trees that come back down, closed trees, and
-#: trees under a Table
+#: trees with a wide root, trees that come back down, trees of the
+#: shortcut shapes, closed trees, and trees under a Table
 _blocked_trees = st.one_of(
     _any_wide_tree,
     _wide_trees,
+    _shortcut_trees,
     trees(_closed_leaf, _WIDE_BRANCHES, st.integers(1, 12)),
     st.builds(_table, _any_wide_tree, st.dictionaries(_KEYS, _KEYS, max_size=4)),
 )
@@ -650,6 +697,54 @@ def test_known_truth_vectors_are_read_at_the_top_level_only(monkeypatch):
     both = IndexPredicate.from_expr(and_(yes, p))
     assert both.mask(horizon, {pretty(p): 0b1001}) == 0b1001
     assert calls == []
+
+
+#: 0/1-valued conditions by their shape: ifeqs whose branches are 0 and
+#: 1 or are themselves such ifeqs
+_ZERO_ONE = ["ifeq(x mod 3, 0, 1, 0)",
+             "ifeq(x mod 5, 2, 0, ifeq(x div 7, 3, 1, 0))",
+             "ifeq(x mod 4, 1, ifeq(x mod 3, 0, 0, 1), 1)"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("p_text", _ZERO_ONE)
+def test_zero_one_conditions_combine_from_the_cache(p_text, c, side, monkeypatch):
+    """ifeq(p, c, t, o) and ifeq(c, p, t, o) for c = 0 or 1 and a
+    0/1-valued p: with the sets of p, t and o cached, the mask is
+    combined in bits, with no eval_vec call, and equals the set eval_vec
+    gives."""
+    horizon = 300
+    p, t, o = (normalize(parse_fn(text)) for text in
+               (p_text, "ifeq(x mod 2, 0, 1, 0)", "ifeq(x div 50, 2, 1, 0)"))
+    cache = {pretty(part): _ref_bits(part, horizon) for part in (p, t, o)}
+    sides = (p, Const(c)) if side == "left" else (Const(c), p)
+    pred = IndexPredicate.from_expr(IfEq(*sides, t, o))
+    assert pred.expr.a is sides[0] and pred.expr.b is sides[1]
+    want = _ref_bits(pred.expr, horizon)
+    calls = _count_eval_vec(monkeypatch)
+    assert pred.mask(horizon, cache) == want
+    assert calls == []
+    # a constant branch needs no cached set
+    calls.clear()
+    pred = IndexPredicate.from_expr(IfEq(*sides, Const(1), Const(0)))
+    assert pred.mask(horizon, cache) == _ref_bits(pred.expr, horizon)
+    assert calls == []
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_condition_of_other_values_against_1_is_evaluated(side, monkeypatch):
+    """x mod 3 takes the value 2, so ifeq(x mod 3, 1, 1, 0) is not the
+    truth set of x mod 3: with that set cached, the mask is one eval_vec
+    call."""
+    horizon = 300
+    p = normalize(parse_fn("x mod 3"))
+    cache = {pretty(p): _ref_bits(p, horizon)}
+    sides = (p, Const(1)) if side == "left" else (Const(1), p)
+    pred = IndexPredicate.from_expr(IfEq(*sides, Const(1), Const(0)))
+    calls = _count_eval_vec(monkeypatch)
+    assert pred.mask(horizon, cache) == _ref_bits(pred.expr, horizon)
+    assert len(calls) == 1
 
 
 def _connective_tree(rng, parts, depth):

@@ -222,6 +222,27 @@ def test_constant_decisions_are_only_a_shortcut(monkeypatch):
             assert entry.witness == int(commit.argmax()) > WINDOW_START
 
 
+def test_constant_decisions_log_the_least_element_of_the_current_c():
+    """A constant decision is witnessed by the least element of C as it
+    is now: index 1 before any commitment, and C's new least element
+    after each decision that commits C to a side without it."""
+    state = fresh()
+    closed = _closed_predicates()
+    witnesses = []
+    for pred, split in zip(closed, [None, below(50), below(120)]):
+        if split is not None:
+            assert state.query(complement(split)) is True
+        state.query(pred)
+        commit = state._commit
+        assert entries(state)[-1].witness == (commit & -commit).bit_length() - 1
+        witnesses.append(entries(state)[-1].witness)
+    assert witnesses == [WINDOW_START, 50, 120]
+    # a sibling starts from no commitments
+    sibling = state.fresh_sibling()
+    sibling.query(closed[3])
+    assert entries(sibling)[-1].witness == WINDOW_START
+
+
 # -- determinism and replay -----------------------------------------------------
 
 def random_queries(seed: int, n: int = 50) -> list[IndexPredicate]:

@@ -31,6 +31,9 @@ Each line is the best of five repetitions, in µs per call, measured with
   pair(4, x)), pair(x, x * x), 1, 0)``, whose left pair passes 2**62; the
   right side is narrow, so the left pair is evaluated clamped at 2**62 in
   int64, its product component included;
+- the truth vector at H = 10⁴ of ``ifeq(P, 1, 1, 0)``, where P is that
+  query, whose values are 0 and 1, and P's truth vector is in the mask
+  cache: the vector is P's, combined in bits with no ``eval_vec`` call;
 - an oracle decision on a mask already in the mask cache: 4,096
   cofinite sets, cached by a first query of each, so each decision is
   a few int operations on one;
@@ -186,6 +189,13 @@ def _wide_mask(query, horizon=MASK_H):
     return factory
 
 
+def _cached_condition_mask():
+    # the set of P is cached as a decision of P leaves it
+    cache = {pretty(QUERY): IndexPredicate.from_expr(QUERY).mask(MASK_H)}
+    pred = IndexPredicate.from_expr(IfEq(QUERY, Const(1), Const(1), Const(0)))
+    return None, lambda: pred.mask(MASK_H, cache)
+
+
 def _decision():
     # cofinite masks: each decision accepts and keeps the committed set fat
     rng = np.random.default_rng(0)
@@ -293,6 +303,8 @@ BENCHES = [
     (f"IndexPredicate.mask, H={MASK_H}", _mask, 200),
     (f"IndexPredicate.mask, H={MASK_H}, wide ifeq", _wide_mask(WIDE_QUERY), 200),
     (f"IndexPredicate.mask, H={MASK_H}, wide pair ifeq", _wide_mask(WIDE_PAIR_QUERY), 200),
+    (f"IndexPredicate.mask, H={MASK_H}, ifeq(P, 1, 1, 0), P cached",
+     _cached_condition_mask, 200),
     ("oracle decision, cached mask", _decision, 4_000),
     (f"oracle decision, or_ of two cached predicates, H={H}", _union_decision, 4_000),
     ("oracle decision, closed predicate", _constant_decision, 4_000),
